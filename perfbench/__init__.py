@@ -1,0 +1,1 @@
+"""Repository benchmark: see README.md in this directory."""
