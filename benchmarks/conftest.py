@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime.pipeline import PipelineConfig, train_models
+from repro.runtime.pipeline import PipelineConfig, run_policy, train_models
 from repro.scenarios.aic21 import get_scenario
 
 #: Scaled-down but statistically meaningful run lengths for benches.
@@ -28,6 +28,15 @@ def bench_config(policy: str = "balb", **overrides) -> PipelineConfig:
     params = dict(BENCH_CONFIG)
     params.update(overrides)
     return PipelineConfig(policy=policy, **params)
+
+
+def run_policies(scenario_name: str, policies, trained):
+    """Each policy on one scenario with shared models and one test world."""
+    scenario = get_scenario(scenario_name, seed=0)
+    return {
+        policy: run_policy(scenario, policy, bench_config(), trained)
+        for policy in policies
+    }
 
 
 @pytest.fixture(scope="session")

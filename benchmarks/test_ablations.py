@@ -13,9 +13,8 @@ from repro.experiments.ablations import (
     ablate_coverage_ordering,
     measure_optimality_gap,
 )
-from repro.experiments.fig12_recall import run_policies
 
-from conftest import bench_config
+from conftest import run_policies
 
 
 @pytest.mark.benchmark(group="ablations")
@@ -73,10 +72,7 @@ def test_ablation_distributed_stage(benchmark, trained_by_scenario):
     argument for running both stages."""
     runs = benchmark.pedantic(
         lambda: run_policies(
-            "S3",
-            policies=("balb", "balb-cen"),
-            config=bench_config(),
-            trained=trained_by_scenario["S3"],
+            "S3", ("balb", "balb-cen"), trained_by_scenario["S3"]
         ),
         rounds=1,
         iterations=1,

@@ -8,10 +8,10 @@ central-only variant loses; and the full BALB stays close to Full.
 
 import pytest
 
-from repro.experiments.fig12_recall import recall_rows, run_policies
+from repro.experiments.fig12_recall import DEFAULT_POLICIES
 from repro.experiments.report import format_table
 
-from conftest import bench_config
+from conftest import run_policies
 
 
 @pytest.mark.benchmark(group="fig12")
@@ -19,23 +19,20 @@ from conftest import bench_config
 def test_fig12_recall(benchmark, scenario, trained_by_scenario):
     runs = benchmark.pedantic(
         lambda: run_policies(
-            scenario,
-            config=bench_config(),
-            trained=trained_by_scenario[scenario],
+            scenario, DEFAULT_POLICIES, trained_by_scenario[scenario]
         ),
         rounds=1,
         iterations=1,
     )
-    rows = recall_rows(runs)
+    recall = {policy: run.object_recall() for policy, run in runs.items()}
     print()
     print(
         format_table(
             ["scenario", "policy", "object recall"],
-            [(r.scenario, r.policy, r.recall) for r in rows],
+            [(scenario, policy, value) for policy, value in recall.items()],
             title=f"Figure 12 ({scenario}): object recall",
         )
     )
-    recall = {r.policy: r.recall for r in rows}
     # Observation 1: tracking-based slicing barely hurts recall.
     assert recall["balb-ind"] >= recall["full"] - 0.08
     # Observation 2: the distributed stage recovers BALB-Cen's losses.

@@ -7,15 +7,10 @@ BALB per scenario and the derived multiplicative speedups.
 
 import pytest
 
-from repro.experiments.fig12_recall import run_policies
-from repro.experiments.fig13_latency import (
-    LATENCY_POLICIES,
-    latency_rows,
-    speedup_summary,
-)
+from repro.experiments.fig13_latency import LATENCY_POLICIES
 from repro.experiments.report import format_table
 
-from conftest import bench_config
+from conftest import run_policies
 
 #: Paper's reported BALB-vs-Full speedups per scenario (shape reference).
 PAPER_SPEEDUPS = {"S1": 6.85, "S2": 6.18, "S3": 2.45}
@@ -26,42 +21,39 @@ PAPER_SPEEDUPS = {"S1": 6.85, "S2": 6.18, "S3": 2.45}
 def test_fig13_latency(benchmark, scenario, trained_by_scenario):
     runs = benchmark.pedantic(
         lambda: run_policies(
-            scenario,
-            policies=LATENCY_POLICIES,
-            config=bench_config(),
-            trained=trained_by_scenario[scenario],
+            scenario, LATENCY_POLICIES, trained_by_scenario[scenario]
         ),
         rounds=1,
         iterations=1,
     )
-    rows = latency_rows(runs)
-    summary = speedup_summary(runs)
+    lat = {policy: run.mean_slowest_latency() for policy, run in runs.items()}
     print()
     print(
         format_table(
             ["scenario", "policy", "slowest-cam ms", "speedup vs full"],
             [
-                (r.scenario, r.policy, round(r.slowest_camera_ms, 1),
-                 r.speedup_vs_full)
-                for r in rows
+                (scenario, policy, round(ms, 1), lat["full"] / ms)
+                for policy, ms in lat.items()
             ],
             title=f"Figure 13 ({scenario}); paper speedup: "
             f"{PAPER_SPEEDUPS[scenario]}x",
         )
     )
+    vs_full = lat["full"] / lat["balb"]
+    vs_ind = lat["balb-ind"] / lat["balb"]
+    vs_sp = lat["sp"] / lat["balb"]
     print(
-        f"BALB speedups — vs Full: {summary.balb_vs_full:.2f}x, "
-        f"vs Ind: {summary.balb_vs_ind:.2f}x, vs SP: {summary.balb_vs_sp:.2f}x"
+        f"BALB speedups — vs Full: {vs_full:.2f}x, "
+        f"vs Ind: {vs_ind:.2f}x, vs SP: {vs_sp:.2f}x"
     )
 
     # Headline shape: a multiplicative speedup over Full (paper: 2.45-6.85x).
-    assert summary.balb_vs_full > 2.0
+    assert vs_full > 2.0
     # BALB never loses to redundant independent tracking.
-    assert summary.balb_vs_ind > 0.95
+    assert vs_ind > 0.95
     # BALB never loses to static partitioning (paper: 1.88x mean win).
-    assert summary.balb_vs_sp > 0.9
+    assert vs_sp > 0.9
     # Full is the slowest policy everywhere.
-    lat = {r.policy: r.slowest_camera_ms for r in rows}
     assert lat["full"] == max(lat.values())
 
 
@@ -74,10 +66,7 @@ def test_fig13_cross_scenario_shape(benchmark, trained_by_scenario):
         out = {}
         for scenario in ("S1", "S2", "S3"):
             runs = run_policies(
-                scenario,
-                policies=("full", "balb"),
-                config=bench_config(),
-                trained=trained_by_scenario[scenario],
+                scenario, ("full", "balb"), trained_by_scenario[scenario]
             )
             out[scenario] = (
                 runs["full"].mean_slowest_latency()

@@ -8,22 +8,26 @@ a good trade-off.
 
 import pytest
 
-from repro.experiments.fig14_horizon import sweep_horizons
+from repro.experiments.fig14_horizon import horizon_point
 from repro.experiments.report import format_table
+from repro.scenarios.aic21 import get_scenario
+
+from conftest import bench_config
 
 HORIZONS = (2, 5, 10, 20, 30)
 
 
 @pytest.mark.benchmark(group="fig14")
 def test_fig14_horizon_sweep(benchmark, trained_by_scenario):
+    scenario = get_scenario("S1", seed=0)
     rows = benchmark.pedantic(
-        lambda: sweep_horizons(
-            "S1",
-            horizons=HORIZONS,
-            frames_per_point=200,
-            seed=0,
-            trained=trained_by_scenario["S1"],
-        ),
+        lambda: [
+            horizon_point(
+                scenario, bench_config(), trained_by_scenario["S1"],
+                horizon, 200,
+            )
+            for horizon in HORIZONS
+        ],
         rounds=1,
         iterations=1,
     )

@@ -7,7 +7,7 @@ move in opposite directions, with an ASCII chart of both series.
 Run:  python examples/horizon_tradeoff.py
 """
 
-from repro.experiments import sweep_horizons
+from repro.experiments import horizon_point
 from repro.runtime import PipelineConfig, train_models
 from repro.scenarios import get_scenario
 
@@ -28,9 +28,10 @@ def main() -> None:
     trained = train_models(scenario, config)
 
     print(f"Sweeping horizon T over {HORIZONS} on {scenario.name}...\n")
-    rows = sweep_horizons(
-        "S1", horizons=HORIZONS, frames_per_point=250, seed=0, trained=trained
-    )
+    rows = [
+        horizon_point(scenario, config, trained, horizon, 250)
+        for horizon in HORIZONS
+    ]
 
     max_latency = max(r.slowest_camera_ms for r in rows)
     print(f"{'T':>3s} {'recall':>8s} {'latency ms':>11s}")

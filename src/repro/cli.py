@@ -405,40 +405,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_experiments(args: argparse.Namespace) -> int:
     """Regenerate the paper's figures/tables (all, or one via --only)."""
     # Imported lazily: pulls in every harness.
+    from repro.experiments import parallel
     from repro.experiments.runner import run_all
 
     if args.only:
-        from repro.experiments import (
-            run_ablations,
-            run_extensions,
-            run_fault_tolerance,
-            run_figure10,
-            run_figure11,
-            run_figure12,
-            run_figure13,
-            run_figure14,
-            run_table2,
-        )
-        from repro.experiments.runner import run_figure2_text
-
-        registry = {
-            "FIG2": lambda: run_figure2_text(args.seed),
-            "FIG10": lambda: run_figure10(seed=args.seed),
-            "FIG11": lambda: run_figure11(seed=args.seed),
-            "FIG12": lambda: run_figure12(seed=args.seed),
-            "FIG13": lambda: run_figure13(seed=args.seed),
-            "FIG14": lambda: run_figure14(seed=args.seed),
-            "TAB2": lambda: run_table2(seed=args.seed),
-            "ABLATIONS": lambda: run_ablations(seed=args.seed),
-            "EXTENSIONS": lambda: run_extensions(seed=args.seed),
-            "FAULTS": lambda: run_fault_tolerance(seed=args.seed),
-        }
         key = args.only.upper()
-        if key not in registry:
+        if key not in parallel.SECTIONS:
             print(f"unknown experiment {args.only!r}; options: "
-                  f"{', '.join(registry)}", file=sys.stderr)
+                  f"{', '.join(parallel.SECTION_ORDER)}", file=sys.stderr)
             return 2
-        body = registry[key]()
+        body = parallel.run_report_sections(
+            [key], args.seed, workers=1
+        ).bodies[key]
         print(body)
         if args.out:
             with open(args.out, "w") as f:
@@ -691,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp_parser.add_argument("--only", default=None,
                             help="one of FIG2/FIG10/.../TAB2/ABLATIONS/"
-                                 "EXTENSIONS/FAULTS")
+                                 "EXTENSIONS/FAULTS/INGEST")
     exp_parser.add_argument("--out", default=None, help="also write to file")
     exp_parser.add_argument("--seed", type=int, default=0)
     exp_parser.set_defaults(func=cmd_experiments)
@@ -704,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("--out", default=None, help="also write to file")
     report_parser.add_argument(
         "--workers", type=int, default=1,
-        help="process-pool size; 1 = serial (byte-identical either way)",
+        help="process-pool size; 1 = run inline (byte-identical either way)",
     )
     report_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -717,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument(
         "--sections", nargs="+", default=None, metavar="NAME",
-        help="subset of report sections (FIG2 ... FAULTS)",
+        help="subset of report sections (FIG2 ... INGEST)",
     )
     report_parser.add_argument(
         "--no-timings", action="store_true",

@@ -22,9 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.core import _kernels
 from repro.core.problem import Assignment, MVSInstance, SchedObject
 from repro.obs.trace import get_tracer
 
@@ -103,10 +100,6 @@ def balb_central(
         n_objects=len(instance.objects),
         n_cameras=len(instance.camera_ids),
     ):
-        if _kernels.KERNEL == "numba":
-            return _balb_central_kernel(
-                instance, include_full_frame, batch_aware, coverage_ordered
-            )
         return _balb_central(
             instance, include_full_frame, batch_aware, coverage_ordered
         )
@@ -152,91 +145,6 @@ def _balb_central(
     return BALBResult(
         assignment=assignment,
         camera_latencies=dict(latencies),
-        priority_order=priority,
-    )
-
-
-def _balb_central_kernel(
-    instance: MVSInstance,
-    include_full_frame: bool,
-    batch_aware: bool,
-    coverage_ordered: bool,
-) -> BALBResult:
-    """The central stage over the flat-array packing kernel.
-
-    Flattens the instance into the arrays :func:`_kernels.balb_pack_loop`
-    consumes, runs the selected kernel, and rebuilds the dict-shaped
-    result. The flattening preserves the reference loop's visit and scan
-    orders exactly, so the output is bit-identical to
-    :func:`_balb_central` (see tests/core/test_balb_kernel.py).
-    """
-    cam_ids = instance.camera_ids
-    cam_index = {cam: i for i, cam in enumerate(cam_ids)}
-    ordered = (
-        order_objects(list(instance.objects))
-        if coverage_ordered
-        else sorted(instance.objects, key=lambda o: o.key)
-    )
-
-    # Dense per-(camera, size) lookup tables over the sizes this
-    # instance actually uses; table cells are filled through the same
-    # profile calls the reference loop makes, for the same pairs.
-    size_index: Dict[Tuple[int, int], int] = {}
-    cov_off = np.zeros(len(ordered) + 1, dtype=np.int64)
-    flat_cams: List[int] = []
-    flat_sizes: List[int] = []
-    sizes_per_cam: Dict[int, Dict[int, int]] = {cam: {} for cam in cam_ids}
-    for j, obj in enumerate(ordered):
-        for cam in obj.sorted_coverage:
-            size = obj.size_on(cam)
-            key = (cam, size)
-            idx = size_index.get(key)
-            if idx is None:
-                per_cam = sizes_per_cam[cam]
-                idx = len(per_cam)
-                per_cam[size] = idx
-                size_index[key] = idx
-            flat_cams.append(cam_index[cam])
-            flat_sizes.append(idx)
-        cov_off[j + 1] = len(flat_cams)
-
-    n_sizes = max((len(v) for v in sizes_per_cam.values()), default=0) or 1
-    t_size = np.zeros((len(cam_ids), n_sizes))
-    limits = np.ones((len(cam_ids), n_sizes), dtype=np.int64)
-    for cam, per_cam in sizes_per_cam.items():
-        profile = instance.profiles[cam]
-        for size, idx in per_cam.items():
-            t_size[cam_index[cam], idx] = profile.t_size(size)
-            limits[cam_index[cam], idx] = profile.batch_limit(size)
-
-    latencies = np.array(
-        [
-            instance.profiles[cam].t_full if include_full_frame else 0.0
-            for cam in cam_ids
-        ]
-    )
-    open_slots = np.zeros((len(cam_ids), n_sizes), dtype=np.int64)
-    chosen_cam = np.empty(len(ordered), dtype=np.int64)
-    _kernels.PACK_LOOP(
-        cov_off,
-        np.asarray(flat_cams, dtype=np.int64),
-        np.asarray(flat_sizes, dtype=np.int64),
-        t_size,
-        limits,
-        open_slots,
-        latencies,
-        batch_aware,
-        chosen_cam,
-    )
-
-    assignment: Assignment = {
-        obj.key: cam_ids[chosen_cam[j]] for j, obj in enumerate(ordered)
-    }
-    final = {cam: float(latencies[cam_index[cam]]) for cam in cam_ids}
-    priority = tuple(sorted(cam_ids, key=lambda cam: (final[cam], cam)))
-    return BALBResult(
-        assignment=assignment,
-        camera_latencies=final,
         priority_order=priority,
     )
 

@@ -1,4 +1,8 @@
-"""Experiment harnesses: one module per paper figure/table, plus ablations."""
+"""Experiment harnesses: one module per paper figure/table, plus ablations.
+
+Every report section is registered in :mod:`repro.experiments.parallel`
+as a job grid and a merge; :func:`run_all` renders them.
+"""
 
 from repro.experiments.ablations import (
     AblationResult,
@@ -18,90 +22,42 @@ from repro.experiments.extensions import (
     SynchronizationStudy,
     bandwidth_study,
     energy_study,
-    occlusion_redundancy_study,
-    run_extensions,
-    synchronization_study,
 )
 from repro.experiments.fault_tolerance import (
     DegradationPoint,
     FailoverPoint,
     FaultToleranceStudy,
-    fault_tolerance_study,
-    run_fault_tolerance,
 )
+from repro.experiments.fig2_workload import WorkloadTrace, workload_trace
 from repro.experiments.fig10_classification import (
     ClassificationRow,
     evaluate_classifiers,
-    run_figure10,
 )
 from repro.experiments.fig11_regression import (
     RegressionRow,
     evaluate_regressors,
-    run_figure11,
 )
-from repro.experiments.fig12_recall import (
-    DEFAULT_POLICIES,
-    RecallRow,
-    recall_rows,
-    run_figure12,
-    run_policies,
-)
-from repro.experiments.fig13_latency import (
-    LATENCY_POLICIES,
-    LatencyRow,
-    SpeedupSummary,
-    latency_rows,
-    run_figure13,
-    speedup_summary,
-)
-from repro.experiments.fig14_horizon import (
-    DEFAULT_HORIZONS,
-    HorizonRow,
-    run_figure14,
-    sweep_horizons,
-)
-from repro.experiments.fig2_workload import WorkloadTrace, workload_trace
-from repro.experiments.ingest import (
-    IngestPoint,
-    IngestStudy,
-    ingest_study,
-    run_ingest,
-)
+from repro.experiments.fig12_recall import DEFAULT_POLICIES
+from repro.experiments.fig13_latency import LATENCY_POLICIES
+from repro.experiments.fig14_horizon import HorizonRow, horizon_point
+from repro.experiments.ingest import IngestPoint, IngestStudy
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_all
-from repro.experiments.table2_overhead import (
-    OverheadRow,
-    measure_overheads,
-    run_table2,
-)
+from repro.experiments.table2_overhead import OverheadRow, measure_overheads
 
 __all__ = [
     "WorkloadTrace",
     "workload_trace",
     "ClassificationRow",
     "evaluate_classifiers",
-    "run_figure10",
     "RegressionRow",
     "evaluate_regressors",
-    "run_figure11",
-    "RecallRow",
-    "recall_rows",
-    "run_policies",
-    "run_figure12",
     "DEFAULT_POLICIES",
-    "LatencyRow",
-    "SpeedupSummary",
-    "latency_rows",
-    "speedup_summary",
-    "run_figure13",
     "LATENCY_POLICIES",
     "HorizonRow",
-    "sweep_horizons",
-    "run_figure14",
-    "DEFAULT_HORIZONS",
+    "horizon_point",
     "OverheadRow",
     "measure_overheads",
-    "run_table2",
     "AblationResult",
     "OptimalityResult",
     "ablate_batch_awareness",
@@ -118,19 +74,12 @@ __all__ = [
     "OcclusionStudy",
     "BandwidthStudy",
     "EnergyStudy",
-    "occlusion_redundancy_study",
     "bandwidth_study",
     "energy_study",
-    "run_extensions",
     "SynchronizationStudy",
-    "synchronization_study",
     "DegradationPoint",
     "FaultToleranceStudy",
     "FailoverPoint",
-    "fault_tolerance_study",
-    "run_fault_tolerance",
     "IngestPoint",
     "IngestStudy",
-    "ingest_study",
-    "run_ingest",
 ]

@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -32,13 +32,7 @@ from repro.core.energy import (
 from repro.core.problem import system_latency
 from repro.experiments.ablations import jetson_fleet_profiles, random_instance
 from repro.experiments.report import format_table
-from repro.runtime.pipeline import (
-    PipelineConfig,
-    TrainedModels,
-    run_policy,
-    train_models,
-)
-from repro.scenarios.aic21 import get_scenario
+from repro.runtime.pipeline import PipelineConfig, TrainedModels, run_policy
 from repro.scenarios.builder import Scenario
 
 
@@ -57,20 +51,6 @@ class OcclusionStudy:
     def recall_gain(self) -> float:
         return self.recall_k2 - self.recall_k1
 
-    @property
-    def latency_cost(self) -> float:
-        if self.latency_k1 <= 0:
-            raise ValueError("non-positive latency")
-        return self.latency_k2 / self.latency_k1
-
-
-def default_occlusion_config(seed: int = 0) -> PipelineConfig:
-    """The base run config of the EXT-OCC study."""
-    return PipelineConfig(
-        policy="balb", n_horizons=25, warmup_s=30.0, train_duration_s=120.0,
-        seed=seed,
-    )
-
 
 def occlusion_point(
     scenario: Scenario,
@@ -85,29 +65,6 @@ def occlusion_point(
     )
     result = run_policy(scenario, "balb", cfg, trained)
     return result.object_recall(), result.mean_slowest_latency()
-
-
-def occlusion_redundancy_study(
-    scenario_name: str = "S3",
-    config: Optional[PipelineConfig] = None,
-    trained: Optional[TrainedModels] = None,
-    seed: int = 0,
-) -> OcclusionStudy:
-    """Run BALB with k=1 and k=2 under occlusion on one scenario."""
-    scenario = get_scenario(scenario_name, seed=seed)
-    base = config or default_occlusion_config(seed)
-    if trained is None:
-        trained = train_models(scenario, base)
-    points: Dict[int, Tuple[float, float]] = {
-        k: occlusion_point(scenario, base, trained, k) for k in (1, 2)
-    }
-    return OcclusionStudy(
-        scenario=scenario_name,
-        recall_k1=points[1][0],
-        recall_k2=points[2][0],
-        latency_k1=points[1][1],
-        latency_k2=points[2][1],
-    )
 
 
 # ----------------------------------------------------------------------
@@ -203,19 +160,6 @@ class SynchronizationStudy:
     recalls: Tuple[float, ...]
     latencies: Tuple[float, ...]
 
-    @property
-    def recall_drop(self) -> float:
-        """Recall lost between perfect sync and the worst lag."""
-        return self.recalls[0] - self.recalls[-1]
-
-
-def default_sync_config(seed: int = 0) -> PipelineConfig:
-    """The base run config of the EXT-SYNC study."""
-    return PipelineConfig(
-        policy="balb", n_horizons=20, warmup_s=30.0, train_duration_s=120.0,
-        seed=seed,
-    )
-
 
 def synchronization_point(
     scenario: Scenario,
@@ -229,37 +173,6 @@ def synchronization_point(
     )
     result = run_policy(scenario, "balb", cfg, trained)
     return result.object_recall(), result.mean_slowest_latency()
-
-
-def synchronization_study(
-    scenario_name: str = "S3",
-    lags: Tuple[int, ...] = (0, 2, 5),
-    config: Optional[PipelineConfig] = None,
-    trained: Optional[TrainedModels] = None,
-    seed: int = 0,
-) -> SynchronizationStudy:
-    """Run BALB at increasing camera skew on one scenario."""
-    scenario = get_scenario(scenario_name, seed=seed)
-    base = config or default_sync_config(seed)
-    if trained is None:
-        trained = train_models(scenario, base)
-    points = [synchronization_point(scenario, base, trained, lag)
-              for lag in lags]
-    return SynchronizationStudy(
-        scenario=scenario_name,
-        lags=tuple(lags),
-        recalls=tuple(p[0] for p in points),
-        latencies=tuple(p[1] for p in points),
-    )
-
-
-def run_extensions(seed: int = 0) -> str:
-    """All Section V extension studies as a text report."""
-    occ = occlusion_redundancy_study(seed=seed)
-    bw = bandwidth_study(seed=seed)
-    en = energy_study(seed=seed)
-    sync = synchronization_study(seed=seed)
-    return format_extensions(occ, bw, en, sync)
 
 
 def format_extensions(

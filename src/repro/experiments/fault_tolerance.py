@@ -28,17 +28,11 @@ seed before the frame loop starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.experiments.report import format_table
 from repro.faults import FaultModel
-from repro.runtime.pipeline import (
-    PipelineConfig,
-    TrainedModels,
-    run_policy,
-    train_models,
-)
-from repro.scenarios.aic21 import get_scenario
+from repro.runtime.pipeline import PipelineConfig, TrainedModels, run_policy
 from repro.scenarios.builder import Scenario
 
 
@@ -91,14 +85,6 @@ class FaultToleranceStudy:
         baseline = min(points, key=lambda p: p.crash_rate)
         worst = max(points, key=lambda p: p.crash_rate)
         return baseline.recall - worst.recall
-
-
-def default_fault_config(seed: int = 0) -> PipelineConfig:
-    """The base run config the FAULTS sweeps share."""
-    return PipelineConfig(
-        policy="balb", horizon=5, n_horizons=10, warmup_s=30.0,
-        train_duration_s=90.0, seed=seed,
-    )
 
 
 def outage_spec_for(base: PipelineConfig) -> str:
@@ -171,56 +157,6 @@ def failover_point(
             0.0 if recovery is None else float(recovery["mean"])
         ),
     )
-
-
-def fault_tolerance_study(
-    scenario_name: str = "S1",
-    crash_rates: Tuple[float, ...] = (0.0, 0.01, 0.03),
-    loss_rates: Tuple[float, ...] = (0.0, 0.1, 0.3),
-    policies: Tuple[str, ...] = ("balb", "sp", "balb-ind"),
-    config: Optional[PipelineConfig] = None,
-    trained: Optional[TrainedModels] = None,
-    seed: int = 0,
-    scheduler_policies: Tuple[str, ...] = ("balb", "sp"),
-    heartbeats: Tuple[int, ...] = (2, 5, 10),
-) -> FaultToleranceStudy:
-    """Run the two fault sweeps with shared trained models."""
-    scenario = get_scenario(scenario_name, seed=seed)
-    base = config or default_fault_config(seed)
-    if trained is None:
-        trained = train_models(scenario, base)
-
-    outage = outage_spec_for(base)
-    scheduler_sweep = tuple(
-        failover_point(scenario, base, trained, policy, base.horizon, outage)
-        for policy in scheduler_policies
-    )
-    heartbeat_sweep = tuple(
-        failover_point(scenario, base, trained, "balb", hb, outage)
-        for hb in heartbeats
-    )
-
-    crash_sweep = tuple(
-        degradation_point(scenario, base, trained, policy, crash, 0.0)
-        for policy in policies
-        for crash in crash_rates
-    )
-    loss_sweep = tuple(
-        degradation_point(scenario, base, trained, "balb", 0.0, loss)
-        for loss in loss_rates
-    )
-    return FaultToleranceStudy(
-        scenario=scenario_name,
-        crash_sweep=crash_sweep,
-        loss_sweep=loss_sweep,
-        scheduler_sweep=scheduler_sweep,
-        heartbeat_sweep=heartbeat_sweep,
-    )
-
-
-def run_fault_tolerance(seed: int = 0) -> str:
-    """The FAULTS experiment as a text report."""
-    return format_fault_tolerance(fault_tolerance_study(seed=seed))
 
 
 def format_fault_tolerance(

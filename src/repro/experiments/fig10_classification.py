@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-
 from repro.association.baselines import CLASSIFIER_FACTORIES
 from repro.experiments.assoc_data import PairSplit, collect_and_split
-from repro.experiments.report import format_table
 from repro.ml.metrics import BinaryMetrics, binary_metrics
 from repro.ml.scaling import StandardScaler
 from repro.scenarios.aic21 import get_scenario
@@ -72,19 +70,3 @@ def _pooled_metrics(splits: Dict[object, PairSplit], factory) -> BinaryMetrics:
         fn += m.fn
         tn += m.tn
     return BinaryMetrics(tp=tp, fp=fp, fn=fn, tn=tn)
-
-
-def run_figure10(
-    scenarios: tuple = ("S1", "S2", "S3"),
-    duration_s: float = 150.0,
-    seed: int = 0,
-) -> str:
-    """Regenerate Figure 10 as a text table over all scenarios."""
-    rows: List[ClassificationRow] = []
-    for name in scenarios:
-        rows.extend(evaluate_classifiers(name, duration_s=duration_s, seed=seed))
-    return format_table(
-        ["scenario", "model", "precision", "recall", "f1"],
-        [(r.scenario, r.model, r.precision, r.recall, r.f1) for r in rows],
-        title="Figure 10: cross-camera visibility classification",
-    )

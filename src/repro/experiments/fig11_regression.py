@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.association.baselines import REGRESSOR_FACTORIES
 from repro.experiments.assoc_data import collect_and_split
-from repro.experiments.report import format_table
 from repro.ml.metrics import mean_absolute_error
 from repro.scenarios.aic21 import get_scenario
 
@@ -63,19 +62,3 @@ def evaluate_regressors(
             )
         )
     return rows
-
-
-def run_figure11(
-    scenarios: tuple = ("S1", "S2", "S3"),
-    duration_s: float = 150.0,
-    seed: int = 0,
-) -> str:
-    """Regenerate Figure 11 as a text table over all scenarios."""
-    rows: List[RegressionRow] = []
-    for name in scenarios:
-        rows.extend(evaluate_regressors(name, duration_s=duration_s, seed=seed))
-    return format_table(
-        ["scenario", "model", "MAE (px)"],
-        [(r.scenario, r.model, round(r.mae_px, 1)) for r in rows],
-        title="Figure 11: cross-camera location regression",
-    )

@@ -8,71 +8,13 @@ camera detected it that frame).
 Expected shape (paper Section IV-C): tracking-based slicing costs almost
 no recall (BALB-Ind ~ Full); BALB-Cen degrades in busy scenes; full BALB
 recovers most of the gap; SP is hit hardest by association imperfection.
+
+The per-(scenario, policy) runs and the table live in
+:mod:`repro.experiments.parallel` (section ``FIG12``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-from repro.experiments.report import format_table
-from repro.runtime.metrics import RunResult
-from repro.runtime.pipeline import PipelineConfig, TrainedModels, run_policy, train_models
-from repro.scenarios.aic21 import get_scenario
+from typing import Tuple
 
 DEFAULT_POLICIES: Tuple[str, ...] = ("full", "balb-ind", "balb-cen", "balb", "sp")
-
-
-@dataclass
-class RecallRow:
-    scenario: str
-    policy: str
-    recall: float
-
-
-def run_policies(
-    scenario_name: str,
-    policies: Tuple[str, ...] = DEFAULT_POLICIES,
-    config: Optional[PipelineConfig] = None,
-    trained: Optional[TrainedModels] = None,
-    seed: int = 0,
-) -> Dict[str, RunResult]:
-    """Run several policies on one scenario with shared trained models."""
-    scenario = get_scenario(scenario_name, seed=seed)
-    config = config or PipelineConfig(
-        policy="balb", n_horizons=40, train_duration_s=120.0, warmup_s=30.0,
-        seed=seed,
-    )
-    if trained is None:
-        trained = train_models(scenario, config)
-    return {
-        policy: run_policy(scenario, policy, config, trained)
-        for policy in policies
-    }
-
-
-def recall_rows(runs: Dict[str, RunResult]) -> List[RecallRow]:
-    """Figure 12 rows (policy, recall) from a set of runs."""
-    return [
-        RecallRow(
-            scenario=result.scenario, policy=policy, recall=result.object_recall()
-        )
-        for policy, result in runs.items()
-    ]
-
-
-def run_figure12(
-    scenarios: Tuple[str, ...] = ("S1", "S2", "S3"),
-    config: Optional[PipelineConfig] = None,
-    seed: int = 0,
-) -> str:
-    """Regenerate Figure 12 as a text table over all scenarios."""
-    rows: List[RecallRow] = []
-    for name in scenarios:
-        runs = run_policies(name, config=config, seed=seed)
-        rows.extend(recall_rows(runs))
-    return format_table(
-        ["scenario", "policy", "object recall"],
-        [(r.scenario, r.policy, r.recall) for r in rows],
-        title="Figure 12: object recall by scheduling policy",
-    )

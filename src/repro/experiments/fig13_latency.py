@@ -5,115 +5,13 @@ inference time — across Full / BALB-Ind / SP / BALB, and derives the
 paper's headline numbers: multiplicative BALB-vs-Full speedups (paper:
 6.85x / 6.18x / 2.45x on S1 / S2 / S3) and the BALB-vs-SP advantage
 (paper mean 1.88x).
+
+The policy runs are shared with Figure 12; both tables are rendered by
+:mod:`repro.experiments.parallel` (section ``FIG13``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-from repro.experiments.fig12_recall import run_policies
-from repro.experiments.report import format_table
-from repro.runtime.metrics import RunResult, speedup_vs
-from repro.runtime.pipeline import PipelineConfig
+from typing import Tuple
 
 LATENCY_POLICIES: Tuple[str, ...] = ("full", "balb-ind", "sp", "balb")
-
-
-@dataclass
-class LatencyRow:
-    scenario: str
-    policy: str
-    slowest_camera_ms: float
-    speedup_vs_full: float
-
-
-@dataclass
-class SpeedupSummary:
-    scenario: str
-    balb_vs_full: float
-    balb_vs_ind: float
-    balb_vs_sp: float
-
-
-def latency_rows(runs: Dict[str, RunResult]) -> List[LatencyRow]:
-    """Figure 13 rows (policy, slowest-camera ms, speedup) from runs."""
-    full = runs["full"]
-    rows = []
-    for policy, result in runs.items():
-        rows.append(
-            LatencyRow(
-                scenario=result.scenario,
-                policy=policy,
-                slowest_camera_ms=result.mean_slowest_latency(),
-                speedup_vs_full=speedup_vs(full, result),
-            )
-        )
-    return rows
-
-
-def speedup_summary(runs: Dict[str, RunResult]) -> SpeedupSummary:
-    """The headline BALB-vs-{Full, Ind, SP} speedups of one scenario."""
-    return SpeedupSummary(
-        scenario=runs["balb"].scenario,
-        balb_vs_full=speedup_vs(runs["full"], runs["balb"]),
-        balb_vs_ind=speedup_vs(runs["balb-ind"], runs["balb"]),
-        balb_vs_sp=speedup_vs(runs["sp"], runs["balb"]),
-    )
-
-
-def run_figure13(
-    scenarios: Tuple[str, ...] = ("S1", "S2", "S3"),
-    config: Optional[PipelineConfig] = None,
-    seed: int = 0,
-    traced: bool = False,
-) -> str:
-    """Regenerate Figure 13 (+ headline speedups) as text tables.
-
-    ``traced`` runs every policy with span tracing enabled and adds a
-    *measured wall ms* column — observed Python wall-clock per frame —
-    next to the modeled inference latency.
-    """
-    all_rows: List[LatencyRow] = []
-    summaries: List[SpeedupSummary] = []
-    measured: Dict[Tuple[str, str], float] = {}
-    if traced:
-        # Mirror run_policies' default config, with tracing switched on.
-        base = config or PipelineConfig(
-            policy="balb", n_horizons=40, train_duration_s=120.0,
-            warmup_s=30.0, seed=seed,
-        )
-        config = PipelineConfig(**{**base.__dict__, "trace": True})
-    for name in scenarios:
-        runs = run_policies(name, policies=LATENCY_POLICIES, config=config, seed=seed)
-        all_rows.extend(latency_rows(runs))
-        summaries.append(speedup_summary(runs))
-        if traced:
-            for policy, result in runs.items():
-                stage = result.measured_stage_breakdown()
-                measured[(name, policy)] = stage.get("frame", 0.0)
-    headers = ["scenario", "policy", "slowest-cam ms", "speedup vs full"]
-    if traced:
-        headers.append("measured wall ms")
-    table1 = format_table(
-        headers,
-        [
-            (r.scenario, r.policy, round(r.slowest_camera_ms, 1), r.speedup_vs_full)
-            + (
-                (round(measured.get((r.scenario, r.policy), 0.0), 3),)
-                if traced
-                else ()
-            )
-            for r in all_rows
-        ],
-        title="Figure 13: per-frame inference latency",
-    )
-    table2 = format_table(
-        ["scenario", "BALB/Full", "BALB/Ind", "BALB/SP"],
-        [
-            (s.scenario, s.balb_vs_full, s.balb_vs_ind, s.balb_vs_sp)
-            for s in summaries
-        ],
-        title="Headline speedups (paper: 6.85/6.18/2.45 vs Full; 1.88x mean vs SP)",
-    )
-    return table1 + "\n\n" + table2

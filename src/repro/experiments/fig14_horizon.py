@@ -9,18 +9,9 @@ errors accumulate (recall falls); T = 10 is the knee.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
-from repro.experiments.report import format_table
-from repro.runtime.pipeline import (
-    PipelineConfig,
-    TrainedModels,
-    run_policy,
-    train_models,
-)
-from repro.scenarios.aic21 import get_scenario
-
-DEFAULT_HORIZONS: Tuple[int, ...] = (2, 5, 10, 20, 30)
+from repro.runtime.pipeline import PipelineConfig, TrainedModels, run_policy
+from repro.scenarios.builder import Scenario
 
 
 @dataclass
@@ -31,83 +22,23 @@ class HorizonRow:
 
 
 def horizon_point(
-    scenario_name: str,
+    scenario: Scenario,
+    base: PipelineConfig,
+    trained: TrainedModels,
     horizon: int,
     frames_per_point: int,
-    trained: Optional[TrainedModels],
-    seed: int,
-    train_duration_s: float = 120.0,
-    warmup_s: float = 30.0,
 ) -> HorizonRow:
-    """Run BALB at one horizon length and report the Figure 14 row."""
-    scenario = get_scenario(scenario_name, seed=seed)
-    if trained is None:
-        trained = train_models(
-            scenario,
-            PipelineConfig(
-                policy="balb", train_duration_s=train_duration_s,
-                warmup_s=warmup_s, seed=seed,
-            ),
-        )
+    """Run BALB at one horizon length and report the Figure 14 row.
+
+    The run lasts ``frames_per_point // horizon`` horizons, at least four.
+    """
     config = PipelineConfig(
-        policy="balb",
-        horizon=horizon,
-        n_horizons=max(4, frames_per_point // horizon),
-        train_duration_s=train_duration_s,
-        warmup_s=warmup_s,
-        seed=seed,
+        **{**base.__dict__, "horizon": horizon,
+           "n_horizons": max(4, frames_per_point // horizon)}
     )
     result = run_policy(scenario, "balb", config, trained)
     return HorizonRow(
         horizon=horizon,
         recall=result.object_recall(),
         slowest_camera_ms=result.mean_slowest_latency(),
-    )
-
-
-def sweep_horizons(
-    scenario_name: str = "S1",
-    horizons: Tuple[int, ...] = DEFAULT_HORIZONS,
-    frames_per_point: int = 300,
-    seed: int = 0,
-    trained: Optional[TrainedModels] = None,
-    train_duration_s: float = 120.0,
-    warmup_s: float = 30.0,
-) -> List[HorizonRow]:
-    """Run BALB at each horizon length with shared trained models."""
-    scenario = get_scenario(scenario_name, seed=seed)
-    if trained is None:
-        trained = train_models(
-            scenario,
-            PipelineConfig(
-                policy="balb", train_duration_s=train_duration_s,
-                warmup_s=warmup_s, seed=seed,
-            ),
-        )
-    return [
-        horizon_point(
-            scenario_name, horizon, frames_per_point, trained, seed,
-            train_duration_s=train_duration_s, warmup_s=warmup_s,
-        )
-        for horizon in horizons
-    ]
-
-
-def run_figure14(
-    scenario_name: str = "S1",
-    horizons: Tuple[int, ...] = DEFAULT_HORIZONS,
-    seed: int = 0,
-    frames_per_point: int = 300,
-    train_duration_s: float = 120.0,
-    warmup_s: float = 30.0,
-) -> str:
-    """Regenerate Figure 14 as a text table."""
-    rows = sweep_horizons(
-        scenario_name, horizons, frames_per_point=frames_per_point,
-        seed=seed, train_duration_s=train_duration_s, warmup_s=warmup_s,
-    )
-    return format_table(
-        ["horizon T", "object recall", "slowest-cam ms"],
-        [(r.horizon, r.recall, round(r.slowest_camera_ms, 1)) for r in rows],
-        title=f"Figure 14: scheduling horizon sweep on {scenario_name}",
     )

@@ -16,19 +16,11 @@ drift away from the baseline it claims to perturb.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.experiments.report import format_table
-from repro.runtime.ingest import INGEST_POLICIES
-from repro.runtime.pipeline import (
-    PipelineConfig,
-    TrainedModels,
-    run_policy,
-    train_models,
-)
-from repro.scenarios.aic21 import get_scenario
+from repro.runtime.pipeline import PipelineConfig, TrainedModels, run_policy
 from repro.scenarios.builder import Scenario
-from repro.scenarios.bursts import burst_sweep_specs
 
 
 @dataclass(frozen=True)
@@ -59,14 +51,6 @@ class IngestStudy:
         return tuple(
             p for p in self.sweep if p.ingest_policy == ingest_policy
         )
-
-
-def default_ingest_config(seed: int = 0) -> PipelineConfig:
-    """The base run config the INGEST sweep shares."""
-    return PipelineConfig(
-        policy="balb", horizon=5, n_horizons=10, warmup_s=30.0,
-        train_duration_s=90.0, seed=seed,
-    )
 
 
 def _counter_sum(result, name: str) -> int:
@@ -122,41 +106,6 @@ def identity_check(
         return [m for m in result.metrics if m["name"] != "frame_wall_ms"]
 
     return sync.frames == event.frames and stable(sync) == stable(event)
-
-
-def ingest_study(
-    scenario_name: str = "S1",
-    ingest_policies: Tuple[str, ...] = INGEST_POLICIES,
-    bursts: Optional[Tuple[str, ...]] = None,
-    capacity: int = 2,
-    config: Optional[PipelineConfig] = None,
-    trained: Optional[TrainedModels] = None,
-    seed: int = 0,
-) -> IngestStudy:
-    """Run the backpressure sweep with shared trained models."""
-    scenario = get_scenario(scenario_name, seed=seed)
-    base = config or default_ingest_config(seed)
-    if trained is None:
-        trained = train_models(scenario, base)
-    if bursts is None:
-        bursts = burst_sweep_specs(
-            base.horizon, base.horizon * base.n_horizons
-        )
-    sweep = tuple(
-        ingest_point(scenario, base, trained, policy, burst, capacity)
-        for policy in ingest_policies
-        for burst in bursts
-    )
-    return IngestStudy(
-        scenario=scenario_name,
-        identity_holds=identity_check(scenario, base, trained),
-        sweep=sweep,
-    )
-
-
-def run_ingest(seed: int = 0) -> str:
-    """The INGEST experiment as a text report."""
-    return format_ingest(ingest_study(seed=seed))
 
 
 def format_ingest(study: IngestStudy) -> str:

@@ -1,28 +1,29 @@
-"""Parallel experiment harness: fan report sections out over processes.
+"""Experiment harness: every report section as a job grid and a merge.
 
-The serial report runner executes ten sections back to back; most of
-their wall-clock is embarrassingly parallel (independent scenarios,
-policies, seeds and sweep points). This module decomposes every section
-into picklable *jobs* — module-level cell functions plus positional
-arguments — runs them on a spawn-context :class:`ProcessPoolExecutor`,
-and merges the results back in a deterministic order so that the
-parallel report is byte-identical to the serial one.
+This module decomposes every report section into picklable *jobs* —
+module-level cell functions plus positional arguments — and a pure
+*merge* that renders the section body from the job results. The same
+deduplicated job list runs inline (``workers=1``) or on a spawn-context
+:class:`ProcessPoolExecutor` (``workers > 1``), and the merges see the
+results in one fixed order, so the report bytes do not depend on the
+worker count.
 
-Three properties make that identity hold:
+Three properties make that hold:
 
 * every cell is a pure function of its arguments (the simulator and the
   trainers are seeded, never wall-clock driven);
-* jobs are submitted and merged in a fixed order that mirrors the
-  serial loops exactly, so tables render rows in the same sequence;
-* model training is deduplicated through the content-addressed
-  :mod:`repro.cache` — a warm-up wave trains each distinct
-  (scenario, warm-up, duration) triple once, after which every worker
-  process gets cache hits instead of refitting.
+* jobs are submitted and merged in a fixed order, so tables render rows
+  in the same sequence whatever the scheduling;
+* each process fits each distinct (scenario, seed, warm-up, duration)
+  model set at most once: cells take their scenario and trained models
+  from a per-process memo, and a warm-up wave fills it (and the
+  content-addressed :mod:`repro.cache`, when one is active) before the
+  section jobs run, so pool workers load from the cache instead of
+  refitting.
 
-:class:`ReportProfile` carries every knob of every section. The
-``FULL_PROFILE`` values equal the historical in-module defaults (so
-profile-driven runs reproduce the original report bytes);
-``QUICK_PROFILE`` shrinks each sweep for smoke tests and CI.
+:class:`ReportProfile` carries every knob of every section.
+``FULL_PROFILE`` is the paper-scale report; ``QUICK_PROFILE`` shrinks
+each sweep for smoke tests and CI.
 """
 
 from __future__ import annotations
@@ -43,51 +44,44 @@ from repro.experiments.extensions import (
     energy_study,
     format_extensions,
     occlusion_point,
-    occlusion_redundancy_study,
     synchronization_point,
-    synchronization_study,
 )
 from repro.experiments.fault_tolerance import (
     FaultToleranceStudy,
     degradation_point,
-    fault_tolerance_study,
     failover_point,
     format_fault_tolerance,
     outage_spec_for,
 )
 from repro.experiments.fig2_workload import run_figure2_text
+from repro.experiments.fig10_classification import (
+    ClassificationRow,
+    evaluate_classifiers,
+)
+from repro.experiments.fig11_regression import (
+    RegressionRow,
+    evaluate_regressors,
+)
+from repro.experiments.fig12_recall import DEFAULT_POLICIES
+from repro.experiments.fig13_latency import LATENCY_POLICIES
+from repro.experiments.fig14_horizon import horizon_point
 from repro.experiments.ingest import (
     IngestStudy,
     format_ingest,
     identity_check,
     ingest_point,
-    ingest_study,
 )
-from repro.experiments.fig10_classification import (
-    ClassificationRow,
-    evaluate_classifiers,
-    run_figure10,
-)
-from repro.experiments.fig11_regression import (
-    RegressionRow,
-    evaluate_regressors,
-    run_figure11,
-)
-from repro.experiments.fig12_recall import (
-    DEFAULT_POLICIES,
-    run_figure12,
-)
-from repro.experiments.fig13_latency import LATENCY_POLICIES, run_figure13
-from repro.experiments.fig14_horizon import horizon_point, run_figure14
 from repro.experiments.report import format_table
-from repro.experiments.table2_overhead import (
-    OverheadRow,
-    measure_overheads,
-    run_table2,
-)
+from repro.experiments.table2_overhead import OverheadRow, measure_overheads
 from repro.obs import MetricsRegistry
-from repro.runtime.pipeline import PipelineConfig, run_policy, train_models
+from repro.runtime.pipeline import (
+    PipelineConfig,
+    TrainedModels,
+    run_policy,
+    train_models,
+)
 from repro.scenarios.aic21 import get_scenario
+from repro.scenarios.builder import Scenario
 from repro.scenarios.bursts import burst_sweep_specs
 
 # ----------------------------------------------------------------------
@@ -99,7 +93,7 @@ from repro.scenarios.bursts import burst_sweep_specs
 class ReportProfile:
     """Every knob of every report section, in one picklable value.
 
-    The defaults reproduce the historical serial report exactly; the
+    The defaults reproduce the historical report exactly; the
     ``QUICK_PROFILE`` instance shrinks sweeps for smoke runs.
     """
 
@@ -149,11 +143,18 @@ class ReportProfile:
     ext_trials: int = 25
 
     def policy_config(self, seed: int) -> PipelineConfig:
-        """The FIG12/FIG13 run config (the historical in-module default)."""
+        """The FIG12/FIG13 run config."""
         return PipelineConfig(
             policy="balb", n_horizons=self.policy_n_horizons,
             train_duration_s=self.train_duration_s, warmup_s=self.warmup_s,
             seed=seed,
+        )
+
+    def fig14_config(self, seed: int) -> PipelineConfig:
+        """The FIG14 base config (each point sets its own horizon)."""
+        return PipelineConfig(
+            policy="balb", train_duration_s=self.train_duration_s,
+            warmup_s=self.warmup_s, seed=seed,
         )
 
     def tab2_config(self, seed: int) -> PipelineConfig:
@@ -290,23 +291,38 @@ def run_jobs(
 ) -> List[JobResult]:
     """Execute jobs (in submission order) and gather ordered results.
 
-    ``workers == 1`` runs everything inline — no processes, no pickling —
-    which is the bit-exact fallback path.
+    ``workers == 1`` runs everything inline — no processes, no pickling.
+    """
+    return _run_waves([jobs], workers, cache_root)[0]
+
+
+def _run_waves(
+    waves: Sequence[Sequence[Job]],
+    workers: int,
+    cache_root: Optional[str],
+) -> List[List[JobResult]]:
+    """Run each wave's jobs to completion, in order, before the next.
+
+    Inline runs share this process's trained-model memo and clear it at
+    the end; pool workers keep theirs until the pool shuts down.
     """
     if workers <= 1:
-        return [_execute_job(job, cache_root) for job in jobs]
+        try:
+            return [
+                [_execute_job(job, cache_root) for job in wave]
+                for wave in waves
+            ]
+        finally:
+            _TRAINED.clear()
     ctx = get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        return _run_in_pool(pool, jobs, cache_root)
-
-
-def _run_in_pool(
-    pool: ProcessPoolExecutor,
-    jobs: Sequence[Job],
-    cache_root: Optional[str],
-) -> List[JobResult]:
-    futures = [pool.submit(_execute_job, job, cache_root) for job in jobs]
-    return [future.result() for future in futures]
+        results = []
+        for wave in waves:
+            futures = [
+                pool.submit(_execute_job, job, cache_root) for job in wave
+            ]
+            results.append([future.result() for future in futures])
+        return results
 
 
 def _fingerprint(job: Job) -> bytes:
@@ -320,42 +336,45 @@ def _fingerprint(job: Job) -> bytes:
 # Cell functions (module-level, picklable)
 # ----------------------------------------------------------------------
 
+#: Per-process memo of scenarios and their trained models, keyed by
+#: (scenario, seed, warm-up, training duration) — the inputs training
+#: reads. Cells that share a key share one fit. It is module state
+#: because a pool worker must keep it across the jobs it runs; inline
+#: runs clear it when they finish (see ``_run_waves``).
+_TRAINED: Dict[Tuple[str, int, float, float], Tuple[Scenario, TrainedModels]] = {}
+
+
+def _trained(
+    scenario_name: str, config: PipelineConfig
+) -> Tuple[Scenario, TrainedModels]:
+    """The scenario and its trained models for ``config``, fit once."""
+    key = (
+        scenario_name, config.seed, config.warmup_s, config.train_duration_s
+    )
+    entry = _TRAINED.get(key)
+    if entry is None:
+        scenario = get_scenario(scenario_name, seed=config.seed)
+        entry = (scenario, train_models(scenario, config))
+        _TRAINED[key] = entry
+    return entry
+
 
 def _warm_cell(
     scenario_name: str, warmup_s: float, train_duration_s: float, seed: int
 ) -> str:
-    """Train (and cache) one scenario's models so later jobs get hits."""
-    scenario = get_scenario(scenario_name, seed=seed)
-    config = PipelineConfig(
+    """Train one scenario's models into the memo (and the active cache)."""
+    _trained(scenario_name, PipelineConfig(
         policy="balb", warmup_s=warmup_s, train_duration_s=train_duration_s,
         seed=seed,
-    )
-    train_models(scenario, config)
+    ))
     return scenario_name
-
-
-def _fig2_cell(seed: int, duration_s: float, warmup_s: float) -> str:
-    return run_figure2_text(seed, duration_s=duration_s, warmup_s=warmup_s)
-
-
-def _fig10_cell(
-    scenario_name: str, duration_s: float, seed: int
-) -> List[ClassificationRow]:
-    return evaluate_classifiers(scenario_name, duration_s=duration_s, seed=seed)
-
-
-def _fig11_cell(
-    scenario_name: str, duration_s: float, seed: int
-) -> List[RegressionRow]:
-    return evaluate_regressors(scenario_name, duration_s=duration_s, seed=seed)
 
 
 def _policy_cell(
     scenario_name: str, policy: str, config: PipelineConfig
 ) -> Dict[str, Any]:
     """One (scenario, policy) run: the FIG12/FIG13 measurements."""
-    scenario = get_scenario(scenario_name, seed=config.seed)
-    trained = train_models(scenario, config)
+    scenario, trained = _trained(scenario_name, config)
     result = run_policy(scenario, policy, config, trained)
     return {
         "scenario": result.scenario,
@@ -366,24 +385,17 @@ def _policy_cell(
 
 def _fig14_cell(
     scenario_name: str,
+    base: PipelineConfig,
     horizon: int,
     frames_per_point: int,
-    train_duration_s: float,
-    warmup_s: float,
-    seed: int,
 ):
-    return horizon_point(
-        scenario_name, horizon, frames_per_point, None, seed,
-        train_duration_s=train_duration_s, warmup_s=warmup_s,
-    )
+    scenario, trained = _trained(scenario_name, base)
+    return horizon_point(scenario, base, trained, horizon, frames_per_point)
 
 
 def _tab2_cell(scenario_name: str, config: PipelineConfig) -> OverheadRow:
-    return measure_overheads(scenario_name, config=config, seed=config.seed)
-
-
-def _ablations_cell(seed: int) -> str:
-    return run_ablations(seed=seed)
+    scenario, trained = _trained(scenario_name, config)
+    return measure_overheads(scenario, config, trained)
 
 
 def _fault_degradation_cell(
@@ -393,16 +405,14 @@ def _fault_degradation_cell(
     crash: float,
     loss: float,
 ):
-    scenario = get_scenario(scenario_name, seed=base.seed)
-    trained = train_models(scenario, base)
+    scenario, trained = _trained(scenario_name, base)
     return degradation_point(scenario, base, trained, policy, crash, loss)
 
 
 def _fault_failover_cell(
     scenario_name: str, base: PipelineConfig, policy: str, heartbeat: int
 ):
-    scenario = get_scenario(scenario_name, seed=base.seed)
-    trained = train_models(scenario, base)
+    scenario, trained = _trained(scenario_name, base)
     return failover_point(
         scenario, base, trained, policy, heartbeat, outage_spec_for(base)
     )
@@ -415,30 +425,26 @@ def _ingest_cell(
     burst: str,
     capacity: int,
 ):
-    scenario = get_scenario(scenario_name, seed=base.seed)
-    trained = train_models(scenario, base)
+    scenario, trained = _trained(scenario_name, base)
     return ingest_point(scenario, base, trained, ingest_policy, burst, capacity)
 
 
 def _ingest_identity_cell(scenario_name: str, base: PipelineConfig) -> bool:
-    scenario = get_scenario(scenario_name, seed=base.seed)
-    trained = train_models(scenario, base)
+    scenario, trained = _trained(scenario_name, base)
     return identity_check(scenario, base, trained)
 
 
 def _ext_occ_cell(
     scenario_name: str, base: PipelineConfig, k: int
 ) -> Tuple[float, float]:
-    scenario = get_scenario(scenario_name, seed=base.seed)
-    trained = train_models(scenario, base)
+    scenario, trained = _trained(scenario_name, base)
     return occlusion_point(scenario, base, trained, k)
 
 
 def _ext_sync_cell(
     scenario_name: str, base: PipelineConfig, lag: int
 ) -> Tuple[float, float]:
-    scenario = get_scenario(scenario_name, seed=base.seed)
-    trained = train_models(scenario, base)
+    scenario, trained = _trained(scenario_name, base)
     return synchronization_point(scenario, base, trained, lag)
 
 
@@ -451,7 +457,7 @@ def _ext_en_cell(n_trials: int, seed: int):
 
 
 # ----------------------------------------------------------------------
-# Section registry: serial body, parallel jobs, deterministic merge
+# Section registry: job grid and deterministic merge
 # ----------------------------------------------------------------------
 
 TrainKey = Tuple[str, float, float]  # (scenario, warmup_s, train_duration_s)
@@ -463,10 +469,9 @@ def _no_train_keys(profile: ReportProfile) -> Tuple[TrainKey, ...]:
 
 @dataclass(frozen=True)
 class Section:
-    """One report section: how to run it serially, split it, merge it."""
+    """One report section: how to split it into jobs and merge them."""
 
     name: str
-    serial: Callable[[int, ReportProfile], str]
     jobs: Callable[[int, ReportProfile], List[Job]]
     merge: Callable[[Dict[Any, Any], int, ReportProfile], str]
     train_keys: Callable[[ReportProfile], Tuple[TrainKey, ...]] = field(
@@ -484,16 +489,9 @@ def _speedup(baseline_ms: float, improved_ms: float) -> float:
 # -- FIG2 ---------------------------------------------------------------
 
 
-def _fig2_serial(seed: int, profile: ReportProfile) -> str:
-    return run_figure2_text(
-        seed, duration_s=profile.fig2_duration_s,
-        warmup_s=profile.fig2_warmup_s,
-    )
-
-
 def _fig2_jobs(seed: int, profile: ReportProfile) -> List[Job]:
     return [Job(
-        "FIG2", "fig2", _fig2_cell,
+        "FIG2", "fig2", run_figure2_text,
         (seed, profile.fig2_duration_s, profile.fig2_warmup_s),
     )]
 
@@ -507,16 +505,10 @@ def _fig2_merge(
 # -- FIG10 / FIG11 ------------------------------------------------------
 
 
-def _fig10_serial(seed: int, profile: ReportProfile) -> str:
-    return run_figure10(
-        scenarios=profile.scenarios, duration_s=profile.eval_duration_s,
-        seed=seed,
-    )
-
-
 def _fig10_jobs(seed: int, profile: ReportProfile) -> List[Job]:
     return [
-        Job("FIG10", name, _fig10_cell, (name, profile.eval_duration_s, seed))
+        Job("FIG10", name, evaluate_classifiers,
+            (name, profile.eval_duration_s, seed))
         for name in profile.scenarios
     ]
 
@@ -534,16 +526,10 @@ def _fig10_merge(
     )
 
 
-def _fig11_serial(seed: int, profile: ReportProfile) -> str:
-    return run_figure11(
-        scenarios=profile.scenarios, duration_s=profile.eval_duration_s,
-        seed=seed,
-    )
-
-
 def _fig11_jobs(seed: int, profile: ReportProfile) -> List[Job]:
     return [
-        Job("FIG11", name, _fig11_cell, (name, profile.eval_duration_s, seed))
+        Job("FIG11", name, evaluate_regressors,
+            (name, profile.eval_duration_s, seed))
         for name in profile.scenarios
     ]
 
@@ -571,13 +557,6 @@ def _scenario_train_keys(profile: ReportProfile) -> Tuple[TrainKey, ...]:
     )
 
 
-def _fig12_serial(seed: int, profile: ReportProfile) -> str:
-    return run_figure12(
-        scenarios=profile.scenarios, config=profile.policy_config(seed),
-        seed=seed,
-    )
-
-
 def _fig12_jobs(seed: int, profile: ReportProfile) -> List[Job]:
     config = profile.policy_config(seed)
     return [
@@ -600,13 +579,6 @@ def _fig12_merge(
         ["scenario", "policy", "object recall"],
         rows,
         title="Figure 12: object recall by scheduling policy",
-    )
-
-
-def _fig13_serial(seed: int, profile: ReportProfile) -> str:
-    return run_figure13(
-        scenarios=profile.scenarios, config=profile.policy_config(seed),
-        seed=seed,
     )
 
 
@@ -660,20 +632,13 @@ def _fig14_train_keys(profile: ReportProfile) -> Tuple[TrainKey, ...]:
     return ((profile.fig14_scenario, profile.warmup_s, profile.train_duration_s),)
 
 
-def _fig14_serial(seed: int, profile: ReportProfile) -> str:
-    return run_figure14(
-        scenario_name=profile.fig14_scenario, horizons=profile.fig14_horizons,
-        seed=seed, frames_per_point=profile.fig14_frames_per_point,
-        train_duration_s=profile.train_duration_s, warmup_s=profile.warmup_s,
-    )
-
-
 def _fig14_jobs(seed: int, profile: ReportProfile) -> List[Job]:
+    base = profile.fig14_config(seed)
     return [
         Job(
             "FIG14", horizon, _fig14_cell,
-            (profile.fig14_scenario, horizon, profile.fig14_frames_per_point,
-             profile.train_duration_s, profile.warmup_s, seed),
+            (profile.fig14_scenario, base, horizon,
+             profile.fig14_frames_per_point),
         )
         for horizon in profile.fig14_horizons
     ]
@@ -691,13 +656,6 @@ def _fig14_merge(
 
 
 # -- TAB2 ---------------------------------------------------------------
-
-
-def _tab2_serial(seed: int, profile: ReportProfile) -> str:
-    return run_table2(
-        scenarios=profile.scenarios, config=profile.tab2_config(seed),
-        seed=seed,
-    )
 
 
 def _tab2_jobs(seed: int, profile: ReportProfile) -> List[Job]:
@@ -732,12 +690,8 @@ def _tab2_merge(
 # -- ABLATIONS ----------------------------------------------------------
 
 
-def _ablations_serial(seed: int, profile: ReportProfile) -> str:
-    return run_ablations(seed=seed)
-
-
 def _ablations_jobs(seed: int, profile: ReportProfile) -> List[Job]:
-    return [Job("ABLATIONS", "ablations", _ablations_cell, (seed,))]
+    return [Job("ABLATIONS", "ablations", run_ablations, (seed,))]
 
 
 def _ablations_merge(
@@ -754,19 +708,6 @@ def _extensions_train_keys(profile: ReportProfile) -> Tuple[TrainKey, ...]:
         (profile.ext_occ_scenario, profile.warmup_s, profile.train_duration_s),
         (profile.ext_sync_scenario, profile.warmup_s, profile.train_duration_s),
     )
-
-
-def _extensions_serial(seed: int, profile: ReportProfile) -> str:
-    occ = occlusion_redundancy_study(
-        profile.ext_occ_scenario, config=profile.occ_config(seed), seed=seed
-    )
-    bw = bandwidth_study(n_trials=profile.ext_trials, seed=seed)
-    en = energy_study(n_trials=profile.ext_trials, seed=seed)
-    sync = synchronization_study(
-        profile.ext_sync_scenario, lags=profile.ext_sync_lags,
-        config=profile.sync_config(seed), seed=seed,
-    )
-    return format_extensions(occ, bw, en, sync)
 
 
 def _extensions_jobs(seed: int, profile: ReportProfile) -> List[Job]:
@@ -819,20 +760,6 @@ def _faults_train_keys(profile: ReportProfile) -> Tuple[TrainKey, ...]:
         profile.faults_scenario, profile.warmup_s,
         profile.faults_train_duration_s,
     ),)
-
-
-def _faults_serial(seed: int, profile: ReportProfile) -> str:
-    study = fault_tolerance_study(
-        scenario_name=profile.faults_scenario,
-        crash_rates=profile.faults_crash_rates,
-        loss_rates=profile.faults_loss_rates,
-        policies=profile.faults_policies,
-        config=profile.faults_config(seed),
-        seed=seed,
-        scheduler_policies=profile.faults_scheduler_policies,
-        heartbeats=profile.faults_heartbeats,
-    )
-    return format_fault_tolerance(study, drop_policies=profile.faults_policies)
 
 
 def _faults_jobs(seed: int, profile: ReportProfile) -> List[Job]:
@@ -900,18 +827,6 @@ def _ingest_bursts(profile: ReportProfile) -> Tuple[str, ...]:
     return burst_sweep_specs(base.horizon, base.horizon * base.n_horizons)
 
 
-def _ingest_serial(seed: int, profile: ReportProfile) -> str:
-    study = ingest_study(
-        scenario_name=profile.ingest_scenario,
-        ingest_policies=profile.ingest_policies,
-        bursts=_ingest_bursts(profile),
-        capacity=profile.ingest_capacity,
-        config=profile.ingest_config(seed),
-        seed=seed,
-    )
-    return format_ingest(study)
-
-
 def _ingest_jobs(seed: int, profile: ReportProfile) -> List[Job]:
     base = profile.ingest_config(seed)
     name = profile.ingest_scenario
@@ -945,25 +860,18 @@ def _ingest_merge(
 SECTIONS: Dict[str, Section] = {
     sec.name: sec
     for sec in (
-        Section("FIG2", _fig2_serial, _fig2_jobs, _fig2_merge),
-        Section("FIG10", _fig10_serial, _fig10_jobs, _fig10_merge),
-        Section("FIG11", _fig11_serial, _fig11_jobs, _fig11_merge),
-        Section("FIG12", _fig12_serial, _fig12_jobs, _fig12_merge,
-                _scenario_train_keys),
-        Section("FIG13", _fig13_serial, _fig13_jobs, _fig13_merge,
-                _scenario_train_keys),
-        Section("FIG14", _fig14_serial, _fig14_jobs, _fig14_merge,
-                _fig14_train_keys),
-        Section("TAB2", _tab2_serial, _tab2_jobs, _tab2_merge,
-                _scenario_train_keys),
-        Section("ABLATIONS", _ablations_serial, _ablations_jobs,
-                _ablations_merge),
-        Section("EXTENSIONS", _extensions_serial, _extensions_jobs,
-                _extensions_merge, _extensions_train_keys),
-        Section("FAULTS", _faults_serial, _faults_jobs, _faults_merge,
-                _faults_train_keys),
-        Section("INGEST", _ingest_serial, _ingest_jobs, _ingest_merge,
-                _ingest_train_keys),
+        Section("FIG2", _fig2_jobs, _fig2_merge),
+        Section("FIG10", _fig10_jobs, _fig10_merge),
+        Section("FIG11", _fig11_jobs, _fig11_merge),
+        Section("FIG12", _fig12_jobs, _fig12_merge, _scenario_train_keys),
+        Section("FIG13", _fig13_jobs, _fig13_merge, _scenario_train_keys),
+        Section("FIG14", _fig14_jobs, _fig14_merge, _fig14_train_keys),
+        Section("TAB2", _tab2_jobs, _tab2_merge, _scenario_train_keys),
+        Section("ABLATIONS", _ablations_jobs, _ablations_merge),
+        Section("EXTENSIONS", _extensions_jobs, _extensions_merge,
+                _extensions_train_keys),
+        Section("FAULTS", _faults_jobs, _faults_merge, _faults_train_keys),
+        Section("INGEST", _ingest_jobs, _ingest_merge, _ingest_train_keys),
     )
 }
 
@@ -978,8 +886,9 @@ def warm_jobs(
 ) -> List[Job]:
     """One training job per distinct (scenario, warm-up, duration) triple.
 
-    Running these before the section fan-out means every model fit
-    happens exactly once; the section jobs then hit the artifact cache.
+    Running these before the section jobs means each model set is fit
+    once, before any section cell asks for it; with an artifact cache
+    active, the other pool workers load that fit instead of repeating it.
     """
     keys: List[TrainKey] = []
     for name in section_names:
@@ -994,7 +903,7 @@ def warm_jobs(
 
 @dataclass(frozen=True)
 class ReportSections:
-    """Merged section bodies plus the fan-out's aggregate accounting."""
+    """Merged section bodies plus the run's aggregate accounting."""
 
     bodies: Dict[str, str]
     elapsed_s: Dict[str, float]  # per section, summed over its jobs
@@ -1010,12 +919,12 @@ def run_report_sections(
     workers: int = 2,
     cache_root: Optional[str] = None,
 ) -> ReportSections:
-    """Fan the named sections out over ``workers`` processes and merge.
+    """Run the named sections' jobs on ``workers`` processes and merge.
 
-    Jobs that perform identical work for two sections (FIG13's policy
-    runs are a subset of FIG12's) are executed once and shared. Section
-    elapsed times attribute a shared job to every section that uses it,
-    mirroring what the serial runner would have measured.
+    ``workers <= 1`` runs the same job list inline. Jobs that perform
+    identical work for two sections (FIG13's policy runs are a subset
+    of FIG12's) are executed once and shared. Section elapsed times
+    attribute a shared job to every section that uses it.
     """
     unknown = [name for name in section_names if name not in SECTIONS]
     if unknown:
@@ -1033,15 +942,10 @@ def run_report_sections(
             unique_index[fp] = len(unique_jobs)
             unique_jobs.append(job)
 
-    warm = warm_jobs(section_names, seed, profile)
-    if workers <= 1:
-        warm_results = [_execute_job(job, cache_root) for job in warm]
-        unique_results = [_execute_job(job, cache_root) for job in unique_jobs]
-    else:
-        ctx = get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            warm_results = _run_in_pool(pool, warm, cache_root)
-            unique_results = _run_in_pool(pool, unique_jobs, cache_root)
+    warm_results, unique_results = _run_waves(
+        [warm_jobs(section_names, seed, profile), unique_jobs],
+        workers, cache_root,
+    )
 
     by_section: Dict[str, Dict[Any, Any]] = {n: {} for n in section_names}
     elapsed: Dict[str, float] = {n: 0.0 for n in section_names}

@@ -5,34 +5,29 @@ figures/tables (plus the ablations) as text and prints them; pass a path
 to also write the report to a file.
 
 The heavy lifting lives in :mod:`repro.experiments.parallel`: each
-section is registered there with a serial body, a parallel job split and
-a deterministic merge. ``run_all(workers=1)`` walks the serial bodies in
-order — the historical bit-exact path — while ``workers > 1`` fans the
-job grids out over a process pool and merges, producing a byte-identical
-report. Either path can run against a content-addressed
-:class:`~repro.cache.ArtifactCache` so repeated reports skip model
-training entirely.
+section is registered there as a job grid and a deterministic merge.
+``run_all(workers=1)`` runs the deduplicated job list inline and
+``workers > 1`` fans the same list out over a process pool; the merged
+report is byte-identical either way. Both can run against a
+content-addressed :class:`~repro.cache.ArtifactCache` so repeated
+reports skip model training entirely.
 """
 
 from __future__ import annotations
 
-import contextlib
 import sys
-import time
 from typing import List, Optional, Sequence, Union
 
-from repro.cache import ArtifactCache, default_cache_root, use_cache
-from repro.experiments.fig2_workload import run_figure2_text
+from repro.cache import ArtifactCache, default_cache_root
 from repro.experiments.parallel import (
     FULL_PROFILE,
     SECTION_ORDER,
-    SECTIONS,
     ReportProfile,
     run_report_sections,
 )
 from repro.obs import MetricsRegistry, format_metrics_table
 
-__all__ = ["run_all", "run_figure2_text", "main"]
+__all__ = ["run_all", "main"]
 
 
 def _fmt_elapsed(seconds: float) -> str:
@@ -69,14 +64,14 @@ def run_all(
 ) -> str:
     """Run every experiment; returns (and optionally writes) the report.
 
-    ``workers=1`` executes sections serially in-process (the historical
-    path); ``workers > 1`` fans each section's job grid out over a
-    spawn-context process pool — the merged report is byte-identical.
-    ``cache`` (a root path or an :class:`ArtifactCache`) enables the
-    content-addressed artifact cache; parallel runs always use one so
-    model training is deduplicated across workers. ``sections`` selects
-    a subset of report sections by name; ``timings=False`` omits the
-    nondeterministic wall-clock figures, leaving pure experiment bytes.
+    ``workers=1`` runs every section's jobs inline; ``workers > 1`` fans
+    the same jobs out over a spawn-context process pool — the merged
+    report is byte-identical. ``cache`` (a root path or an
+    :class:`ArtifactCache`) enables the content-addressed artifact
+    cache; parallel runs always use one so model training is
+    deduplicated across workers. ``sections`` selects a subset of report
+    sections by name; ``timings=False`` omits the nondeterministic
+    wall-clock figures, leaving pure experiment bytes.
 
     Section wall-clock times are collected in a
     :class:`~repro.obs.registry.MetricsRegistry` and appended as a final
@@ -86,52 +81,36 @@ def run_all(
         raise ValueError("workers must be >= 1")
     profile = profile if profile is not None else FULL_PROFILE
     selected = list(sections) if sections is not None else list(SECTION_ORDER)
-    unknown = [name for name in selected if name not in SECTIONS]
-    if unknown:
-        raise ValueError(f"unknown report sections: {unknown}")
 
     registry = MetricsRegistry()
     cache_obj = _resolve_cache(cache, workers, registry)
-
-    bodies = {}
-    elapsed_by = {}
-    if workers == 1:
-        scope = use_cache(cache_obj) if cache_obj else contextlib.nullcontext()
-        with scope:
-            for name in selected:
-                start = time.perf_counter()
-                bodies[name] = SECTIONS[name].serial(seed, profile)
-                elapsed_by[name] = time.perf_counter() - start
-    else:
-        assert cache_obj is not None
-        merged = run_report_sections(
-            selected, seed, profile=profile, workers=workers,
-            cache_root=cache_obj.root,
-        )
-        bodies = merged.bodies
-        elapsed_by = merged.elapsed_s
-        # Fold worker-side cache traffic into the caller-visible cache
-        # and registry (worker processes have their own instances).
+    merged = run_report_sections(
+        selected, seed, profile=profile, workers=workers,
+        cache_root=cache_obj.root if cache_obj is not None else None,
+    )
+    if cache_obj is not None:
+        # Fold job-side cache traffic into the caller-visible cache and
+        # registry (every job opens its own handle on the cache root).
         cache_obj.hits += merged.cache_hits
         cache_obj.misses += merged.cache_misses
         if merged.cache_hits:
             registry.counter("cache_hits_total").inc(merged.cache_hits)
         if merged.cache_misses:
             registry.counter("cache_misses_total").inc(merged.cache_misses)
-        registry.gauge("experiment_wall_s", section="WARMUP").set(
-            merged.warm_elapsed_s
-        )
+    registry.gauge("experiment_wall_s", section="WARMUP").set(
+        merged.warm_elapsed_s
+    )
 
     report_sections: List[str] = []
     for name in selected:
-        elapsed = elapsed_by[name]
+        elapsed = merged.elapsed_s[name]
         registry.gauge("experiment_wall_s", section=name).set(elapsed)
         registry.counter("experiments_total").inc()
         if timings:
             header = f"== {name} ({_fmt_elapsed(elapsed)}) =="
         else:
             header = f"== {name} =="
-        report_sections.append(f"{header}\n{bodies[name]}")
+        report_sections.append(f"{header}\n{merged.bodies[name]}")
     if timings:
         report_sections.append(
             "== TIMINGS ==\n"

@@ -11,11 +11,9 @@ then averaged over frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.report import format_table
-from repro.runtime.pipeline import PipelineConfig, run_policy, train_models
-from repro.scenarios.aic21 import get_scenario
+from repro.runtime.pipeline import PipelineConfig, TrainedModels, run_policy
+from repro.scenarios.builder import Scenario
 
 
 @dataclass
@@ -25,8 +23,6 @@ class OverheadRow:
     tracking_ms: float
     distributed_ms: float
     batching_ms: float
-    #: Observed wall-clock per frame by stage (only for traced runs).
-    measured_ms: Optional[Dict[str, float]] = None
 
     @property
     def total_ms(self) -> float:
@@ -39,79 +35,15 @@ class OverheadRow:
 
 
 def measure_overheads(
-    scenario_name: str,
-    config: Optional[PipelineConfig] = None,
-    seed: int = 0,
-    traced: bool = False,
+    scenario: Scenario, config: PipelineConfig, trained: TrainedModels
 ) -> OverheadRow:
-    """Run BALB on one scenario and extract the Table II row.
-
-    With ``traced`` the run collects a span trace, and the row carries the
-    *measured* per-frame wall-clock breakdown next to the modeled one.
-    """
-    scenario = get_scenario(scenario_name, seed=seed)
-    config = config or PipelineConfig(
-        policy="balb", n_horizons=30, train_duration_s=120.0, warmup_s=30.0,
-        seed=seed,
-    )
-    if traced and not config.trace:
-        config = PipelineConfig(**{**config.__dict__, "trace": True})
-    trained = train_models(scenario, config)
+    """Run BALB on one scenario and extract the Table II row."""
     result = run_policy(scenario, "balb", config, trained)
     breakdown = result.overhead_breakdown()
     return OverheadRow(
-        scenario=scenario_name,
+        scenario=scenario.name,
         central_ms=breakdown.get("central", 0.0),
         tracking_ms=breakdown.get("tracking", 0.0),
         distributed_ms=breakdown.get("distributed", 0.0),
         batching_ms=breakdown.get("batching", 0.0),
-        measured_ms=result.measured_stage_breakdown() if traced else None,
     )
-
-
-def run_table2(
-    scenarios: Tuple[str, ...] = ("S1", "S2", "S3"),
-    config: Optional[PipelineConfig] = None,
-    seed: int = 0,
-    traced: bool = False,
-) -> str:
-    """Regenerate Table II as a text table.
-
-    ``traced`` appends a second table with the measured wall-clock
-    per-frame stage times observed by the tracing subsystem, so modeled
-    overheads can be sanity-checked against real Python runtime.
-    """
-    rows: List[OverheadRow] = [
-        measure_overheads(name, config=config, seed=seed, traced=traced)
-        for name in scenarios
-    ]
-    table = format_table(
-        ["scenario", "central", "tracking", "distributed", "batching", "total"],
-        [
-            (
-                r.scenario,
-                round(r.central_ms, 2),
-                round(r.tracking_ms, 2),
-                round(r.distributed_ms, 2),
-                round(r.batching_ms, 2),
-                round(r.total_ms, 2),
-            )
-            for r in rows
-        ],
-        title="Table II: per-frame latency overhead breakdown (ms)",
-    )
-    if traced:
-        table += "\n\n" + format_table(
-            ["scenario", "central", "distributed", "frame"],
-            [
-                (
-                    r.scenario,
-                    round((r.measured_ms or {}).get("central", 0.0), 3),
-                    round((r.measured_ms or {}).get("distributed", 0.0), 3),
-                    round((r.measured_ms or {}).get("frame", 0.0), 3),
-                )
-                for r in rows
-            ],
-            title="Measured wall-clock per frame (ms, traced run)",
-        )
-    return table

@@ -81,11 +81,6 @@ _CENTRALIZED = ("balb", "balb-cen", "sp")
 #: and the deterministic event kernel with a bounded ingest edge.
 RUNTIMES = ("sync", "event")
 
-#: Per-frame data paths: batched struct-of-arrays projections ("soa") or
-#: the retained per-object scalar reference path ("scalar"). Bit-identical
-#: by contract; see PipelineConfig.sim_path.
-SIM_PATHS = ("soa", "scalar")
-
 #: Event priorities: frame arrivals land in the ingest queues strictly
 #: before the dispatch that may consume them at the same simulated time.
 _EV_ARRIVAL = 0
@@ -216,12 +211,6 @@ class PipelineConfig:
     #: so every other run keeps its pre-watchdog byte-exact outputs.
     #: Disable to observe an unguarded fleet degrade.
     fleet_health: bool = True
-    #: Per-frame data path. ``soa`` batches each camera's projections over
-    #: a struct-of-arrays frame snapshot and shares the table across every
-    #: consumer; ``scalar`` is the retained per-object reference path. The
-    #: two are bit-identical (enforced by tests) — ``scalar`` exists as
-    #: the equivalence oracle, not as a supported production mode.
-    sim_path: str = "soa"
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -261,10 +250,6 @@ class PipelineConfig:
         if self.runtime not in RUNTIMES:
             raise ValueError(
                 f"unknown runtime {self.runtime!r}; options: {RUNTIMES}"
-            )
-        if self.sim_path not in SIM_PATHS:
-            raise ValueError(
-                f"unknown sim_path {self.sim_path!r}; options: {SIM_PATHS}"
             )
         if self.ingest_capacity < 1:
             raise ValueError("ingest_capacity must be >= 1")
@@ -1181,25 +1166,13 @@ class Pipeline:
                 # One projection cache per frame: every consumer below
                 # (occlusion, coverage, detection, new regions, health)
                 # shares each camera's batched projection table instead
-                # of re-projecting the same objects. sim_path="scalar"
-                # keeps the per-object reference path as the
-                # bit-identity oracle.
-                cache = (
-                    FrameProjectionCache(rig.cameras)
-                    if config.sim_path == "soa"
-                    else None
-                )
+                # of re-projecting the same objects.
+                cache = FrameProjectionCache(rig.cameras)
                 multipliers: Dict[int, Dict[int, float]] = {}
                 if occlusion is not None:
                     fractions_by_cam = {
                         cam.camera_id: visible_fractions(
-                            cam,
-                            objects,
-                            boxes=(
-                                cache.boxes(cam, objects)
-                                if cache is not None
-                                else None
-                            ),
+                            cam, objects, boxes=cache.boxes(cam, objects)
                         )
                         for cam in rig
                     }
@@ -1223,7 +1196,7 @@ class Pipeline:
                             )
                         ],
                     )
-                elif cache is not None:
+                else:
                     # Whole-frame coverage in one table pull; its keys
                     # are exactly the ids some camera can observe, so
                     # the fault-free split needs no per-object calls.
@@ -1237,12 +1210,6 @@ class Pipeline:
                     else:
                         visible_gt = frozenset(table)
                         coverage_lost = frozenset()
-                else:
-                    visible_gt, coverage_lost = _split_coverage(
-                        objects,
-                        effective_down,
-                        rig.coverage_set,
-                    )
 
             inference: Dict[int, float] = {}
             detected: set = set()
@@ -1272,13 +1239,8 @@ class Pipeline:
                             outcome = node.process_key_frame(
                                 lagged_objects[cam_id],
                                 multipliers.get(cam_id),
-                                boxes=(
-                                    cache.boxes(
-                                        node.camera,
-                                        lagged_objects[cam_id],
-                                    )
-                                    if cache is not None
-                                    else None
+                                boxes=cache.boxes(
+                                    node.camera, lagged_objects[cam_id]
                                 ),
                             )
                         inference[cam_id] = outcome.inference_ms
@@ -1522,13 +1484,8 @@ class Pipeline:
                                 lagged_objects[cam_id],
                                 policies[cam_id],
                                 multipliers.get(cam_id),
-                                boxes=(
-                                    cache.boxes(
-                                        node.camera,
-                                        lagged_objects[cam_id],
-                                    )
-                                    if cache is not None
-                                    else None
+                                boxes=cache.boxes(
+                                    node.camera, lagged_objects[cam_id]
                                 ),
                             )
                         inference[cam_id] = outcome.inference_ms
@@ -1647,7 +1604,7 @@ class Pipeline:
         is_key: bool,
         key_detected: Dict[int, int],
         overheads: Dict[str, float],
-        cache: Optional[FrameProjectionCache] = None,
+        cache: FrameProjectionCache,
     ) -> None:
         """End-of-frame health pass: signals -> watchdog -> membership.
 
@@ -1667,15 +1624,8 @@ class Pipeline:
         if is_key:
             # Denominator of the report-quality signal: how many objects
             # each camera could have seen this frame.
-            if cache is not None:
-                coverage = cache.coverage_table(
-                    state.rig.cameras, objects
-                ).values()
-            else:
-                coverage = (
-                    state.rig.coverage_set(obj) for obj in objects
-                )
-            for covered in coverage:
+            coverage = cache.coverage_table(state.rig.cameras, objects)
+            for covered in coverage.values():
                 for cam in covered:
                     visible[cam] = visible.get(cam, 0) + 1
         drift_lags = (

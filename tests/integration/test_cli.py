@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import re
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import parallel
+from repro.experiments.parallel import SECTION_ORDER
 
 
 class TestParser:
@@ -62,7 +65,25 @@ class TestCommands:
     def test_unknown_experiment_errors(self, capsys):
         code = main(["experiments", "--only", "FIG99"])
         assert code == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown experiment" in err
+        assert ", ".join(SECTION_ORDER) in err
+
+    @pytest.mark.parametrize("name", SECTION_ORDER)
+    def test_every_report_section_is_an_experiment(
+        self, name, monkeypatch, capsys
+    ):
+        ran = []
+
+        def fake_sections(names, seed, profile=None, workers=2,
+                          cache_root=None):
+            ran.append((list(names), seed, workers))
+            return SimpleNamespace(bodies={n: f"body of {n}" for n in names})
+
+        monkeypatch.setattr(parallel, "run_report_sections", fake_sections)
+        assert main(["experiments", "--only", name.lower(), "--seed", "3"]) == 0
+        assert ran == [([name], 3, 1)]
+        assert capsys.readouterr().out == f"body of {name}\n"
 
     def test_experiment_written_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "ablations.txt"

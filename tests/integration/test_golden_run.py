@@ -9,6 +9,8 @@ If a change is *intentional*, regenerate the golden values by running the
 fixture configuration and updating the constants below.
 """
 
+import hashlib
+
 import pytest
 
 from repro.obs.export import (
@@ -29,6 +31,18 @@ GOLDEN = {
     "balb-cen": {"recall": 0.953535, "latency": 138.509524},
     "balb": {"recall": 0.979798, "latency": 140.025011},
     "sp": {"recall": 0.911111, "latency": 141.157876},
+}
+
+# BALB on the same configuration with inter-object occlusion, two cameras
+# per object and up to two frames of camera skew: pins the occlusion,
+# redundancy and lag paths exactly (recall, latency and a sha256 over
+# every frame record).
+GOLDEN_OCCLUDED = {
+    "recall": 0.9797979797979798,
+    "latency": 145.04514414940547,
+    "frames_sha256": (
+        "570d80b60f41dd6d8a79353955abd16a4a3f2557ebe6608784b6dd29939eaab9"
+    ),
 }
 
 N_CAMERAS = 5
@@ -72,6 +86,31 @@ class TestGoldenNumbers:
         assert runs[policy].mean_slowest_latency() == pytest.approx(
             GOLDEN[policy]["latency"], rel=5e-3
         )
+
+
+def _frames_sha256(frames) -> str:
+    h = hashlib.sha256()
+    for f in frames:
+        h.update(repr((
+            f.frame_index, f.is_key_frame, sorted(f.visible_gt),
+            sorted(f.detected_gt), sorted(f.inference_ms.items()),
+            sorted(f.overheads_ms.items()), sorted(f.n_slices.items()),
+            sorted(f.coverage_lost),
+        )).encode())
+    return h.hexdigest()
+
+
+class TestGoldenOccludedRedundantLagged:
+    def test_balb_matches_golden_exactly(self, golden_runs):
+        scenario, config, trained, _ = golden_runs
+        occluded = PipelineConfig(**{
+            **config.__dict__, "occlusion": True, "redundancy": 2,
+            "max_camera_lag_frames": 2,
+        })
+        result = run_policy(scenario, "balb", occluded, trained)
+        assert result.object_recall() == GOLDEN_OCCLUDED["recall"]
+        assert result.mean_slowest_latency() == GOLDEN_OCCLUDED["latency"]
+        assert _frames_sha256(result.frames) == GOLDEN_OCCLUDED["frames_sha256"]
 
 
 # -- Golden trace structure ------------------------------------------------

@@ -1,22 +1,23 @@
-"""Structural tests of the end-to-end experiment harnesses (scaled down).
+"""Structural tests of the report cells and merges (scaled down).
 
-These verify the fig12/fig13/fig14/table2 and extension harnesses produce
-well-formed rows and internally consistent numbers on small runs; the
+Every report section is a grid of cells plus a merge that renders the
+table (:mod:`repro.experiments.parallel`). These run the FIG12, FIG13,
+FIG14 and TAB2 cells on small runs, check that their rows are well
+formed and internally consistent, and that the merges render them; the
 full-scale shape assertions live in ``benchmarks/``.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.experiments.fig12_recall import recall_rows, run_policies
-from repro.experiments.fig13_latency import (
-    LATENCY_POLICIES,
-    latency_rows,
-    speedup_summary,
-)
-from repro.experiments.fig14_horizon import sweep_horizons
-from repro.experiments.table2_overhead import measure_overheads
-from repro.runtime.pipeline import PipelineConfig, train_models
-from repro.scenarios.aic21 import get_scenario
+from repro.experiments import parallel
+from repro.experiments.fig13_latency import LATENCY_POLICIES
+from repro.experiments.report import _fmt
+from repro.runtime.pipeline import PipelineConfig
+
+#: A report profile (S2 only) whose merges read the small runs below.
+PROFILE = dataclasses.replace(parallel.QUICK_PROFILE, fig14_horizons=(2, 5))
 
 
 @pytest.fixture(scope="module")
@@ -31,63 +32,82 @@ def small_config():
     )
 
 
-@pytest.fixture(scope="module")
-def s2_trained(small_config):
-    return train_models(get_scenario("S2", seed=0), small_config)
+@pytest.fixture(scope="module", autouse=True)
+def trained_once():
+    """The cells share one fit through the memo; drop it afterwards."""
+    yield
+    parallel._TRAINED.clear()
+
+
+def _rows(table: str):
+    """Data rows of a rendered table, split into cells."""
+    return [line.split() for line in table.splitlines()[3:]]
 
 
 class TestFig12Harness:
-    def test_rows_structure(self, small_config, s2_trained):
-        runs = run_policies(
-            "S2",
-            policies=("full", "balb"),
-            config=small_config,
-            trained=s2_trained,
-        )
-        rows = recall_rows(runs)
-        assert {r.policy for r in rows} == {"full", "balb"}
-        for row in rows:
-            assert row.scenario == "S2"
-            assert 0.0 <= row.recall <= 1.0
+    def test_rows_structure(self, small_config):
+        cells = {
+            ("S2", policy): parallel._policy_cell("S2", policy, small_config)
+            for policy in parallel.DEFAULT_POLICIES
+        }
+        for cell in cells.values():
+            assert cell["scenario"] == "S2"
+            assert 0.0 <= cell["recall"] <= 1.0
+        table = parallel._fig12_merge(cells, 0, PROFILE)
+        assert _rows(table) == [
+            ["S2", policy, _fmt(cells[("S2", policy)]["recall"])]
+            for policy in parallel.DEFAULT_POLICIES
+        ]
 
 
 class TestFig13Harness:
-    def test_rows_and_summary_consistent(self, small_config, s2_trained):
-        runs = run_policies(
+    def test_rows_and_summary_consistent(self, small_config):
+        cells = {
+            ("S2", policy): parallel._policy_cell("S2", policy, small_config)
+            for policy in LATENCY_POLICIES
+        }
+        latency = {p: cells[("S2", p)]["latency_ms"] for p in LATENCY_POLICIES}
+        assert all(ms > 0 for ms in latency.values())
+        per_policy, headline = parallel._fig13_merge(
+            cells, 0, PROFILE
+        ).split("\n\n")
+        rows = {row[1]: row for row in _rows(per_policy)}
+        assert list(rows) == list(LATENCY_POLICIES)
+        assert rows["full"][3] == _fmt(1.0)
+        for policy in LATENCY_POLICIES:
+            assert rows[policy][2] == _fmt(round(latency[policy], 1))
+            assert rows[policy][3] == _fmt(latency["full"] / latency[policy])
+        assert _rows(headline) == [[
             "S2",
-            policies=LATENCY_POLICIES,
-            config=small_config,
-            trained=s2_trained,
-        )
-        rows = latency_rows(runs)
-        summary = speedup_summary(runs)
-        by_policy = {r.policy: r for r in rows}
-        assert by_policy["full"].speedup_vs_full == pytest.approx(1.0)
-        assert summary.balb_vs_full == pytest.approx(
-            by_policy["full"].slowest_camera_ms
-            / by_policy["balb"].slowest_camera_ms
-        )
-        for row in rows:
-            assert row.slowest_camera_ms > 0
+            _fmt(latency["full"] / latency["balb"]),
+            _fmt(latency["balb-ind"] / latency["balb"]),
+            _fmt(latency["sp"] / latency["balb"]),
+        ]]
+
+    def test_non_positive_latency_rejected(self):
+        with pytest.raises(ValueError, match="non-positive"):
+            parallel._speedup(10.0, 0.0)
 
 
 class TestFig14Harness:
-    def test_sweep_rows(self, s2_trained):
-        rows = sweep_horizons(
-            "S2", horizons=(2, 5), frames_per_point=40, seed=0,
-            trained=s2_trained,
-        )
-        assert [r.horizon for r in rows] == [2, 5]
-        for row in rows:
+    def test_sweep_rows(self, small_config):
+        rows = {
+            horizon: parallel._fig14_cell("S2", small_config, horizon, 40)
+            for horizon in (2, 5)
+        }
+        assert [r.horizon for r in rows.values()] == [2, 5]
+        for row in rows.values():
             assert 0.0 <= row.recall <= 1.0
             assert row.slowest_camera_ms > 0
         # Key-frame amortization: T=5 is cheaper than T=2.
-        assert rows[1].slowest_camera_ms < rows[0].slowest_camera_ms
+        assert rows[5].slowest_camera_ms < rows[2].slowest_camera_ms
+        table = parallel._fig14_merge(rows, 0, PROFILE)
+        assert [row[0] for row in _rows(table)] == ["2", "5"]
 
 
 class TestTable2Harness:
     def test_overhead_row(self, small_config):
-        row = measure_overheads("S2", config=small_config, seed=0)
+        row = parallel._tab2_cell("S2", small_config)
         assert row.scenario == "S2"
         assert row.total_ms == pytest.approx(
             row.central_ms + row.tracking_ms + row.distributed_ms
@@ -95,3 +115,11 @@ class TestTable2Harness:
         )
         assert row.tracking_ms > 0
         assert row.distributed_ms < 1.0
+        table = parallel._tab2_merge({"S2": row}, 0, PROFILE)
+        assert _rows(table) == [[
+            "S2", *(
+                _fmt(round(ms, 2))
+                for ms in (row.central_ms, row.tracking_ms,
+                           row.distributed_ms, row.batching_ms, row.total_ms)
+            ),
+        ]]

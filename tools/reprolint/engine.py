@@ -75,7 +75,6 @@ class Config:
     #: guarantee explicitly excludes.
     rl002_wallclock_allow: Tuple[str, ...] = (
         "src/repro/obs/trace.py",
-        "src/repro/experiments/runner.py",
         "src/repro/experiments/parallel.py",
         "src/repro/bench.py",
     )
