@@ -98,11 +98,16 @@ class CrossCameraMatcher:
 
         for pos, cam_a in enumerate(camera_ids):
             obs_a = observations[cam_a]
-            for cam_b in camera_ids[pos + 1 :]:
-                obs_b = observations[cam_b]
-                if not obs_a or not obs_b:
-                    continue
-                self._match_pair(cam_a, obs_a, cam_b, obs_b, uf)
+            if not obs_a:
+                continue
+            targets = [b for b in camera_ids[pos + 1 :] if observations[b]]
+            # One box list per source camera; pairs that can share one
+            # neighbour search over it find it there.
+            boxes = self.associator.queries(
+                cam_a, [obs.bbox for obs in obs_a], targets
+            )
+            for cam_b in targets:
+                self._match_pair(cam_a, boxes, cam_b, observations[cam_b], uf)
 
         groups: Dict[Tuple[int, int], GlobalObject] = {}
         next_id = 0
@@ -121,7 +126,7 @@ class CrossCameraMatcher:
     def _match_pair(
         self,
         cam_a: int,
-        obs_a: Sequence[LocalObservation],
+        boxes_a: List[BBox],
         cam_b: int,
         obs_b: Sequence[LocalObservation],
         uf: _UnionFind,
@@ -132,9 +137,7 @@ class CrossCameraMatcher:
         # One classifier call and one regressor call per camera pair per
         # frame — sharing one feature build — instead of one of each per
         # observation.
-        vis_idx, predicted_boxes = model.predict_visible_boxes(
-            [obs.bbox for obs in obs_a]
-        )
+        vis_idx, predicted_boxes = model.predict_visible_boxes(boxes_a)
         if not vis_idx:
             return
         candidates: List[Tuple[int, BBox]] = [

@@ -5,6 +5,13 @@ Implements the first two steps of the paper's association procedure
 also appears on camera ``i'``; when positive, a regressor predicts its
 box on ``i'``. Models are pluggable so the Figure 10/11 baselines reuse
 the same machinery.
+
+The matcher asks every ordered pair ``(i, i')`` about the same boxes of
+camera ``i``, and all of ``i``'s pair classifiers hold the same training
+rows. :class:`SourceIndex` exploits that: one neighbour search per
+source camera per call serves every pair, and a floating-point
+certificate proves each pair's derived neighbours equal its own
+brute-force search, or sends that pair down the brute-force path.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from repro.association.training import (
 )
 from repro.geometry.box import BBox
 from repro.ml.base import Classifier, Regressor
-from repro.ml.knn import KNNClassifier, KNNRegressor
+from repro.ml.knn import KNNClassifier, KNNRegressor, _row_index
 from repro.ml.scaling import StandardScaler
 
 ClassifierFactory = Callable[[], Classifier]
@@ -88,7 +95,7 @@ class PairModel:
         if self.regressor is None or self.feature_scaler is None or not boxes:
             return [None] * len(boxes)
         feats = self._scaled_features_batch(boxes)
-        return self._regress_boxes(feats)
+        return self._target_boxes(self.regressor.predict(feats))
 
     def predict_visible_boxes(
         self, boxes: Sequence[BBox], threshold: float = 0.5
@@ -101,16 +108,25 @@ class PairModel:
         row slicing commutes with the elementwise scaler and the KNN
         distance rows are independent, so both outputs are bit-identical
         to the two separate calls this replaces.
+
+        When ``boxes`` is a :class:`SharedQueries` this pair reads, both
+        models take their neighbours from the source camera's shared
+        search where its certificate holds; the outputs are the same.
         """
         n = len(boxes)
+        search = boxes.search(self) if isinstance(boxes, SharedQueries) else None
         feats: Optional[np.ndarray] = None
         if self.constant_label is not None:
             vis_idx = list(range(n)) if self.constant_label else []
         elif self.classifier is None or self.feature_scaler is None or n == 0:
             vis_idx = []
         else:
-            feats = self._scaled_features_batch(boxes)
-            proba = self.classifier.predict_proba(feats)
+            if search is None:
+                feats = self._scaled_features_batch(boxes)
+                proba = self.classifier.predict_proba(feats)
+            else:
+                feats = search.feats
+                proba = search.vote(self.classifier)
             vis_idx = [i for i in range(n) if proba[i] >= threshold]
         if not vis_idx:
             return vis_idx, []
@@ -124,12 +140,15 @@ class PairModel:
             cand_feats = feats
         else:
             cand_feats = feats[vis_idx]
-        return vis_idx, self._regress_boxes(cand_feats)
+        if search is None:
+            targets = self.regressor.predict(cand_feats)
+        else:
+            targets = search.regress(self.regressor, cand_feats, vis_idx)
+        return vis_idx, self._target_boxes(targets)
 
-    def _regress_boxes(self, feats: np.ndarray) -> List[BBox]:
-        """Regress scaled features to target-camera boxes."""
-        assert self.regressor is not None
-        targets = self.regressor.predict(feats)
+    @staticmethod
+    def _target_boxes(targets: np.ndarray) -> List[BBox]:
+        """Target-camera boxes from regressed ``(cx, cy, w, h)`` rows."""
         # Vectorized target_to_box/from_xywh: the size clamp and the
         # centre±half-size arithmetic mirror the scalar helpers exactly
         # (np.maximum is the same selection as max; w >= 2.0 subsumes
@@ -141,7 +160,7 @@ class PairModel:
         x2, y2 = cx + w / 2.0, cy + h / 2.0
         return [
             BBox(float(x1[i]), float(y1[i]), float(x2[i]), float(y2[i]))
-            for i in range(len(feats))
+            for i in range(len(targets))
         ]
 
     def _scaled_features(self, box: BBox) -> np.ndarray:
@@ -187,13 +206,50 @@ class PairwiseAssociator:
         # state (e.g. the camera-mask cache); getattr-guarded so models
         # unpickled from older artifacts start at token 0.
         self._fit_token = getattr(self, "_fit_token", 0) + 1
-        for key, pair_ds in dataset.pairs.items():
-            self._models[key] = self._fit_pair(pair_ds)
+        self._models = {
+            key: self._fit_pair(pair_ds) for key, pair_ds in dataset.pairs.items()
+        }
+        self._sources = build_source_indexes(self._models)
         return self
 
     def model(self, source: int, target: int) -> Optional[PairModel]:
         """The fitted model for the ordered pair, or None if untrained."""
         return self._models.get((source, target))
+
+    def queries(
+        self, source: int, boxes: List[BBox], targets: Sequence[int]
+    ) -> List[BBox]:
+        """``boxes`` of ``source`` as the ``(source, t)`` pair models should get them.
+
+        When at least two of the ``targets`` pairs read the source's
+        :class:`SourceIndex`, returns the boxes as :class:`SharedQueries`,
+        so those pairs share one neighbour search; otherwise returns
+        ``boxes`` unchanged and every pair searches on its own.
+        """
+        # Built on first use for associators unpickled from artifacts
+        # older than the index.
+        sources = getattr(self, "_sources", None)
+        if sources is None:
+            sources = self._sources = build_source_indexes(self._models)
+        index = sources.get(source)
+        if index is None:
+            return boxes
+        readers = [t for t in targets if t in index.column]
+        if len(readers) < 2:
+            return boxes
+        return SharedQueries(boxes, index, readers)
+
+    def shared_calls(self) -> Dict[str, int]:
+        """Pair-model calls that found a shared search, by outcome, since fit.
+
+        ``certified`` calls used the shared neighbours; ``fallback`` calls
+        ran their own search because the certificate declined.
+        """
+        total = {"certified": 0, "fallback": 0}
+        for index in (getattr(self, "_sources", None) or {}).values():
+            for outcome, count in index.calls.items():
+                total[outcome] += count
+        return total
 
     def predict_visible(self, source: int, target: int, box: BBox) -> bool:
         """Visibility of a source-camera box on the target camera."""
@@ -248,3 +304,304 @@ class PairwiseAssociator:
             feature_scaler=scaler,
             constant_label=constant,
         )
+
+
+# ----------------------------------------------------------------------
+# Shared per-source neighbour search
+
+#: Unique training rows the shared search lists per query, nearest
+#: first; the last one only bounds the rows past the list. The
+#: classifiers need their 7 neighbours and the regressors 5 rows visible
+#: on their target inside the list. Fallback share over 40 S1 key frames
+#: at seeds 0 and 7919 (1,440 pair calls): 4.0% at K = 8, 0.3% at 12,
+#: none from 16 up; 24 leaves headroom at no measurable cost.
+SHARED_DEPTH = 24
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def distance_tolerance(feats: np.ndarray, max_sq_norm: float) -> np.ndarray:
+    """Per query row: distance gaps above this order rows alike in any search.
+
+    :func:`repro.ml.knn._k_nearest` computes the squared distance of a
+    query ``q`` and a training row ``t`` over ``d`` features as
+    ``fl(fl(q·(-2t)) + fl(|q|²)) + fl(|t|²)``; the shared search computes
+    ``fl(q·(-2t)) + fl(|t|²)``, leaving out ``|q|²``, which is the same
+    for every row of a query and so changes no gap. Each dot product or
+    squared norm, summed in any order with or without FMA, is within
+    ``γ_d = d·u / (1 - d·u)`` of exact relative to the sum of its terms'
+    magnitudes, and each addition adds at most ``u`` of its operands'
+    magnitudes, which all stay below ``M = (|q| + |t|)²``. So the brute
+    force is within ``(d + 3)·u·M`` of exact and the shared search within
+    ``(d + 2)·u·M``; with ``M <= 2(|q|² + max|t|²)``, a shared-search gap
+    above the returned ``8(d + 3)·u·(|q|² + max|t|²)`` means the exact
+    and the brute-force gaps have the same sign. ``2⁻¹⁰⁰⁰`` covers
+    gradual underflow.
+    """
+    d = feats.shape[1]
+    q_sq = np.einsum("ij,ij->i", feats, feats)
+    return (8.0 * (d + 3) * _UNIT_ROUNDOFF) * (q_sq + max_sq_norm) + 2.0**-1000
+
+
+class SourceIndex:
+    """The pair models of one source camera, indexed for a shared search.
+
+    Holds only pairs whose classifier is a :class:`KNNClassifier` and
+    whose regressor, if any, is a :class:`KNNRegressor`, all with
+    byte-identical scaled training rows, scaler and classifier ``k``.
+    ``collect_association_dataset`` gives every pair of a source camera
+    the same rows, so on the simulated rigs that is every pair.
+
+    Fitting finds the unique training rows (``rep``: the first source
+    row of each; ``dup``: how many rows it stands for) and marks a unique
+    row ``mixed`` when its duplicates disagree on some target's label or
+    regression target. :meth:`prepare` derives the search arrays from
+    those and the models; pickles leave them out, so artifact and
+    checkpoint files grow only by the row map.
+    """
+
+    _DERIVED = ("basis", "norms", "counts", "rows")
+
+    def __init__(self, source: int, models: Sequence[PairModel]) -> None:
+        ref = models[0].classifier
+        assert isinstance(ref, KNNClassifier) and ref._x is not None
+        x = ref._x
+        n, d = x.shape
+        rows = np.ascontiguousarray(x).view(np.dtype((np.void, d * x.itemsize)))
+        _, rep, inverse, dup = np.unique(
+            rows.ravel(), return_index=True, return_inverse=True,
+            return_counts=True,
+        )
+        self.source = source
+        self.models = {model.pair[1]: model for model in models}
+        # Search model 0 is the classifiers, 1 + i the i-th regressor.
+        self.column = {model.pair[1]: 1 + col for col, model in enumerate(models)}
+        self.rep = rep.astype(np.int32)
+        self.dup = dup.astype(np.int32)
+        # Pair-model calls served by this index's searches: ``certified``
+        # ones used its neighbours, ``fallback`` ones ran their own search
+        # because the certificate declined. Classifier and regressor
+        # calls count separately.
+        self.calls = {"certified": 0, "fallback": 0}
+        # Rows of one unique row next to each other, in source-row order.
+        order = np.argsort(inverse, kind="stable")
+        group = inverse[order]
+        differs = np.zeros(n - 1, dtype=bool)
+        for model in models:
+            assert model.classifier is not None
+            visible = model.classifier._y == 1.0
+            key = visible[order]
+            differs |= key[1:] != key[:-1]
+            if model.regressor is not None:
+                targets = np.zeros((n, model.regressor._y.shape[1]))
+                targets[visible] = model.regressor._y
+                key = targets.view(np.dtype((np.void, targets.shape[1] * 8)))
+                key = key.ravel()[order]
+                differs |= key[1:] != key[:-1]
+        mixed = group[1:][(group[1:] == group[:-1]) & differs]
+        self.mixed = np.append(np.bincount(mixed, minlength=len(rep)) > 0, False)
+        self.prepare()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._DERIVED:
+            state[name] = None
+        return state
+
+    def prepare(self) -> None:
+        """Derive the search arrays: after fit, and on first use after a load.
+
+        ``basis``/``norms`` give every unique row's search distance, plus
+        one more row at infinite distance that ends every search list.
+        Per search model, ``counts`` holds how many of its training rows
+        each unique row stands for (none when a regressor's target does
+        not see it), ``rows`` the model's row for it, and ``k`` the
+        model's neighbour count.
+        """
+        models = list(self.models.values())
+        ref = models[0].classifier
+        assert isinstance(ref, KNNClassifier) and ref._x is not None
+        unique = ref._x[self.rep]
+        m, d = unique.shape
+        norms = np.sum(unique**2, axis=1)
+        self.max_sq_norm = float(norms.max())
+        self.big = len(ref._x) + 1  # more rows than any k
+        self.basis = np.zeros((d, m + 1))
+        self.basis[:, :m] = unique.T * -2.0
+        self.norms = np.append(norms, np.inf)
+        self.counts = np.zeros((1 + len(models), m + 1), dtype=np.int32)
+        self.rows = np.zeros((1 + len(models), m + 1), dtype=np.int32)
+        self.k = np.zeros(1 + len(models), dtype=np.int64)
+        self.counts[0, :m] = self.dup
+        self.rows[0, :m] = self.rep
+        self.k[0] = min(ref.k, len(ref._x))
+        for col, model in enumerate(models, start=1):
+            reg = model.regressor
+            if reg is None:
+                continue
+            assert model.classifier is not None and reg._y is not None
+            visible = model.classifier._y == 1.0
+            self.counts[col, :m] = np.where(visible[self.rep], self.dup, 0)
+            self.rows[col, :m] = (np.cumsum(visible) - 1)[self.rep]
+            self.k[col] = min(reg.k, len(reg._y))
+
+
+def _shares_rows(ref: PairModel, model: PairModel) -> bool:
+    """Can ``model`` join the source index whose first member is ``ref``?"""
+    a, b = ref.classifier, model.classifier
+    assert isinstance(a, KNNClassifier) and isinstance(b, KNNClassifier)
+    assert ref.feature_scaler is not None and model.feature_scaler is not None
+    return (
+        a.k == b.k
+        and a._x is not None and b._x is not None
+        and a._x.tobytes() == b._x.tobytes()
+        and ref.feature_scaler.mean_.tobytes() == model.feature_scaler.mean_.tobytes()
+        and ref.feature_scaler.scale_.tobytes()
+        == model.feature_scaler.scale_.tobytes()
+    )
+
+
+def _indexable(model: PairModel) -> bool:
+    """KNN pair whose regressor rows are its visible classifier rows."""
+    clf, reg = model.classifier, model.regressor
+    if not isinstance(clf, KNNClassifier) or clf._x is None:
+        return False
+    if model.feature_scaler is None or model.constant_label is not None:
+        return False
+    if reg is None:
+        return True
+    if not isinstance(reg, KNNRegressor) or reg._x is None or reg._y is None:
+        return False
+    assert clf._y is not None
+    return reg._x.tobytes() == clf._x[clf._y == 1.0].tobytes()
+
+
+def build_source_indexes(
+    models: Dict[PairKey, PairModel]
+) -> Dict[int, SourceIndex]:
+    """A :class:`SourceIndex` per source camera with two or more KNN pairs."""
+    by_source: Dict[int, List[PairModel]] = {}
+    for (source, _), model in sorted(models.items()):
+        if not _indexable(model):
+            continue
+        members = by_source.setdefault(source, [])
+        if not members or _shares_rows(members[0], model):
+            members.append(model)
+    return {
+        source: SourceIndex(source, members)
+        for source, members in by_source.items()
+        if len(members) >= 2
+    }
+
+
+class SharedQueries(list):
+    """Boxes of one source camera that several pair models query in one call.
+
+    To any other reader this is a plain list. The pair models of the
+    ``readers`` targets also find the source's shared neighbour search on
+    it, run by whichever of them asks first.
+    """
+
+    def __init__(
+        self, boxes: Sequence[BBox], index: SourceIndex, readers: Sequence[int]
+    ) -> None:
+        super().__init__(boxes)
+        self.index = index
+        # Slot 0 of the search is the classifiers'.
+        self.slots = {target: slot for slot, target in enumerate(readers, start=1)}
+        self._search: Optional[_SharedSearch] = None
+
+    def search(self, model: PairModel) -> Optional["_PairSearch"]:
+        """``model``'s view of the shared search, or None if it reads none."""
+        source, target = model.pair
+        index = self.index
+        slot = self.slots.get(target)
+        if slot is None or source != index.source or index.models[target] is not model:
+            return None
+        if self._search is None:
+            self._search = _SharedSearch(index, self, list(self.slots))
+        return _PairSearch(self._search, slot)
+
+
+class _SharedSearch:
+    """One source camera's neighbour search over one set of query boxes.
+
+    A single product and ``argpartition`` list each query's
+    ``SHARED_DEPTH`` nearest unique rows, nearest first. The last listed
+    row stands for every row past the list, as does a ``mixed`` row:
+    neither may be selected. A model's neighbours are then the first
+    ``k`` of its training rows in the list, counted with multiplicity:
+    the same list for every classifier, and for a regressor only the
+    rows visible on its target. A query's list is certified for a model
+    when every gap between consecutive listed distances exceeds
+    :func:`distance_tolerance` and the model's ``k`` rows come before the
+    first row that may not be selected: its own brute-force search then
+    selects rows of the same values in the same order, and which
+    duplicates it takes does not matter.
+    """
+
+    def __init__(
+        self, index: SourceIndex, boxes: Sequence[BBox], readers: List[int]
+    ) -> None:
+        if index.basis is None:
+            index.prepare()
+        feats = index.models[readers[0]]._scaled_features_batch(boxes)
+        self.feats = feats
+        self.calls = index.calls
+        rows = _row_index(len(feats))
+        dist = feats @ index.basis
+        dist += index.norms
+        depth = min(SHARED_DEPTH, dist.shape[1])
+        near = np.argpartition(dist, depth - 1, axis=1)[:, :depth]
+        near_dist = dist[rows, near]
+        order = np.argsort(near_dist, axis=1)
+        near = near[rows, order]
+        near_dist = near_dist[rows, order]
+        tol = distance_tolerance(feats, index.max_sq_norm)[:, None]
+        certified = (near_dist[:, 1:] - near_dist[:, :-1] > tol).all(axis=1)
+        stop = index.mixed[near]
+        stop[:, -1] = True
+        # Model axis: the classifiers, then each reader's regressor.
+        models = np.asarray([0] + [index.column[t] for t in readers])
+        k = index.k[models]
+        models = models[:, None, None]
+        cum = np.cumsum(np.where(stop, index.big, index.counts[models, near]), axis=2)
+        last = (cum >= k[:, None, None]).argmax(axis=2)
+        self.ok = certified & (last < stop.argmax(axis=1))
+        slot_pos = (cum[:, :, None, :] > np.arange(k.max())[:, None]).argmax(axis=3)
+        self.idx = index.rows[models, near[rows, slot_pos]]
+        self.k = k.tolist()
+        self.cls_ok = bool(self.ok[0].all())
+
+
+class _PairSearch:
+    """One pair model's view of a :class:`_SharedSearch`."""
+
+    __slots__ = ("feats", "_search", "_slot")
+
+    def __init__(self, search: _SharedSearch, slot: int) -> None:
+        self.feats = search.feats
+        self._search = search
+        self._slot = slot
+
+    def vote(self, classifier: Classifier) -> np.ndarray:
+        """``classifier.predict_proba(self.feats)``, from shared neighbours if certified."""
+        assert isinstance(classifier, KNNClassifier)
+        search = self._search
+        if search.cls_ok:
+            search.calls["certified"] += 1
+            return classifier.vote(self.feats, search.idx[0, :, : search.k[0]])
+        search.calls["fallback"] += 1
+        return classifier.predict_proba(self.feats)
+
+    def regress(
+        self, regressor: Regressor, feats: np.ndarray, vis_idx: List[int]
+    ) -> np.ndarray:
+        """``regressor.predict(feats)`` for the query rows ``vis_idx``, likewise."""
+        assert isinstance(regressor, KNNRegressor)
+        search, slot = self._search, self._slot
+        if search.ok[slot, vis_idx].all():
+            search.calls["certified"] += 1
+            return regressor.regress(feats, search.idx[slot, vis_idx, : search.k[slot]])
+        search.calls["fallback"] += 1
+        return regressor.predict(feats)

@@ -74,88 +74,115 @@ def _row_index(n: int) -> np.ndarray:
     return _ROW_INDEX[:n]
 
 
-class KNNClassifier(Classifier):
-    """Majority-vote KNN binary classifier with optional distance weighting."""
+class _KNNModel:
+    """Fit-time row cache and neighbour selection shared by both models.
 
-    def __init__(self, k: int = 5, weighted: bool = False) -> None:
+    Prediction is split in two: :meth:`neighbours` selects each query's
+    k nearest training rows, and the subclass's voting or regression
+    turns those rows into outputs. The second step depends only on the
+    values of the selected rows, in order, so a caller that knows the
+    same rows by other means (the shared per-camera search in
+    :mod:`repro.association.pairwise`) can skip the first.
+    """
+
+    def __init__(self, k: int, weighted: bool) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
         self.weighted = weighted
         self._x: np.ndarray | None = None
         self._y: np.ndarray | None = None
-        # Fit-time cache of per-row squared norms; getattr-guarded at
-        # query time so models unpickled from older artifacts still work.
+        # Fit-time cache of per-row squared norms and of ``x * -2.0``.
         self._x_norms: np.ndarray | None = None
         self._x_neg2: np.ndarray | None = None
+
+    def _store(self, x: np.ndarray, y: np.ndarray) -> None:
+        self._x = x
+        self._y = y
+        self._x_norms = np.sum(x**2, axis=1)
+        self._x_neg2 = x * -2.0
+
+    def neighbours(self, x: np.ndarray) -> np.ndarray:
+        """Indices (n, k) of each row's nearest training rows, nearest first.
+
+        ``x`` holds validated query features (see ``check_features``).
+        """
+        assert self._x is not None
+        # The caches are getattr-guarded so models unpickled from older
+        # artifacts still work.
+        return _k_nearest(
+            self._x,
+            x,
+            self.k,
+            getattr(self, "_x_norms", None),
+            getattr(self, "_x_neg2", None),
+        )
+
+    def _weights(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        assert self._x is not None
+        dists = np.linalg.norm(x[:, None, :] - self._x[idx], axis=2)
+        return 1.0 / (dists + 1e-9)
+
+
+class KNNClassifier(_KNNModel, Classifier):
+    """Majority-vote KNN binary classifier with optional distance weighting."""
+
+    def __init__(self, k: int = 5, weighted: bool = False) -> None:
+        super().__init__(k, weighted)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "KNNClassifier":
         x, y = check_xy(x, y)
         labels = np.unique(y)
         if not np.all(np.isin(labels, (0.0, 1.0))):
             raise ValueError("labels must be 0/1")
-        self._x = x
-        self._y = y
-        self._x_norms = np.sum(x**2, axis=1)
-        self._x_neg2 = x * -2.0
+        self._store(x, y)
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         require_fitted(self, "_x")
-        assert self._x is not None and self._y is not None
+        assert self._x is not None
         x = check_features(x, self._x.shape[1])
-        idx = _k_nearest(
-            self._x,
-            x,
-            self.k,
-            getattr(self, "_x_norms", None),
-            getattr(self, "_x_neg2", None),
-        )
+        return self.vote(x, self.neighbours(x))
+
+    def vote(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Class-1 probability of each row of ``x`` from its neighbours ``idx``."""
+        assert self._y is not None
         votes = self._y[idx]
         if not self.weighted:
             return votes.mean(axis=1)
-        dists = np.linalg.norm(x[:, None, :] - self._x[idx], axis=2)
-        weights = 1.0 / (dists + 1e-9)
+        weights = self._weights(x, idx)
         return (votes * weights).sum(axis=1) / weights.sum(axis=1)
 
 
-class KNNRegressor(Regressor):
+class KNNRegressor(_KNNModel, Regressor):
     """Mean-of-neighbours KNN regressor with optional distance weighting."""
 
     def __init__(self, k: int = 5, weighted: bool = True) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self.weighted = weighted
-        self._x: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-        self._x_norms: np.ndarray | None = None
-        self._x_neg2: np.ndarray | None = None
+        super().__init__(k, weighted)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "KNNRegressor":
         x, y = check_xy(x, y, allow_vector_target=True)
-        self._x = x
-        self._y = y
-        self._x_norms = np.sum(x**2, axis=1)
-        self._x_neg2 = x * -2.0
+        self._store(x, y)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         require_fitted(self, "_x")
-        assert self._x is not None and self._y is not None
+        assert self._x is not None
         x = check_features(x, self._x.shape[1])
-        idx = _k_nearest(
-            self._x,
-            x,
-            self.k,
-            getattr(self, "_x_norms", None),
-            getattr(self, "_x_neg2", None),
-        )
+        return self.regress(x, self.neighbours(x))
+
+    def regress(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Targets for the rows of ``x`` from their neighbours ``idx``.
+
+        The weighted sums run over ``idx`` in order, nearest first, so
+        the order of equal-valued neighbours does not matter but the
+        order of distinct ones does.
+        """
+        assert self._y is not None
         targets = self._y[idx]  # (q, k, out)
         if not self.weighted:
             return targets.mean(axis=1)
-        dists = np.linalg.norm(x[:, None, :] - self._x[idx], axis=2)
-        weights = 1.0 / (dists + 1e-9)
+        weights = self._weights(x, idx)
         return (targets * weights[:, :, None]).sum(axis=1) / weights.sum(axis=1)[
             :, None
         ]
