@@ -167,7 +167,7 @@ def _setup_event_pipeline_burst() -> Callable[[], object]:
 
     config = PipelineConfig(
         policy="balb", horizon=4, n_horizons=3, warmup_s=6.0,
-        train_duration_s=12.0, seed=0, runtime="event", ingest_capacity=2,
+        train_duration_s=12.0, seed=0, ingest_capacity=2,
         ingest_policy="coalesce-to-key-frame",
         faults=fleet_burst_spec(4, EVENT_BURST_FRAMES),
     )
@@ -182,7 +182,7 @@ E2E_FRAMES = 40
 
 
 def _setup_e2e_frames(scenario_name: str) -> Callable[[], object]:
-    """End-to-end sync-runtime frame loop on one scenario.
+    """End-to-end frame loop on one scenario.
 
     Training happens in setup so the timed body is exactly the per-frame
     hot path: world stepping, projection, detection, tracking, and BALB

@@ -122,4 +122,4 @@ def resume_run(path: str) -> "RunResult":
     pipeline = Pipeline(
         checkpoint.scenario, checkpoint.config, trained=checkpoint.trained
     )
-    return pipeline.resume_state(checkpoint.state)
+    return pipeline.run(checkpoint.state)

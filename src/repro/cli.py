@@ -19,7 +19,6 @@ from typing import List, Optional
 
 from repro.experiments.report import format_table
 from repro.faults import CHAOS_PRESETS, validate_fault_spec
-from repro.faults.spec import spec_carries_ingest_bursts
 from repro.obs import (
     format_metrics_table,
     format_span_summary,
@@ -30,7 +29,6 @@ from repro.runtime.ingest import INGEST_POLICIES
 from repro.runtime.metrics import speedup_vs
 from repro.runtime.pipeline import (
     POLICIES,
-    RUNTIMES,
     PipelineConfig,
     run_policy,
     train_models,
@@ -61,17 +59,13 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         choices=sorted(CHAOS_PRESETS),
                         help="named chaos preset of stochastic faults, "
                              "compiled deterministically from --seed")
-    parser.add_argument("--runtime", default="sync", choices=RUNTIMES,
-                        help="frame-loop implementation; 'event' adds the "
-                             "bounded ingest edge (byte-identical to 'sync' "
-                             "without ingest_burst faults)")
     parser.add_argument("--ingest-capacity", type=int, default=4,
-                        help="per-camera ingest queue capacity "
-                             "(event runtime)")
+                        help="per-camera ingest queue capacity (only "
+                             "observable under ingest_burst faults)")
     parser.add_argument("--ingest-policy", default="drop-oldest",
                         choices=INGEST_POLICIES,
                         help="backpressure policy when a burst overflows "
-                             "the ingest queue (event runtime)")
+                             "the ingest queue")
     parser.add_argument("--serve-subscribers", type=int, default=0,
                         help="simulated live-state subscribers on the "
                              "serving edge (0 disables it)")
@@ -99,12 +93,6 @@ def _config_from(
     args: argparse.Namespace, policy: str, trace: bool = False
 ) -> PipelineConfig:
     faults = _faults_from(args)
-    runtime = getattr(args, "runtime", "sync")
-    if runtime != "event" and spec_carries_ingest_bursts(faults):
-        raise SystemExit(
-            "error: ingest_burst faults need --runtime event (the sync "
-            "loop has no ingest edge to absorb a burst)"
-        )
     try:
         return PipelineConfig(
             policy=policy,
@@ -121,7 +109,6 @@ def _config_from(
             checkpoint_path=getattr(args, "checkpoint", None),
             checkpoint_every=getattr(args, "checkpoint_every", 0) or 0,
             stop_after_frames=getattr(args, "stop_after", None),
-            runtime=runtime,
             ingest_capacity=getattr(args, "ingest_capacity", 4),
             ingest_policy=getattr(args, "ingest_policy", "drop-oldest"),
             serve_subscribers=getattr(args, "serve_subscribers", 0),
@@ -247,14 +234,10 @@ def _fault_summary_table(result, title: str = "fault summary") -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one policy on one scenario and print its metrics."""
     if args.resume:
-        if (
-            args.faults or args.chaos or args.trace or args.checkpoint
-            or args.runtime == "event"
-        ):
+        if args.faults or args.chaos or args.trace or args.checkpoint:
             raise SystemExit(
                 "error: --resume restores the checkpointed run; it cannot "
-                "be combined with --faults/--chaos/--trace/--checkpoint/"
-                "--runtime event"
+                "be combined with --faults/--chaos/--trace/--checkpoint"
             )
         from repro.checkpoint import CheckpointError, load_checkpoint
         from repro.runtime.pipeline import Pipeline
@@ -268,7 +251,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         trained = checkpoint.trained
         print(f"Scenario {scenario.name}: {scenario.description}")
         pipeline = Pipeline(scenario, config, trained=trained)
-        result = pipeline.resume_state(checkpoint.state)
+        result = pipeline.run(checkpoint.state)
     else:
         if (args.checkpoint_every or args.stop_after) and not args.checkpoint:
             raise SystemExit(

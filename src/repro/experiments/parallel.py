@@ -125,7 +125,7 @@ class ReportProfile:
     faults_policies: Tuple[str, ...] = ("balb", "sp", "balb-ind")
     faults_scheduler_policies: Tuple[str, ...] = ("balb", "sp")
     faults_heartbeats: Tuple[int, ...] = (2, 5, 10)
-    # INGEST backpressure sweep (event runtime).
+    # INGEST backpressure sweep.
     ingest_scenario: str = "S1"
     ingest_horizon: int = 5
     ingest_n_horizons: int = 10

@@ -282,7 +282,11 @@ class FaultSchedule:
 
     @property
     def has_ingest_bursts(self) -> bool:
-        """Does any event stall frame ingest (event runtime only)?"""
+        """Does any event stall frame ingest?
+
+        Bursts are what make the ingest edge observable: only runs whose
+        plan has one export the edge's ledger counters.
+        """
         return any(
             e.kind is FaultKind.INGEST_BURST for e in self.events
         )
@@ -375,21 +379,6 @@ class FaultSchedule:
             and e.applies_to(camera_id)
             for e in self.events
         )
-
-    def burst_release_frame(
-        self, frame: int, camera_id: int, n_frames: int
-    ) -> Optional[int]:
-        """First frame at/after ``frame`` where ingest flows again.
-
-        A frame produced inside a burst window is held back and released
-        (bunched with the rest of the window's frames) at the returned
-        frame. ``None`` means the burst extends past the end of the run:
-        the frame never arrives.
-        """
-        release = frame
-        while release < n_frames and self.ingest_bursting(release, camera_id):
-            release += 1
-        return release if release < n_frames else None
 
     def scheduler_down(self, frame: int) -> bool:
         """Is the central scheduler node crashed at ``frame``?

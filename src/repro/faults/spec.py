@@ -11,7 +11,7 @@ Scripted events are semicolon-separated ``kind:key=value,...`` clauses::
     sched_crash:at=12,for=15        # central scheduler dead for 15 frames
     sched_crash:at=12;sched_rejoin:at=30   # open-ended crash + explicit rejoin
     burst:cam=1,at=10,for=6         # camera 1's ingest stalls, then bunches
-    burst:at=20,for=4               # fleet-wide ingest burst (event runtime)
+    burst:at=20,for=4               # fleet-wide ingest burst
     sched_partition:cam=2,at=10,for=8  # camera 2 cut off from the primary
     sched_partition:at=10,for=8     # whole fleet cut from the primary
     corrupt:p=0.05                  # 5% of messages damaged in flight
@@ -354,30 +354,6 @@ def render_clause(event: FaultEvent) -> str:
 def validate_fault_spec(spec: str) -> None:
     """Raise ``ValueError`` if ``spec`` is not parseable (CLI fail-fast)."""
     parse_fault_spec(spec)
-
-
-def spec_carries_ingest_bursts(faults: FaultInput) -> bool:
-    """Can this fault input ever stall ingest?
-
-    Ingest bursts only have meaning under the event runtime, so the CLI
-    and pipeline use this to fail fast when ``--runtime sync`` is paired
-    with a burst-carrying spec, schedule, model, or chaos preset.
-    """
-    if faults is None:
-        return False
-    if isinstance(faults, str):
-        text = faults.strip()
-        if not text:
-            return False
-        if text in CHAOS_PRESETS:
-            faults = CHAOS_PRESETS[text]
-        else:
-            faults = parse_fault_spec(text)
-    if isinstance(faults, FaultModel):
-        return faults.burst_rate > 0.0
-    if isinstance(faults, FaultSchedule):
-        return faults.has_ingest_bursts
-    return False
 
 
 def resolve_faults(

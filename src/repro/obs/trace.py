@@ -34,9 +34,8 @@ from typing import (
 class Clock(Protocol):
     """The injectable-clock protocol: anything with ``now() -> float``.
 
-    Satisfied by :class:`WallClock` (host time) and by the event
-    kernel's :class:`~repro.runtime.events.SimulatedClock` (simulated
-    time), so consumers never care which timebase they are on.
+    Satisfied by :class:`WallClock` (host time) and by any fake clock a
+    test injects, so consumers never care which timebase they are on.
     """
 
     def now(self) -> float: ...
@@ -47,8 +46,8 @@ class WallClock:
 
     Everything in the runtime that measures *host* time (span durations,
     per-frame wall time) reads it through a clock object rather than
-    calling :func:`time.perf_counter` directly, so tests and the
-    simulated-time event kernel can substitute a deterministic clock.
+    calling :func:`time.perf_counter` directly, so tests can substitute
+    a deterministic clock.
     This module is the only runtime home of the wall clock — it is on the
     reprolint RL002 allowlist precisely because host measurement is
     excluded from the determinism guarantee.

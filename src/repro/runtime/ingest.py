@@ -1,10 +1,12 @@
-"""Per-camera bounded frame queues with explicit backpressure policies.
+"""The ingest edge: per-camera bounded frame queues with backpressure.
 
-Under ``--runtime event`` every camera's frames flow through a
-:class:`BoundedFrameQueue` before the scheduler sees them. When ingest
-keeps up the queue is a transparent one-in/one-out buffer; when an
-``ingest_burst`` fault bunches arrivals, the queue overflows and a
-pluggable :class:`IngestPolicy` decides what gives:
+Every frame of every run passes through the :class:`IngestEdge` before
+the scheduler sees it: one :class:`BoundedFrameQueue` per camera, plus
+the frames held back by open ``ingest_burst`` windows. Without bursts
+each queue takes one frame in and serves it straight back out, so the
+edge is a transparent pass-through. When a burst releases its held
+frames in a bunch, the queue overflows and a pluggable
+:class:`IngestPolicy` decides what gives:
 
 * ``drop-oldest`` — evict the oldest queued frame, strictly in arrival
   order (the classic ring-buffer camera feed; key frames are fair game).
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, Optional, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
+
+from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "BoundedFrameQueue",
@@ -36,7 +40,9 @@ __all__ = [
     "DegradeToDistributed",
     "DropOldest",
     "FrameCapsule",
+    "FrameIngest",
     "INGEST_POLICIES",
+    "IngestEdge",
     "IngestPolicy",
     "OfferOutcome",
     "PollOutcome",
@@ -343,3 +349,131 @@ class BoundedFrameQueue:
     def clear_degraded(self) -> None:
         """Exit degraded mode (the camera caught up / sat out one pass)."""
         self.degraded = False
+
+
+@dataclass(frozen=True)
+class FrameIngest:
+    """The ingest edge's view of one frame, drained from every queue.
+
+    ``stalled`` cameras had nothing eligible to serve (their frame is
+    held back by a burst); ``degraded`` cameras overflowed under the
+    degrade policy and sit out their next central-stage participation;
+    ``forced_key`` requests an early key frame because a coalesced
+    backlog needs a central resynchronization. A burst-free frame yields
+    an empty view.
+    """
+
+    stalled: FrozenSet[int]
+    degraded: FrozenSet[int]
+    forced_key: bool
+    stale_drops: Dict[int, int]
+    folded: Dict[int, int]
+    staleness: Dict[int, int]
+
+    @property
+    def any_active(self) -> bool:
+        """False exactly when ingest was a transparent pass-through."""
+        return bool(
+            self.stalled or self.degraded or self.forced_key
+            or self.stale_drops or self.folded or self.staleness
+        )
+
+
+class IngestEdge:
+    """Every camera's ingest queue, and the frames bursts hold back.
+
+    :meth:`pass_frame` runs once per frame. Each camera's frames
+    released at that frame are offered in frame order — the frames held
+    since its burst window opened, then the frame itself — and a
+    camera's frames are released at the first frame where it is not
+    bursting. After all offers every queue is drained into one
+    :class:`FrameIngest`. Queues are per camera, so the order of
+    offers across cameras is unobservable. The edge is plain data, so it
+    checkpoints with the rest of the run.
+    """
+
+    def __init__(
+        self, camera_ids: Iterable[int], capacity: int, policy: str
+    ) -> None:
+        self.queues: Dict[int, BoundedFrameQueue] = {
+            cam: BoundedFrameQueue(cam, capacity, make_ingest_policy(policy))
+            for cam in sorted(camera_ids)
+        }
+        #: camera -> frames produced inside its open burst window.
+        self.held: Dict[int, List[FrameCapsule]] = {}
+
+    def pass_frame(
+        self,
+        frame_index: int,
+        arrival_s: float,
+        is_key: bool,
+        bursting: FrozenSet[int],
+    ) -> FrameIngest:
+        """Offer this frame's released arrivals, then drain every queue."""
+        for cam, queue in self.queues.items():
+            capsule = FrameCapsule(cam, frame_index, arrival_s, is_key)
+            if cam in bursting:
+                self.held.setdefault(cam, []).append(capsule)
+                continue
+            for held in self.held.pop(cam, ()):
+                queue.offer(replace(held, arrival_s=arrival_s))
+            queue.offer(capsule)
+        return self._drain(frame_index)
+
+    def _drain(self, frame_index: int) -> FrameIngest:
+        stalled = set()
+        degraded = set()
+        forced_key = False
+        stale_drops: Dict[int, int] = {}
+        folded: Dict[int, int] = {}
+        staleness: Dict[int, int] = {}
+        for cam, queue in self.queues.items():
+            outcome = queue.poll_upto(frame_index)
+            if outcome is None:
+                stalled.add(cam)
+                continue
+            if outcome.stale_dropped:
+                stale_drops[cam] = outcome.stale_dropped
+            if outcome.folded:
+                folded[cam] = outcome.folded
+            if outcome.staleness_frames:
+                staleness[cam] = outcome.staleness_frames
+            forced_key = forced_key or outcome.forced_key
+            if queue.degraded:
+                degraded.add(cam)
+        return FrameIngest(
+            stalled=frozenset(stalled),
+            degraded=frozenset(degraded),
+            forced_key=forced_key,
+            stale_drops=stale_drops,
+            folded=folded,
+            staleness=staleness,
+        )
+
+    def clear_degraded(self, camera_id: int) -> None:
+        """The camera sat out its central pass: take it out of degraded."""
+        self.queues[camera_id].clear_degraded()
+
+    def finish(self, registry: MetricsRegistry, export: bool) -> None:
+        """End-of-run ledger, once per completed run.
+
+        A burst window that reaches the end of the run swallows its
+        frames: each still-held frame books as offered and rejected.
+        Every queue's conservation ledger must then balance; with
+        ``export`` the ledgers are published as per-camera counters.
+        """
+        for cam, held in self.held.items():
+            for _ in held:
+                self.queues[cam].count_lost_upstream()
+        self.held.clear()
+        for queue in self.queues.values():
+            queue.check_conservation()
+        if not export:
+            return
+        for cam, queue in self.queues.items():
+            registry.counter("ingest_offered_total", camera=cam).inc(queue.offered)
+            registry.counter("ingest_admitted_total", camera=cam).inc(queue.admitted)
+            registry.counter("ingest_served_total", camera=cam).inc(queue.served)
+            registry.counter("ingest_dropped_total", camera=cam).inc(queue.dropped)
+            registry.counter("ingest_coalesced_total", camera=cam).inc(queue.coalesced)
+            registry.gauge("ingest_queue_peak_depth", camera=cam).set(queue.peak_occupancy)

@@ -17,7 +17,7 @@ from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 import pickle
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from repro.net.link import DuplexChannel, RetryPolicy
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import WALL_CLOCK, Clock, Tracer, get_tracer, use_tracer
 from repro.runtime.camera_node import CameraNode
-from repro.runtime.events import EventQueue
 from repro.runtime.failover import PRIMARY, Authority, FailoverManager
 from repro.runtime.health import (
     FleetHealthWatchdog,
@@ -48,12 +47,7 @@ from repro.runtime.health import (
     content_token,
 )
 from repro.runtime.invariants import InvariantMonitor
-from repro.runtime.ingest import (
-    INGEST_POLICIES,
-    BoundedFrameQueue,
-    FrameCapsule,
-    make_ingest_policy,
-)
+from repro.runtime.ingest import INGEST_POLICIES, FrameIngest, IngestEdge
 from repro.runtime.metrics import FrameRecord, RunResult
 from repro.runtime.overhead import OverheadModel
 from repro.runtime.policies import (
@@ -76,15 +70,6 @@ from repro.world.world import World
 
 POLICIES = ("full", "balb", "balb-cen", "balb-ind", "sp")
 _CENTRALIZED = ("balb", "balb-cen", "sp")
-
-#: Frame-loop implementations: the classic synchronous per-frame loop,
-#: and the deterministic event kernel with a bounded ingest edge.
-RUNTIMES = ("sync", "event")
-
-#: Event priorities: frame arrivals land in the ingest queues strictly
-#: before the dispatch that may consume them at the same simulated time.
-_EV_ARRIVAL = 0
-_EV_DISPATCH = 1
 
 
 #: Post-warmup world snapshots, keyed by (scenario identity, seed,
@@ -193,13 +178,9 @@ class PipelineConfig:
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 0
     stop_after_frames: Optional[int] = None
-    #: Frame-loop implementation. ``sync`` is the classic per-frame loop;
-    #: ``event`` drives the same per-frame processing from a deterministic
-    #: event kernel with per-camera bounded ingest queues. With no
-    #: ingest_burst faults the two are byte-identical.
-    runtime: str = "sync"
-    #: Ingest edge (event runtime only): per-camera queue capacity and the
-    #: backpressure policy applied when a burst overflows it.
+    #: Ingest edge every frame passes through: per-camera queue capacity
+    #: and the backpressure policy applied when a burst overflows it.
+    #: Without ingest_burst faults neither is observable.
     ingest_capacity: int = 4
     ingest_policy: str = "drop-oldest"
     #: Read-side serving edge: number of simulated live-state subscribers
@@ -223,6 +204,14 @@ class PipelineConfig:
             raise ValueError("n_horizons must be >= 1")
         if self.redundancy < 1:
             raise ValueError("redundancy must be >= 1")
+        if (
+            not isinstance(self.mask_grid, tuple)
+            or len(self.mask_grid) != 2
+            or not all(type(n) is int and n >= 1 for n in self.mask_grid)
+        ):
+            raise ValueError(
+                f"mask_grid must be two ints >= 1; got {self.mask_grid!r}"
+            )
         if self.max_camera_lag_frames < 0:
             raise ValueError("max_camera_lag_frames must be non-negative")
         if self.gpu_jitter < 0:
@@ -247,10 +236,6 @@ class PipelineConfig:
             raise ValueError(
                 "checkpoint_every/stop_after_frames need checkpoint_path"
             )
-        if self.runtime not in RUNTIMES:
-            raise ValueError(
-                f"unknown runtime {self.runtime!r}; options: {RUNTIMES}"
-            )
         if self.ingest_capacity < 1:
             raise ValueError("ingest_capacity must be >= 1")
         if self.ingest_policy not in INGEST_POLICIES:
@@ -262,16 +247,6 @@ class PipelineConfig:
             raise ValueError("serve_subscribers must be non-negative")
         if self.serve_every < 1:
             raise ValueError("serve_every must be >= 1")
-        if self.checkpoint_path is not None and self.runtime == "event":
-            raise ValueError(
-                "the event runtime does not checkpoint; use runtime='sync' "
-                "for checkpoint/resume runs"
-            )
-        if self.checkpoint_path is not None and self.serve_subscribers > 0:
-            raise ValueError(
-                "the serving edge does not checkpoint; disable "
-                "serve_subscribers for checkpoint/resume runs"
-            )
 
     def retry_policy(self) -> RetryPolicy:
         """The link retry policy these knobs describe."""
@@ -299,7 +274,9 @@ class _RunState:
     references (the scheduler's channels, the nodes' executors) shared
     on restore, which is what makes a resumed run bit-identical to an
     uninterrupted one. ``next_frame`` is the first frame the loop has
-    not yet processed.
+    not yet processed. Both edges live here too — the ingest queues
+    with their held burst frames, and the serving edge's snapshot
+    cache — so burst and serving runs resume like any other.
     """
 
     next_frame: int
@@ -323,6 +300,8 @@ class _RunState:
     camera_lags: Dict[int, int]
     failover: Optional[FailoverManager]
     invariants: Optional[InvariantMonitor]
+    ingest: IngestEdge
+    serving: Optional[ServingEdge] = None
     #: Fleet health (armed only under degraded-sensor faults): the
     #: watchdog, the captured snapshot each frozen camera keeps seeing,
     #: and whether a membership change last frame wants an early key
@@ -330,37 +309,6 @@ class _RunState:
     health: Optional[FleetHealthWatchdog] = None
     frozen_views: Dict[int, List[object]] = field(default_factory=dict)
     health_forced_key: bool = False
-
-
-@dataclass
-class _FrameIngest:
-    """The ingest edge's view of one dispatched frame (event runtime).
-
-    Built by draining the per-camera bounded queues at a dispatch tick.
-    ``stalled`` cameras had nothing eligible to serve (their frame is
-    held back by a burst); ``degraded`` cameras overflowed under the
-    degrade policy and sit out their next central-stage participation;
-    ``forced_key`` requests an early key frame because a coalesced
-    backlog needs a central resynchronization. ``applied_degrades`` is
-    written back by the frame processor so the event loop knows which
-    queues to take out of degraded mode.
-    """
-
-    stalled: frozenset
-    degraded: frozenset
-    forced_key: bool
-    stale_drops: Dict[int, int]
-    folded: Dict[int, int]
-    staleness: Dict[int, int]
-    applied_degrades: set = field(default_factory=set)
-
-    @property
-    def any_active(self) -> bool:
-        """False exactly when ingest was a transparent pass-through."""
-        return bool(
-            self.stalled or self.degraded or self.forced_key
-            or self.stale_drops or self.folded or self.staleness
-        )
 
 
 def trained_models_key(
@@ -471,20 +419,16 @@ class Pipeline:
             )
         self.overheads = OverheadModel()
         # Wall-clock observations (frame_wall_ms) go through an injectable
-        # clock so tests can pin them and the event runtime could swap in
-        # simulated time without touching the frame processor.
+        # clock so tests can pin them without touching the frame processor.
         self.clock: Clock = WALL_CLOCK if clock is None else clock
-        self.serving: Optional[ServingEdge] = None
-        if self.config.serve_subscribers > 0:
-            self.serving = ServingEdge(
-                subscribers=self.config.serve_subscribers,
-                publish_every=self.config.serve_every,
-            )
 
     # ------------------------------------------------------------------
-    def run(self) -> RunResult:
+    def run(self, state: Optional[_RunState] = None) -> RunResult:
         """Execute the configured run and return its metrics.
 
+        A fresh run builds its state from the config; a checkpointed
+        ``state`` (restored by :func:`repro.checkpoint.resume_run`)
+        continues from ``state.next_frame`` with its own registry.
         With ``config.trace`` the run activates a fresh
         :class:`~repro.obs.trace.Tracer` and threads the finished span
         forest into ``RunResult.spans``; otherwise whatever ambient tracer
@@ -499,34 +443,9 @@ class Pipeline:
         else:
             tracer = get_tracer()
             activation = nullcontext()
-        registry = MetricsRegistry()
         with activation:
-            state = self._init_state(registry)
-            if config.runtime == "event":
-                result = self._event_loop(state, tracer)
-            else:
-                result = self._frame_loop(state, tracer)
-        if config.trace:
-            result.spans = tracer.records
-        result.metrics = registry.export()
-        return result
-
-    def resume_state(self, state: _RunState) -> RunResult:
-        """Continue a checkpointed run from ``state`` to completion.
-
-        The counterpart of :meth:`run` for a state restored by
-        :func:`repro.checkpoint.resume_run`: same tracer/metrics
-        plumbing, but the frame loop picks up at ``state.next_frame``
-        with the checkpointed registry instead of a fresh one.
-        """
-        config = self.config
-        if config.trace:
-            tracer = Tracer()
-            activation = use_tracer(tracer)
-        else:
-            tracer = get_tracer()
-            activation = nullcontext()
-        with activation:
+            if state is None:
+                state = self._init_state(MetricsRegistry())
             result = self._frame_loop(state, tracer)
         if config.trace:
             result.spans = tracer.records
@@ -567,16 +486,6 @@ class Pipeline:
         faults: Optional[FaultSchedule] = resolve_faults(
             config.faults, camera_ids, total_frames, config.seed + 31_337
         )
-        if (
-            faults is not None
-            and faults.has_ingest_bursts
-            and config.runtime != "event"
-        ):
-            raise ValueError(
-                "ingest_burst faults need the event runtime "
-                "(runtime='event'): the sync loop has no ingest edge to "
-                "absorb a burst"
-            )
         stale_horizons: Dict[int, int] = {cam: 0 for cam in camera_ids}
 
         occlusion = OcclusionModel() if config.occlusion else None
@@ -656,6 +565,17 @@ class Pipeline:
             invariants=(
                 InvariantMonitor() if config.check_invariants else None
             ),
+            ingest=IngestEdge(
+                camera_ids, config.ingest_capacity, config.ingest_policy
+            ),
+            serving=(
+                ServingEdge(
+                    subscribers=config.serve_subscribers,
+                    publish_every=config.serve_every,
+                )
+                if config.serve_subscribers > 0
+                else None
+            ),
             health=health,
         )
 
@@ -675,11 +595,14 @@ class Pipeline:
     def _frame_loop(self, state: _RunState, tracer) -> RunResult:
         """Advance ``state`` frame by frame until the run completes.
 
-        Everything the loop mutates lives on ``state``, so checkpointing
-        mid-run is just pickling ``state`` between two frames.
+        Each iteration resolves the frame's faults, passes the frame
+        through the ingest edge, processes it, and checkpoints if the
+        cadence says so. Everything the loop mutates lives on ``state``,
+        so checkpointing mid-run is just pickling ``state`` between two
+        frames.
         """
         config = self.config
-        interrupted = False
+        faults = state.faults
         run_span = tracer.span(
             "run",
             policy=config.policy,
@@ -688,171 +611,53 @@ class Pipeline:
         )
         with run_span:
             for frame_idx in range(state.next_frame, state.total_frames):
-                self._process_frame(state, tracer, frame_idx)
-                # Between two frames the run is crash-consistent: snapshot
-                # the state if the checkpoint cadence (or a simulated
-                # interruption) says so.
-                if config.checkpoint_path is not None:
-                    done = state.next_frame
-                    if (
-                        config.stop_after_frames is not None
-                        and done == config.stop_after_frames
-                        and done < state.total_frames
-                    ):
-                        self._save_state(state)
-                        interrupted = True
-                        break
-                    if (
-                        config.checkpoint_every > 0
-                        and done % config.checkpoint_every == 0
-                    ):
-                        self._save_state(state)
-        if interrupted:
-            # The post-run accounting must run exactly once per run, at
-            # completion — the resumed continuation will do it.
-            return state.result
-        self._finalize(state)
-        return state.result
-
-    def _event_loop(self, state: _RunState, tracer) -> RunResult:
-        """Advance the run on a deterministic event kernel.
-
-        Frame arrivals (priority ``_EV_ARRIVAL``) flow into per-camera
-        :class:`BoundedFrameQueue`s; frame dispatches (priority
-        ``_EV_DISPATCH``) drain them and feed the exact same per-frame
-        processing as the sync loop. ``ingest_burst`` faults defer
-        arrivals to the end of their window, so a burst bunches frames
-        and overflows the queues, exercising the configured backpressure
-        policy. Without bursts every frame arrives exactly at its
-        dispatch tick, queues never exceed one capsule, and the run is
-        byte-identical to ``runtime='sync'``.
-        """
-        config = self.config
-        faults = state.faults
-        dt = state.dt
-        total_frames = state.total_frames
-        bursty = faults is not None and faults.has_ingest_bursts
-        kernel = EventQueue()
-        queues: Dict[int, BoundedFrameQueue] = {
-            cam: BoundedFrameQueue(
-                cam,
-                config.ingest_capacity,
-                make_ingest_policy(config.ingest_policy),
-            )
-            for cam in state.camera_ids
-        }
-
-        def make_arrival(
-            queue: BoundedFrameQueue, capsule: FrameCapsule
-        ) -> Callable[[], None]:
-            def arrive() -> None:
-                queue.offer(capsule)
-
-            return arrive
-
-        # Plan every arrival up front: deterministic, and burst windows
-        # simply relocate arrival times. Frames inside a burst window are
-        # released — bunched — at the first burst-free frame; a window
-        # reaching the end of the run swallows its frames entirely.
-        for frame_idx in range(state.next_frame, total_frames):
-            for cam in state.camera_ids:
-                release = frame_idx
-                if bursty and faults.ingest_bursting(frame_idx, cam):
-                    released = faults.burst_release_frame(
-                        frame_idx, cam, total_frames
-                    )
-                    if released is None:
-                        queues[cam].count_lost_upstream()
-                        continue
-                    release = released
-                capsule = FrameCapsule(
-                    camera_id=cam,
-                    frame_index=frame_idx,
-                    arrival_s=release * dt,
+                frame_faults = (
+                    faults.at(frame_idx, state.camera_ids)
+                    if faults is not None
+                    else None
+                )
+                ingest = state.ingest.pass_frame(
+                    frame_idx,
+                    frame_idx * state.dt,
                     is_key=(
                         config.policy == "full"
                         or frame_idx % config.horizon == 0
                     ),
+                    bursting=(
+                        frame_faults.bursting
+                        if frame_faults is not None
+                        else frozenset()
+                    ),
                 )
-                kernel.schedule_at(
-                    release * dt,
-                    make_arrival(queues[cam], capsule),
-                    priority=_EV_ARRIVAL,
+                self._process_frame(
+                    state, tracer, frame_idx, frame_faults, ingest
                 )
-
-        def dispatch(frame_idx: int) -> None:
-            ingest: Optional[_FrameIngest] = None
-            if bursty:
-                ingest = self._drain_ingest(queues, frame_idx)
-            else:
-                # Transparent pass-through: every queue holds exactly the
-                # frame that just arrived. Draining keeps the ledgers
-                # honest without perturbing the processed frame.
-                for cam in state.camera_ids:
-                    queues[cam].poll_upto(frame_idx)
-            self._process_frame(state, tracer, frame_idx, ingest)
-            if ingest is not None:
-                for cam in ingest.applied_degrades:
-                    queues[cam].clear_degraded()
-
-        for frame_idx in range(state.next_frame, total_frames):
-            kernel.schedule_at(
-                frame_idx * dt,
-                (lambda f=frame_idx: dispatch(f)),
-                priority=_EV_DISPATCH,
-            )
-
-        run_span = tracer.span(
-            "run",
-            policy=config.policy,
-            scenario=self.scenario.name,
-            horizon=config.horizon,
-        )
-        with run_span:
-            kernel.run_until_idle()
-        for cam in state.camera_ids:
-            queues[cam].check_conservation()
-        if bursty:
-            self._export_ingest_counters(state.registry, queues)
+                # Between two frames the run is crash-consistent: snapshot
+                # the state if the checkpoint cadence (or a simulated
+                # interruption) says so.
+                if config.checkpoint_path is None:
+                    continue
+                done = state.next_frame
+                if (
+                    config.stop_after_frames is not None
+                    and done == config.stop_after_frames
+                    and done < state.total_frames
+                ):
+                    self._save_state(state)
+                    # The post-run accounting must run exactly once per
+                    # run, at completion — the resumed continuation will
+                    # do it.
+                    return state.result
+                if (
+                    config.checkpoint_every > 0
+                    and done % config.checkpoint_every == 0
+                ):
+                    self._save_state(state)
         self._finalize(state)
         return state.result
 
-    def _drain_ingest(
-        self, queues: Dict[int, BoundedFrameQueue], frame_idx: int
-    ) -> _FrameIngest:
-        """Drain every camera's queue for one dispatch tick."""
-        stalled = set()
-        degraded = set()
-        forced_key = False
-        stale_drops: Dict[int, int] = {}
-        folded: Dict[int, int] = {}
-        staleness: Dict[int, int] = {}
-        for cam_id in sorted(queues):
-            queue = queues[cam_id]
-            outcome = queue.poll_upto(frame_idx)
-            if outcome is None:
-                stalled.add(cam_id)
-                continue
-            if outcome.stale_dropped:
-                stale_drops[cam_id] = outcome.stale_dropped
-            if outcome.folded:
-                folded[cam_id] = outcome.folded
-            if outcome.staleness_frames:
-                staleness[cam_id] = outcome.staleness_frames
-            forced_key = forced_key or outcome.forced_key
-            if queue.degraded:
-                degraded.add(cam_id)
-        return _FrameIngest(
-            stalled=frozenset(stalled),
-            degraded=frozenset(degraded),
-            forced_key=forced_key,
-            stale_drops=stale_drops,
-            folded=folded,
-            staleness=staleness,
-        )
-
     def _record_ingest(
-        self, tracer, registry: MetricsRegistry, ingest: _FrameIngest
+        self, tracer, registry: MetricsRegistry, ingest: FrameIngest
     ) -> None:
         """Surface one frame's non-trivial ingest events: spans, counters."""
         for cam_id in sorted(ingest.stalled):
@@ -878,34 +683,13 @@ class Pipeline:
                 "ingest_staleness_frames", camera=cam_id
             ).set(ingest.staleness[cam_id])
 
-    def _export_ingest_counters(
-        self, registry: MetricsRegistry, queues: Dict[int, BoundedFrameQueue]
-    ) -> None:
-        """Publish each queue's conservation ledger at end of run."""
-        for cam_id in sorted(queues):
-            queue = queues[cam_id]
-            registry.counter(
-                "ingest_offered_total", camera=cam_id
-            ).inc(queue.offered)
-            registry.counter(
-                "ingest_admitted_total", camera=cam_id
-            ).inc(queue.admitted)
-            registry.counter(
-                "ingest_served_total", camera=cam_id
-            ).inc(queue.served)
-            registry.counter(
-                "ingest_dropped_total", camera=cam_id
-            ).inc(queue.dropped)
-            registry.counter(
-                "ingest_coalesced_total", camera=cam_id
-            ).inc(queue.coalesced)
-            registry.gauge(
-                "ingest_queue_peak_depth", camera=cam_id
-            ).set(queue.peak_occupancy)
-
     def _finalize(self, state: _RunState) -> None:
         """Post-run accounting, exactly once per completed run."""
         registry = state.registry
+        state.ingest.finish(
+            registry,
+            export=state.faults is not None and state.faults.has_ingest_bursts,
+        )
         if state.faults is not None and state.scheduler is not None:
             for cam_id, channel in state.scheduler.channels.items():
                 if channel.messages_dropped:
@@ -945,22 +729,23 @@ class Pipeline:
                     registry.counter(
                         "wire_reordered_total", camera=cam_id
                     ).inc(reordered)
-        if self.serving is not None:
-            self.serving.export_metrics(registry)
+        if state.serving is not None:
+            state.serving.export_metrics(registry)
 
     def _process_frame(
         self,
         state: _RunState,
         tracer,
         frame_idx: int,
-        ingest: Optional[_FrameIngest] = None,
+        frame_faults: Optional[FrameFaults],
+        ingest: FrameIngest,
     ) -> None:
         """Process one frame and fold the results back into ``state``.
 
-        The single frame-processing path shared by both runtimes;
-        ``ingest`` (event runtime only) carries the ingest edge's view of
-        the frame. A trivial ingest view — or ``None`` — leaves every
-        span, counter and RNG draw identical to the sync runtime.
+        ``frame_faults`` is the frame's resolved fault state (None when
+        the run has no faults) and ``ingest`` the ingest edge's view of
+        the frame; a burst-free frame's view is empty and touches no
+        span, counter or RNG draw.
         """
         config = self.config
         dt = state.dt
@@ -998,11 +783,6 @@ class Pipeline:
             )
 
         in_horizon = frame_idx % config.horizon
-        frame_faults: Optional[FrameFaults] = (
-            faults.at(frame_idx, camera_ids)
-            if faults is not None
-            else None
-        )
         down = (
             frame_faults.down
             if frame_faults is not None
@@ -1011,7 +791,7 @@ class Pipeline:
         # Cameras whose frame is stuck behind a burst process nothing this
         # tick, but they are *not* down: they still heartbeat and their
         # crash/rejoin membership is untouched.
-        stalled = ingest.stalled if ingest is not None else frozenset()
+        stalled = ingest.stalled
         effective_down = down | stalled if stalled else down
         if quarantined:
             # A quarantined camera processes nothing: it is out of the
@@ -1088,8 +868,7 @@ class Pipeline:
                     forced_key = forced_key or in_horizon != 0
                 authorities = failover.authorities(live, cut)
         if (
-            ingest is not None
-            and ingest.forced_key
+            ingest.forced_key
             and scheduler is not None
             and config.policy != "full"
             and in_horizon != 0
@@ -1131,7 +910,7 @@ class Pipeline:
                 self._record_transition(
                     tracer, registry, partition_transition
                 )
-            if ingest is not None and ingest.any_active:
+            if ingest.any_active:
                 self._record_ingest(tracer, registry, ingest)
             with tracer.span("sim.advance"):
                 world.step(dt)
@@ -1260,7 +1039,7 @@ class Pipeline:
                                     if d.gt_object_id >= 0
                                 }
                             )
-                        if ingest is not None and cam_id in ingest.degraded:
+                        if cam_id in ingest.degraded:
                             # Degraded mode: the camera runs the frame
                             # locally but sits out the central stage to
                             # catch up; the stale-decision fallback below
@@ -1271,7 +1050,7 @@ class Pipeline:
                                 "ingest_degraded_frames_total",
                                 camera=cam_id,
                             ).inc()
-                            ingest.applied_degrades.add(cam_id)
+                            state.ingest.clear_degraded(cam_id)
                             tracking.append(outcome.tracking_ms)
                             continue
                         reports[cam_id] = outcome.report
@@ -1553,8 +1332,8 @@ class Pipeline:
                 frame_idx, visible_gt, coverage_lost
             )
         result.add(record)
-        if self.serving is not None:
-            self.serving.on_frame(record)
+        if state.serving is not None:
+            state.serving.on_frame(record)
         # Fold the loop-local mutations back into the state: between two
         # frames the run is crash-consistent.
         state.next_frame = frame_idx + 1
@@ -1901,7 +1680,6 @@ class Pipeline:
             if self.config.use_network
             else None
         )
-        mode = self.config.policy if self.config.policy != "balb-cen" else "balb-cen"
         positions = {
             c.camera_id: (c.pose.x, c.pose.y) for c in rig
         }
@@ -1911,7 +1689,7 @@ class Pipeline:
             frame_sizes={c.camera_id: c.frame_size for c in rig},
             typical_box_sizes=self.trained.typical_box_sizes,
             size_set=next(iter(self.trained.profiles.values())).size_set,
-            mode=mode,
+            mode=self.config.policy,
             mask_grid=self.config.mask_grid,
             overhead_model=self.overheads,
             channels=channels,

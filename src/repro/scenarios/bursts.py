@@ -1,4 +1,4 @@
-"""Canonical ingest-burst workloads for the event runtime.
+"""Canonical ingest-burst workloads for the ingest edge.
 
 Burst specs are ordinary fault-DSL strings (``burst:...`` clauses, see
 :mod:`repro.faults.spec`), but experiments, benchmarks and CI smoke jobs

@@ -2,20 +2,17 @@
 
 The ``burst:`` clause, the ``rand:burst=`` model knobs and the
 ``ingest`` chaos preset all land as ``INGEST_BURST`` events; this module
-pins their parsing, their window semantics (``ingest_bursting`` /
-``burst_release_frame``) and the schedule-stability guarantee that
-adding burst knobs to a model never reshuffles the other fault draws.
+pins their parsing, their window semantics (``ingest_bursting`` and the
+ingest edge's release of held frames) and the schedule-stability
+guarantee that adding burst knobs to a model never reshuffles the other
+fault draws.
 """
 
-import pytest
-
 from repro.faults.model import FaultModel
-from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
-from repro.faults.spec import (
-    CHAOS_PRESETS,
-    parse_fault_spec,
-    spec_carries_ingest_bursts,
-)
+from repro.faults.schedule import FaultKind, FaultSchedule
+from repro.faults.spec import CHAOS_PRESETS, parse_fault_spec
+from repro.obs.registry import MetricsRegistry
+from repro.runtime.ingest import IngestEdge
 from repro.scenarios.bursts import (
     burst_sweep_specs,
     fleet_burst_spec,
@@ -55,39 +52,6 @@ class TestBurstClauseParsing:
     def test_ingest_chaos_preset_carries_bursts(self):
         preset = CHAOS_PRESETS["ingest"]
         assert preset.burst_rate > 0.0
-        assert spec_carries_ingest_bursts("ingest")
-
-
-class TestSpecCarriesIngestBursts:
-    @pytest.mark.parametrize(
-        "faults",
-        [
-            "burst:cam=1,at=10,for=6",
-            "rand:burst=0.03",
-            "ingest",
-            FaultModel(burst_rate=0.01),
-            FaultSchedule(
-                (FaultEvent(FaultKind.INGEST_BURST, start_frame=2, duration=3),)
-            ),
-        ],
-    )
-    def test_burst_carriers_detected(self, faults):
-        assert spec_carries_ingest_bursts(faults)
-
-    @pytest.mark.parametrize(
-        "faults",
-        [
-            None,
-            "",
-            "crash:cam=0,at=5,for=3",
-            "rand:crash=0.05",
-            "light",
-            FaultModel(crash_rate=0.1),
-            FaultSchedule(()),
-        ],
-    )
-    def test_burst_free_inputs_pass(self, faults):
-        assert not spec_carries_ingest_bursts(faults)
 
 
 class TestBurstWindows:
@@ -102,16 +66,35 @@ class TestBurstWindows:
         assert not schedule.ingest_bursting(7, 1)
         assert not schedule.ingest_bursting(5, 0)  # other cameras flow
 
+    def _drive(self, schedule, n_frames, camera_ids=(0, 1, 2)):
+        """Pass ``n_frames`` frames through an edge; per-frame stalls."""
+        edge = IngestEdge(camera_ids, capacity=8, policy="drop-oldest")
+        stalled = []
+        for frame in range(n_frames):
+            bursting = schedule.at(frame, camera_ids).bursting
+            stalled.append(
+                edge.pass_frame(frame, frame * 0.1, False, bursting).stalled
+            )
+        return edge, stalled
+
     def test_release_frame_is_first_frame_after_the_window(self):
-        schedule = self._schedule()
-        for held in (4, 5, 6):
-            assert schedule.burst_release_frame(held, 1, n_frames=20) == 7
+        edge, stalled = self._drive(self._schedule(), n_frames=8)
+        # Camera 1's frames 4-6 are held; all three arrive at frame 7,
+        # which serves the newest and drops the two older ones stale.
+        assert [f for f, cams in enumerate(stalled) if 1 in cams] == [4, 5, 6]
+        queue = edge.queues[1]
+        assert queue.offered == 8
+        assert queue.served == 5 and queue.stale_dropped == 3
         # Frames outside any window release immediately.
-        assert schedule.burst_release_frame(2, 1, n_frames=20) == 2
+        assert edge.queues[0].served == 8 and edge.queues[0].stale_dropped == 0
 
     def test_open_ended_window_swallows_frames(self):
-        schedule = self._schedule()
-        assert schedule.burst_release_frame(9, 2, n_frames=20) is None
+        edge, stalled = self._drive(self._schedule(), n_frames=20)
+        assert all(2 in cams for cams in stalled[8:])
+        queue = edge.queues[2]
+        assert queue.offered == 8  # frames 8-19 were never offered
+        edge.finish(MetricsRegistry(), export=False)
+        assert queue.offered == 20 and queue.rejected == 12
 
     def test_frame_faults_expose_bursting_cameras(self):
         schedule = self._schedule()
@@ -159,7 +142,6 @@ class TestCanonicalBurstWorkloads:
         for spec in burst_sweep_specs(horizon=5, total_frames=40):
             schedule = parse_fault_spec(spec)
             assert schedule.has_ingest_bursts
-            assert spec_carries_ingest_bursts(spec)
 
     def test_single_camera_spec_targets_one_camera(self):
         schedule = parse_fault_spec(single_camera_burst_spec(5, 40, camera=2))

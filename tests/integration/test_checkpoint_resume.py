@@ -180,3 +180,70 @@ class TestResumeBitIdentity:
             )
             Pipeline(scenario, cfg, trained=trained).run()
             assert_bit_identical(full, resume_run(path))
+
+
+BURST_POLICIES = (
+    "drop-oldest", "degrade-to-distributed", "coalesce-to-key-frame"
+)
+
+
+@pytest.fixture(scope="module")
+def burst_setup():
+    """The S1 ``ingest`` preset on a short run: 20 frames, capacity 2."""
+    scenario = scenario_s1()
+    config = small_config(
+        n_horizons=4, warmup_s=5.0, train_duration_s=20.0,
+        faults="ingest", ingest_capacity=2,
+    )
+    return scenario, config, train_models(scenario, config)
+
+
+class TestEdgesResume:
+    """Both edges live on the run state, so their runs resume too."""
+
+    @pytest.mark.parametrize("ingest_policy", BURST_POLICIES)
+    def test_burst_run_resumes_at_every_cut_point(
+        self, burst_setup, tmp_path, ingest_policy
+    ):
+        scenario, base, trained = burst_setup
+        config = PipelineConfig(
+            **{**base.__dict__, "ingest_policy": ingest_policy}
+        )
+        full = Pipeline(scenario, config, trained=trained).run()
+        assert any(
+            m["name"] == "ingest_stalled_frames_total" for m in full.metrics
+        )
+        path = str(tmp_path / "run.ckpt")
+        for stop in range(1, full.n_frames):
+            cfg = PipelineConfig(**{
+                **config.__dict__, "checkpoint_path": path,
+                "stop_after_frames": stop,
+            })
+            assert Pipeline(scenario, cfg, trained=trained).run().n_frames == stop
+            assert_bit_identical(full, resume_run(path))
+
+    def test_serving_run_resumes_between_publications(
+        self, shared, tmp_path
+    ):
+        scenario, trained = shared
+        serve = dict(serve_subscribers=1000, serve_every=3)
+        full = Pipeline(
+            scenario, small_config(**serve), trained=trained
+        ).run()
+        path = str(tmp_path / "run.ckpt")
+        # Frame 17 publishes nothing: the resumed run serves the
+        # checkpointed snapshot first.
+        cfg = small_config(**serve, checkpoint_path=path, stop_after_frames=17)
+        Pipeline(scenario, cfg, trained=trained).run()
+        resumed = resume_run(path)
+        assert_bit_identical(full, resumed)
+
+        def serving(result):
+            return [m for m in result.metrics if m["name"].startswith("serving_")]
+
+        assert serving(resumed) == serving(full)
+        requests = next(
+            m["value"] for m in serving(full)
+            if m["name"] == "serving_requests_total"
+        )
+        assert requests == 1000 * full.n_frames

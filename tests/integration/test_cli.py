@@ -178,45 +178,38 @@ class TestCheckpointCli:
 
 
 class TestEventRuntimeCli:
-    def test_runtime_flag_defaults_to_sync(self):
+    """The ingest and serving edges at the CLI: every run has both."""
+
+    def test_ingest_and_serving_flag_defaults(self):
         args = build_parser().parse_args(["run"])
-        assert args.runtime == "sync"
+        assert not hasattr(args, "runtime")
         assert args.ingest_capacity == 4
         assert args.ingest_policy == "drop-oldest"
         assert args.serve_subscribers == 0
         assert args.serve_every == 1
 
     def test_unknown_runtime_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--runtime", "threads"])
+        """There is one frame loop: ``--runtime`` no longer parses."""
+        for runtime in ("event", "sync", "threads"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "--runtime", runtime])
 
     def test_unknown_ingest_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--ingest-policy", "teleport"])
 
-    def test_sync_runtime_refuses_burst_faults(self):
-        with pytest.raises(SystemExit) as exc:
-            main(RUN_SMALL + ["--faults", "burst:cam=1,at=5,for=3"])
-        assert "--runtime event" in str(exc.value)
-
-    def test_sync_runtime_refuses_ingest_chaos_preset(self):
-        with pytest.raises(SystemExit) as exc:
-            main(RUN_SMALL + ["--chaos", "ingest"])
-        assert "--runtime event" in str(exc.value)
-
-    def test_event_runtime_matches_sync_stdout(self, capsys):
-        """Acceptance criterion, end to end: identical bytes out."""
+    def test_ingest_edge_is_transparent_in_stdout(self, capsys):
+        """Without bursts the edge's settings are invisible: same bytes."""
         assert main(RUN_SMALL) == 0
-        sync_out = capsys.readouterr().out
-        assert main(RUN_SMALL + ["--runtime", "event"]) == 0
-        assert capsys.readouterr().out == sync_out
+        default_out = capsys.readouterr().out
+        assert main(RUN_SMALL + [
+            "--ingest-capacity", "1",
+            "--ingest-policy", "coalesce-to-key-frame",
+        ]) == 0
+        assert capsys.readouterr().out == default_out
 
     def test_event_run_prints_ingest_summary_under_bursts(self, capsys):
-        args = RUN_SMALL + [
-            "--runtime", "event",
-            "--chaos", "ingest",
-            "--ingest-capacity", "2",
-        ]
+        args = RUN_SMALL + ["--chaos", "ingest", "--ingest-capacity", "2"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "fault summary" in out
@@ -225,27 +218,22 @@ class TestEventRuntimeCli:
         assert "ingest stalls" in out
 
     def test_burst_free_event_run_prints_no_ingest_rows(self, capsys):
-        assert main(RUN_SMALL + ["--runtime", "event"]) == 0
+        assert main(RUN_SMALL) == 0
         assert "ingest frames offered" not in capsys.readouterr().out
 
-    def test_event_runtime_cannot_checkpoint(self, tmp_path):
-        args = RUN_SMALL + [
-            "--runtime", "event", "--checkpoint", str(tmp_path / "x.ckpt"),
-        ]
-        with pytest.raises(SystemExit) as exc:
-            main(args)
-        assert "checkpoint" in str(exc.value)
+    def test_burst_run_resumes_byte_identically(self, tmp_path, capsys):
+        burst = RUN_SMALL + ["--chaos", "ingest", "--ingest-capacity", "2"]
+        assert main(burst) == 0
+        full_out = capsys.readouterr().out
 
-    def test_resume_rejects_event_runtime(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--resume", "x.ckpt", "--runtime", "event"])
-        assert "cannot be combined" in str(exc.value)
+        ckpt = str(tmp_path / "run.ckpt")
+        assert main(burst + ["--checkpoint", ckpt, "--stop-after", "3"]) == 0
+        assert "interrupted after 3/20 frames" in capsys.readouterr().out
+        assert main(["run", "--resume", ckpt]) == 0
+        assert capsys.readouterr().out == full_out
 
     def test_serving_subscribers_run(self, capsys):
-        args = RUN_SMALL + [
-            "--runtime", "event", "--serve-subscribers", "100",
-            "--serve-every", "2",
-        ]
+        args = RUN_SMALL + ["--serve-subscribers", "100", "--serve-every", "2"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "slowest-cam ms" in out
@@ -254,7 +242,7 @@ class TestEventRuntimeCli:
         assert re.search(r"hit rate +[01]\.\d+", out)
 
     def test_no_serving_summary_without_subscribers(self, capsys):
-        assert main(RUN_SMALL + ["--runtime", "event"]) == 0
+        assert main(RUN_SMALL) == 0
         assert "serving summary" not in capsys.readouterr().out
 
 

@@ -1,11 +1,13 @@
-"""Golden wall around ``--runtime event`` (ISSUE 6).
+"""Golden wall around the ingest edge every frame passes through.
 
 Two contracts are pinned here:
 
-* **Identity** — with ingest bursts disabled, the event runtime is
-  byte-identical to the sync runtime: same ``FrameRecord`` list, same
-  metrics (minus the host-time ``frame_wall_ms`` histogram), same span
-  tree — for all five policies on S1 and for BALB on S2/S3.
+* **Identity** — with ingest bursts disabled, the edge is a transparent
+  pass-through: a run at the default edge settings is byte-identical to
+  the same run through a capacity-1 edge — same ``FrameRecord`` list,
+  same metrics (minus the host-time ``frame_wall_ms`` histogram), same
+  span tree — for all five policies on S1, all three ingest policies,
+  and BALB on S2/S3.
 * **Burst golden** — S1 under the ``ingest`` chaos preset has its own
   checked-in span trees (a stall frame and a backlog-release frame) and
   exact ingest-ledger counters, so the burst path can't drift silently.
@@ -47,40 +49,48 @@ def s1_setup():
     return scenario, config, train_models(scenario, config)
 
 
+def _at_capacity_one(config, **overrides):
+    """The same run through the tightest ingest edge."""
+    return PipelineConfig(
+        **{**config.__dict__, "ingest_capacity": 1, **overrides}
+    )
+
+
+def _assert_identical(plain, edge):
+    assert edge.frames == plain.frames
+    assert _stable_metrics(edge) == _stable_metrics(plain)
+    assert span_tree_signature(edge.spans) == span_tree_signature(
+        plain.spans
+    )
+
+
 class TestSyncEventIdentity:
-    """No bursts → the event runtime must be byte-identical to sync."""
+    """No bursts → the ingest edge is unobservable.
+
+    Every frame passes through the edge, so the oracle is the edge's
+    own transparency: capacity and backpressure policy must not show in
+    a burst-free run's frames, metrics or span tree.
+    """
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_s1_identity_for_every_policy(self, s1_setup, policy):
         scenario, config, trained = s1_setup
-        sync = run_policy(scenario, policy, config, trained)
-        event = run_policy(
-            scenario, policy,
-            PipelineConfig(**{**config.__dict__, "runtime": "event"}),
-            trained,
+        plain = run_policy(scenario, policy, config, trained)
+        edge = run_policy(
+            scenario, policy, _at_capacity_one(config), trained
         )
-        assert event.frames == sync.frames
-        assert _stable_metrics(event) == _stable_metrics(sync)
-        assert span_tree_signature(event.spans) == span_tree_signature(
-            sync.spans
-        )
+        _assert_identical(plain, edge)
 
     @pytest.mark.parametrize("scenario_name", ("S2", "S3"))
     def test_identity_holds_on_other_scenarios(self, scenario_name):
         scenario = get_scenario(scenario_name, seed=0)
         config = _config(n_horizons=3)
         trained = train_models(scenario, config)
-        sync = run_policy(scenario, "balb", config, trained)
-        event = run_policy(
-            scenario, "balb",
-            PipelineConfig(**{**config.__dict__, "runtime": "event"}),
-            trained,
+        plain = run_policy(scenario, "balb", config, trained)
+        edge = run_policy(
+            scenario, "balb", _at_capacity_one(config), trained
         )
-        assert event.frames == sync.frames
-        assert _stable_metrics(event) == _stable_metrics(sync)
-        assert span_tree_signature(event.spans) == span_tree_signature(
-            sync.spans
-        )
+        _assert_identical(plain, edge)
 
     @pytest.mark.parametrize("ingest_policy", INGEST_POLICIES)
     def test_identity_is_ingest_policy_independent(
@@ -89,17 +99,20 @@ class TestSyncEventIdentity:
         """Without bursts no queue ever overflows, so the backpressure
         policy must be unobservable."""
         scenario, config, trained = s1_setup
-        sync = run_policy(scenario, "balb", config, trained)
-        event = run_policy(
+        plain = run_policy(scenario, "balb", config, trained)
+        edge = run_policy(
             scenario, "balb",
-            PipelineConfig(**{
-                **config.__dict__, "runtime": "event",
-                "ingest_policy": ingest_policy, "ingest_capacity": 1,
-            }),
+            _at_capacity_one(config, ingest_policy=ingest_policy),
             trained,
         )
-        assert event.frames == sync.frames
-        assert _stable_metrics(event) == _stable_metrics(sync)
+        _assert_identical(plain, edge)
+
+    def test_burst_free_runs_export_no_ingest_metrics(self, s1_setup):
+        scenario, config, trained = s1_setup
+        plain = run_policy(scenario, "balb", config, trained)
+        assert not [
+            m for m in plain.metrics if m["name"].startswith("ingest_")
+        ]
 
 
 # -- The burst golden: S1 under the `ingest` chaos preset ------------------
@@ -172,8 +185,7 @@ GOLDEN_RELEASE_FRAME = (
 def burst_run(s1_setup):
     scenario, config, trained = s1_setup
     burst_config = PipelineConfig(**{
-        **config.__dict__, "runtime": "event", "faults": "ingest",
-        "ingest_capacity": 2,
+        **config.__dict__, "faults": "ingest", "ingest_capacity": 2,
     })
     result = run_policy(scenario, "balb", burst_config, trained)
     return scenario, burst_config, trained, result
@@ -221,9 +233,3 @@ class TestBurstGolden:
         assert span_tree_signature(rerun.spans) == span_tree_signature(
             result.spans
         )
-
-    def test_sync_runtime_refuses_burst_faults(self, s1_setup):
-        scenario, config, trained = s1_setup
-        bad = PipelineConfig(**{**config.__dict__, "faults": "ingest"})
-        with pytest.raises(ValueError, match="event runtime"):
-            run_policy(scenario, "balb", bad, trained)

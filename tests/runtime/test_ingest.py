@@ -1,4 +1,4 @@
-"""Property suite for the bounded ingest queue (ISSUE 6).
+"""Property suite for the bounded ingest queue, and the ingest edge.
 
 Hypothesis drives arbitrary interleavings of frame arrivals and
 dispatch polls against every backpressure policy and asserts the
@@ -13,10 +13,13 @@ structural invariants:
   a key surfaces as a key (possibly forced) capsule.
 """
 
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.ingest import (
     INGEST_POLICIES,
     BoundedFrameQueue,
@@ -24,6 +27,7 @@ from repro.runtime.ingest import (
     DegradeToDistributed,
     DropOldest,
     FrameCapsule,
+    IngestEdge,
     make_ingest_policy,
 )
 
@@ -211,3 +215,125 @@ class TestQueueBasics:
     def test_unknown_policy_name_rejected(self):
         with pytest.raises(ValueError, match="unknown ingest policy"):
             make_ingest_policy("teleport")
+
+
+# -- The ingest edge: release rule, end-of-run ledger, checkpointing -------
+
+
+def pass_frames(edge, frames, bursting_at, key_every=5):
+    """Drive ``edge`` over ``frames``; ``bursting_at(f)`` -> cameras."""
+    return [
+        edge.pass_frame(f, f * 0.1, f % key_every == 0, bursting_at(f))
+        for f in frames
+    ]
+
+
+def record_offers(edge, log):
+    """Log ``(camera, frame)`` for every offer, and each drain as a mark."""
+    for cam, queue in edge.queues.items():
+        def offer(capsule, _original=queue.offer):
+            log.append((capsule.camera_id, capsule.frame_index))
+            return _original(capsule)
+
+        def poll_upto(frame, _cam=cam, _original=queue.poll_upto):
+            log.append(("drain", _cam, frame))
+            return _original(frame)
+
+        queue.offer = offer
+        queue.poll_upto = poll_upto
+
+
+class TestIngestEdge:
+    def test_burst_free_frames_pass_through_untouched(self):
+        for policy in INGEST_POLICIES:
+            edge = IngestEdge((0, 1, 2), capacity=1, policy=policy)
+            views = pass_frames(edge, range(12), lambda f: frozenset())
+            assert not any(v.any_active for v in views)
+            for queue in edge.queues.values():
+                assert queue.served == 12 and queue.occupancy == 0
+
+    def test_held_frames_are_offered_in_frame_order_before_the_drain(self):
+        edge = IngestEdge((0, 1), capacity=8, policy="drop-oldest")
+        window = range(3, 6)
+        log = []
+        pass_frames(
+            edge, range(3),
+            lambda f: frozenset({1}) if f in window else frozenset(),
+        )
+        record_offers(edge, log)
+        views = pass_frames(
+            edge, range(3, 7),
+            lambda f: frozenset({1}) if f in window else frozenset(),
+        )
+        offers_1 = [entry for entry in log if entry[0] == 1]
+        assert offers_1 == [(1, 3), (1, 4), (1, 5), (1, 6)]
+        # All of camera 1's releases land before frame 6's drain.
+        release = log.index((1, 6))
+        assert log.index(("drain", 1, 6)) > release
+        assert all(log.index((1, f)) < release for f in window)
+        assert [1 in v.stalled for v in views] == [True, True, True, False]
+        # The released backlog is served as frame 6, the rest dropped stale.
+        assert views[-1].stale_drops == {1: 3}
+        assert views[-1].staleness == {}
+
+    def test_release_overflow_applies_the_policy(self):
+        edge = IngestEdge((0,), capacity=2, policy="coalesce-to-key-frame")
+        views = pass_frames(
+            edge, range(6),
+            lambda f: frozenset({0}) if 1 <= f <= 3 else frozenset(),
+        )
+        assert views[4].forced_key
+        assert views[4].folded == {0: 3}
+        edge.finish(MetricsRegistry(), export=False)
+        assert edge.queues[0].dropped == 0
+
+    def test_degraded_camera_clears_once_it_sat_out(self):
+        edge = IngestEdge((0,), capacity=1, policy="degrade-to-distributed")
+        views = pass_frames(
+            edge, range(4),
+            lambda f: frozenset({0}) if f in (1, 2) else frozenset(),
+            key_every=10,
+        )
+        assert views[3].degraded == frozenset({0})
+        edge.clear_degraded(0)
+        (after,) = pass_frames(edge, [4], lambda f: frozenset(), key_every=10)
+        assert after.degraded == frozenset()
+
+    def test_open_ended_window_books_held_frames_at_completion(self):
+        edge = IngestEdge((0, 1), capacity=2, policy="drop-oldest")
+        pass_frames(
+            edge, range(10),
+            lambda f: frozenset({1}) if f >= 6 else frozenset(),
+        )
+        assert edge.queues[1].offered == 6  # frames 6-9 still held
+        registry = MetricsRegistry()
+        edge.finish(registry, export=True)
+        counters = {
+            (m["name"], m["labels"]["camera"]): m["value"]
+            for m in registry.export()
+        }
+        assert counters[("ingest_offered_total", 1)] == 10
+        assert counters[("ingest_admitted_total", 1)] == 6
+        assert counters[("ingest_served_total", 1)] == 6
+        assert counters[("ingest_dropped_total", 1)] == 4
+        assert counters[("ingest_offered_total", 0)] == 10
+        assert counters[("ingest_dropped_total", 0)] == 0
+
+    def test_finish_without_export_publishes_nothing(self):
+        edge = IngestEdge((0,), capacity=2, policy="drop-oldest")
+        pass_frames(edge, range(3), lambda f: frozenset())
+        registry = MetricsRegistry()
+        edge.finish(registry, export=False)
+        assert registry.export() == []
+
+    @pytest.mark.parametrize("policy", INGEST_POLICIES)
+    def test_pickled_edge_resumes_identically(self, policy):
+        def bursting(f):
+            return frozenset({1}) if 2 <= f <= 6 else frozenset()
+
+        edge = IngestEdge((0, 1), capacity=2, policy=policy)
+        head = pass_frames(edge, range(5), bursting)
+        restored = pickle.loads(pickle.dumps(edge))
+        tail = pass_frames(edge, range(5, 10), bursting)
+        assert pass_frames(restored, range(5, 10), bursting) == tail
+        assert head[4].stalled == frozenset({1})

@@ -53,6 +53,24 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(link_backoff_ms=-1.0)
 
+    @pytest.mark.parametrize(
+        "grid", [(0, 12), (16, 0), (-1, 4), (16,), (16, 12, 1), (2.0, 3),
+                 (True, 3), [16, 12], "16x12"],
+    )
+    def test_bad_mask_grid_rejected_at_construction(self, grid):
+        with pytest.raises(ValueError, match="mask_grid"):
+            PipelineConfig(mask_grid=grid)
+
+    def test_mask_grid_of_one_cell_accepted(self):
+        assert PipelineConfig(mask_grid=(1, 1)).mask_grid == (1, 1)
+
+    def test_every_edge_combines_with_checkpointing(self):
+        """The burst and serving edges checkpoint like any other run."""
+        PipelineConfig(
+            faults="ingest", checkpoint_path="x", checkpoint_every=5,
+            serve_subscribers=10,
+        )
+
     def test_retry_policy_reflects_link_knobs(self):
         config = PipelineConfig(link_timeout_ms=80.0, link_max_retries=5,
                                 link_backoff_ms=10.0)
