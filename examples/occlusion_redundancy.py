@@ -13,6 +13,8 @@ Also renders the scene map so the camera geometry is visible.
 Run:  python examples/occlusion_redundancy.py
 """
 
+from dataclasses import replace
+
 from repro.runtime import PipelineConfig, run_policy, train_models
 from repro.scenarios import get_scenario
 from repro.viz import render_ground_plane
@@ -38,9 +40,7 @@ def main() -> None:
 
     results = {}
     for k in (1, 2):
-        config = PipelineConfig(
-            **{**base.__dict__, "occlusion": True, "redundancy": k}
-        )
+        config = replace(base, occlusion=True, redundancy=k)
         print(f"Running BALB with occlusion on, k={k} cameras per object...")
         results[k] = run_policy(scenario, "balb", config, trained)
 

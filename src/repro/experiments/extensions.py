@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
@@ -59,10 +59,7 @@ def occlusion_point(
     k: int,
 ) -> Tuple[float, float]:
     """One redundancy level under occlusion: (recall, slowest-cam ms)."""
-    cfg = PipelineConfig(
-        **{**base.__dict__, "policy": "balb", "occlusion": True,
-           "redundancy": k}
-    )
+    cfg = replace(base, policy="balb", occlusion=True, redundancy=k)
     result = run_policy(scenario, "balb", cfg, trained)
     return result.object_recall(), result.mean_slowest_latency()
 
@@ -168,9 +165,7 @@ def synchronization_point(
     lag: int,
 ) -> Tuple[float, float]:
     """One camera-skew level: (recall, slowest-cam ms)."""
-    cfg = PipelineConfig(
-        **{**base.__dict__, "policy": "balb", "max_camera_lag_frames": lag}
-    )
+    cfg = replace(base, policy="balb", max_camera_lag_frames=lag)
     result = run_policy(scenario, "balb", cfg, trained)
     return result.object_recall(), result.mean_slowest_latency()
 

@@ -27,7 +27,7 @@ seed before the frame loop starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from repro.experiments.report import format_table
@@ -103,9 +103,8 @@ def degradation_point(
     """One (policy, fault intensity) cell of the crash/loss sweeps."""
     model = FaultModel(crash_rate=crash, mean_outage_frames=8,
                        loss_prob=loss)
-    cfg = PipelineConfig(
-        **{**base.__dict__, "policy": policy,
-           "faults": None if model.is_null else model}
+    cfg = replace(
+        base, policy=policy, faults=None if model.is_null else model
     )
     result = run_policy(scenario, policy, cfg, trained)
     return DegradationPoint(
@@ -128,9 +127,9 @@ def failover_point(
     outage_spec: str,
 ) -> FailoverPoint:
     """One scheduler-outage run of the failover sweeps."""
-    cfg = PipelineConfig(
-        **{**base.__dict__, "policy": policy, "faults": outage_spec,
-           "failover_heartbeat_frames": heartbeat}
+    cfg = replace(
+        base, policy=policy, faults=outage_spec,
+        failover_heartbeat_frames=heartbeat,
     )
     result = run_policy(scenario, policy, cfg, trained)
 

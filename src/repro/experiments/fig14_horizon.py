@@ -8,7 +8,7 @@ errors accumulate (recall falls); T = 10 is the knee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.runtime.pipeline import PipelineConfig, TrainedModels, run_policy
 from repro.scenarios.builder import Scenario
@@ -32,9 +32,9 @@ def horizon_point(
 
     The run lasts ``frames_per_point // horizon`` horizons, at least four.
     """
-    config = PipelineConfig(
-        **{**base.__dict__, "horizon": horizon,
-           "n_horizons": max(4, frames_per_point // horizon)}
+    config = replace(
+        base, horizon=horizon,
+        n_horizons=max(4, frames_per_point // horizon),
     )
     result = run_policy(scenario, "balb", config, trained)
     return HorizonRow(

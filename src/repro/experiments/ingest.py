@@ -14,7 +14,7 @@ silently drift away from the baseline it claims to perturb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from repro.experiments.report import format_table
@@ -68,9 +68,9 @@ def ingest_point(
     capacity: int = 2,
 ) -> IngestPoint:
     """One (ingest policy, burst spec) cell."""
-    cfg = PipelineConfig(
-        **{**base.__dict__, "faults": burst,
-           "ingest_policy": ingest_policy, "ingest_capacity": capacity}
+    cfg = replace(
+        base, faults=burst, ingest_policy=ingest_policy,
+        ingest_capacity=capacity,
     )
     result = run_policy(scenario, cfg.policy, cfg, trained)
     return IngestPoint(
@@ -101,10 +101,9 @@ def identity_check(
     plain = run_policy(scenario, base.policy, base, trained)
     edge = run_policy(
         scenario, base.policy,
-        PipelineConfig(**{
-            **base.__dict__, "ingest_capacity": 1,
-            "ingest_policy": "coalesce-to-key-frame",
-        }),
+        replace(
+            base, ingest_capacity=1, ingest_policy="coalesce-to-key-frame"
+        ),
         trained,
     )
 

@@ -276,11 +276,6 @@ class FaultSchedule:
         )
 
     @property
-    def has_wire_faults(self) -> bool:
-        """Does any event corrupt, duplicate or reorder messages?"""
-        return any(e.kind in _WIRE_KINDS for e in self.events)
-
-    @property
     def has_ingest_bursts(self) -> bool:
         """Does any event stall frame ingest?
 

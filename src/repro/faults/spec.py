@@ -356,6 +356,30 @@ def validate_fault_spec(spec: str) -> None:
     parse_fault_spec(spec)
 
 
+def fault_source(faults: object) -> Union[None, FaultSchedule, FaultModel]:
+    """The schedule or model a config-level ``faults`` value names.
+
+    A string is a :data:`CHAOS_PRESETS` name or a spec to parse (blank
+    means no faults); ``None``, a :class:`FaultSchedule` and a
+    :class:`FaultModel` pass through. Raises ``ValueError`` for a
+    malformed spec and ``TypeError`` for any other type, so a config can
+    reject a bad value at construction.
+    """
+    if faults is None or isinstance(faults, (FaultSchedule, FaultModel)):
+        return faults
+    if isinstance(faults, str):
+        text = faults.strip()
+        if not text:
+            return None
+        if text in CHAOS_PRESETS:
+            return CHAOS_PRESETS[text]
+        return parse_fault_spec(text)
+    raise TypeError(
+        "faults must be None, a spec string, a FaultSchedule or a "
+        f"FaultModel; got {type(faults).__name__}"
+    )
+
+
 def resolve_faults(
     faults: FaultInput,
     camera_ids: Sequence[int],
@@ -370,23 +394,9 @@ def resolve_faults(
     whenever nothing can ever fire, so the pipeline keeps its pristine
     fault-free code path.
     """
-    if faults is None:
-        return None
-    if isinstance(faults, str):
-        text = faults.strip()
-        if not text:
+    source = fault_source(faults)
+    if isinstance(source, FaultModel):
+        if source.is_null:
             return None
-        if text in CHAOS_PRESETS:
-            faults = CHAOS_PRESETS[text]
-        else:
-            faults = parse_fault_spec(text)
-    if isinstance(faults, FaultModel):
-        if faults.is_null:
-            return None
-        faults = faults.compile(camera_ids, n_frames, seed)
-    if not isinstance(faults, FaultSchedule):
-        raise TypeError(
-            "faults must be None, a spec string, a FaultSchedule or a "
-            f"FaultModel; got {type(faults).__name__}"
-        )
-    return faults if faults else None
+        source = source.compile(camera_ids, n_frames, seed)
+    return source if source else None

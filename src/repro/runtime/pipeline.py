@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import pickle
 from typing import Dict, List, Optional, Tuple
 
@@ -32,14 +32,19 @@ from repro.core.distributed import DistributedPolicy
 from repro.devices.profiler import DeviceProfile, profile_device
 from repro.devices.profiles import latency_model_for
 from repro.faults.schedule import FaultSchedule, FrameFaults
-from repro.faults.spec import resolve_faults
+from repro.faults.spec import fault_source, resolve_faults
 from repro.net.envelope import DROP_STALE_EPOCH, Envelope
 from repro.net.heartbeat import LeaseConfig
-from repro.net.link import DuplexChannel, RetryPolicy
+from repro.net.link import DuplexChannel
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import WALL_CLOCK, Clock, Tracer, get_tracer, use_tracer
 from repro.runtime.camera_node import CameraNode
-from repro.runtime.failover import PRIMARY, Authority, FailoverManager
+from repro.runtime.failover import (
+    PRIMARY,
+    Authority,
+    FailoverManager,
+    FailoverTransition,
+)
 from repro.runtime.health import (
     FleetHealthWatchdog,
     HealthSignals,
@@ -135,9 +140,7 @@ class PipelineConfig:
     warmup_s: float = 20.0
     train_duration_s: float = 120.0
     seed: int = 0
-    mask_grid: Tuple[int, int] = (16, 12)
     gpu_jitter: float = 0.02
-    use_network: bool = True
     occlusion: bool = False  # inter-object occlusion in the detector
     redundancy: int = 1  # cameras per object (Section V extension)
     max_camera_lag_frames: int = 0  # imperfect synchronization (Section V)
@@ -147,28 +150,16 @@ class PipelineConfig:
     #: against this run's seed. With None the fault-free code path is
     #: bit-identical to a build without fault support.
     faults: Optional[object] = None
-    #: Report/assignment exchange resilience (only exercised under faults):
-    #: per-attempt timeout, bounded retries, linear backoff — modeled in ms
-    #: and charged to the key frame's communication latency.
-    link_timeout_ms: float = 60.0
-    link_max_retries: int = 3
-    link_backoff_ms: float = 20.0
     #: Scheduler failover (only armed when the fault plan contains
-    #: scheduler_crash events): heartbeat cadence and lease width of the
-    #: warm-standby protocol. Detection latency is bounded by their
-    #: product, in frames.
+    #: scheduler_crash or sched_partition events): heartbeat cadence of
+    #: the warm-standby protocol, which bounds detection latency.
     failover_heartbeat_frames: int = 5
-    failover_lease_misses: int = 1
     #: Epoch fencing: every leadership change bumps the scheduling epoch
     #: and receivers drop assignments from older epochs. ``False``
     #: selects the legacy protocol (everything stays at epoch 0), which
     #: is split-brain-prone under scheduler partitions — kept for the
     #: regression harness that proves the invariant monitor catches it.
     epoch_fencing: bool = True
-    #: Always-on control-plane invariant monitor (repro.runtime.invariants):
-    #: pure bookkeeping that raises InvariantViolation the moment a safety
-    #: property breaks. Disable only to observe a violating run to its end.
-    check_invariants: bool = True
     #: Crash-consistent checkpointing: with ``checkpoint_path`` set the
     #: run snapshots its full state there every ``checkpoint_every``
     #: frames (0 = only on interruption), and ``stop_after_frames``
@@ -187,11 +178,6 @@ class PipelineConfig:
     #: (0 = edge disabled) and the snapshot publication cadence in frames.
     serve_subscribers: int = 0
     serve_every: int = 1
-    #: Fleet health watchdog (repro.runtime.health): armed only when the
-    #: fault plan contains degraded-sensor events (freeze/drift/flap/fade),
-    #: so every other run keeps its pre-watchdog byte-exact outputs.
-    #: Disable to observe an unguarded fleet degrade.
-    fleet_health: bool = True
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -202,30 +188,28 @@ class PipelineConfig:
             raise ValueError("horizon must be >= 1")
         if self.n_horizons < 1:
             raise ValueError("n_horizons must be >= 1")
+        if self.train_duration_s <= 0:
+            raise ValueError("train_duration_s must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.redundancy < 1:
             raise ValueError("redundancy must be >= 1")
         if (
-            not isinstance(self.mask_grid, tuple)
-            or len(self.mask_grid) != 2
-            or not all(type(n) is int and n >= 1 for n in self.mask_grid)
+            not isinstance(self.max_camera_lag_frames, int)
+            or self.max_camera_lag_frames < 0
         ):
             raise ValueError(
-                f"mask_grid must be two ints >= 1; got {self.mask_grid!r}"
+                "max_camera_lag_frames must be a non-negative int; "
+                f"got {self.max_camera_lag_frames!r}"
             )
-        if self.max_camera_lag_frames < 0:
-            raise ValueError("max_camera_lag_frames must be non-negative")
         if self.gpu_jitter < 0:
             raise ValueError("gpu_jitter must be non-negative")
-        if self.link_timeout_ms < 0:
-            raise ValueError("link_timeout_ms must be non-negative")
-        if self.link_max_retries < 1:
-            raise ValueError("link_max_retries must be >= 1")
-        if self.link_backoff_ms < 0:
-            raise ValueError("link_backoff_ms must be non-negative")
+        try:
+            fault_source(self.faults)
+        except ValueError as exc:
+            raise ValueError(f"faults: {exc}") from exc
         if self.failover_heartbeat_frames < 1:
             raise ValueError("failover_heartbeat_frames must be >= 1")
-        if self.failover_lease_misses < 1:
-            raise ValueError("failover_lease_misses must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
         if self.stop_after_frames is not None and self.stop_after_frames < 1:
@@ -247,14 +231,6 @@ class PipelineConfig:
             raise ValueError("serve_subscribers must be non-negative")
         if self.serve_every < 1:
             raise ValueError("serve_every must be >= 1")
-
-    def retry_policy(self) -> RetryPolicy:
-        """The link retry policy these knobs describe."""
-        return RetryPolicy(
-            max_attempts=self.link_max_retries,
-            timeout_ms=self.link_timeout_ms,
-            backoff_ms=self.link_backoff_ms,
-        )
 
 
 @dataclass
@@ -291,7 +267,6 @@ class _RunState:
     registry: MetricsRegistry
     camera_ids: List[int]
     faults: Optional[FaultSchedule]
-    retry: RetryPolicy
     prev_down: frozenset
     stale_horizons: Dict[int, int]
     central_amortized: float
@@ -299,7 +274,7 @@ class _RunState:
     history: Optional[WorldHistory]
     camera_lags: Dict[int, int]
     failover: Optional[FailoverManager]
-    invariants: Optional[InvariantMonitor]
+    invariants: InvariantMonitor
     ingest: IngestEdge
     serving: Optional[ServingEdge] = None
     #: Fleet health (armed only under degraded-sensor faults): the
@@ -509,19 +484,17 @@ class Pipeline:
             )
 
         # The fleet health watchdog is armed only when the fault plan can
-        # actually degrade a sensor: every other run keeps the
-        # pre-watchdog code path (and its bit-exact outputs) untouched.
+        # actually degrade a sensor: it exports health gauges and can
+        # suspect a camera on report quality, so arming it on every run
+        # would change fault-free outputs.
         health: Optional[FleetHealthWatchdog] = None
-        if (
-            config.fleet_health
-            and faults is not None
-            and faults.has_sensor_faults
-        ):
+        if faults is not None and faults.has_sensor_faults:
             health = FleetHealthWatchdog(camera_ids)
 
         # Failover is armed only when the fault plan can actually take the
-        # scheduler down: every other run keeps the pre-failover code path
-        # (and its bit-exact outputs) untouched.
+        # scheduler down: an armed manager piggybacks checkpoint replicas
+        # on assignment downloads, whose extra bytes cost modeled
+        # communication time on every key frame.
         failover: Optional[FailoverManager] = None
         if (
             scheduler is not None
@@ -532,8 +505,7 @@ class Pipeline:
                 camera_ids,
                 scheduler.capacities,
                 lease=LeaseConfig(
-                    heartbeat_interval_frames=config.failover_heartbeat_frames,
-                    lease_misses=config.failover_lease_misses,
+                    heartbeat_interval_frames=config.failover_heartbeat_frames
                 ),
                 frame_dt_s=dt,
                 channels=scheduler.channels,
@@ -554,7 +526,6 @@ class Pipeline:
             registry=registry,
             camera_ids=camera_ids,
             faults=faults,
-            retry=config.retry_policy(),
             prev_down=frozenset(),
             stale_horizons=stale_horizons,
             central_amortized=0.0,
@@ -562,9 +533,7 @@ class Pipeline:
             history=history,
             camera_lags=camera_lags,
             failover=failover,
-            invariants=(
-                InvariantMonitor() if config.check_invariants else None
-            ),
+            invariants=InvariantMonitor(),
             ingest=IngestEdge(
                 camera_ids, config.ingest_capacity, config.ingest_policy
             ),
@@ -758,14 +727,13 @@ class Pipeline:
         registry = state.registry
         camera_ids = state.camera_ids
         faults = state.faults
-        retry = state.retry
         stale_horizons = state.stale_horizons
         occlusion = state.occlusion
         history = state.history
         camera_lags = state.camera_lags
         failover = state.failover
+        invariants = state.invariants
         central_amortized = state.central_amortized
-        prev_down = state.prev_down
         health = state.health
 
         # Membership view of this frame: transitions the watchdog took at
@@ -777,8 +745,8 @@ class Pipeline:
         probation = (
             health.in_probation() if health is not None else frozenset()
         )
-        if health is not None and state.invariants is not None:
-            state.invariants.observe_membership(
+        if health is not None:
+            invariants.observe_membership(
                 frame_idx, quarantined, health.membership_epoch
             )
 
@@ -797,103 +765,60 @@ class Pipeline:
             # A quarantined camera processes nothing: it is out of the
             # fleet until the watchdog walks it through probation.
             effective_down = effective_down | quarantined
-        forced_key = False
-        if faults is not None:
-            # Camera crash/rejoin triggers an early key frame: the
-            # central stage re-runs BALB on the surviving set so the
-            # dead camera's shared objects are re-adopted (or the
-            # rejoined camera is folded back in) immediately. A
-            # quarantined camera's churn (the flap signature) is masked
-            # out — its membership is the watchdog's to manage, and
-            # reacting to its heartbeats is exactly the thrash the
-            # quarantine exists to stop.
-            visible_down = down - quarantined if quarantined else down
-            membership_changed = visible_down != prev_down
-            prev_down = visible_down
-            forced_key = (
-                scheduler is not None
-                and membership_changed
-                and config.policy != "full"
-                and in_horizon != 0
-            )
-            if health is not None:
-                # A watchdog membership change last frame re-runs the
-                # central stage over the new membership now; probation
-                # warm-up forces key frames for the whole dwell.
-                if (
-                    (state.health_forced_key or probation)
-                    and scheduler is not None
-                    and config.policy != "full"
-                    and in_horizon != 0
-                ):
-                    forced_key = True
-                state.health_forced_key = False
-        # Scheduler failover: advance the heartbeat/lease protocol
-        # one frame. A leadership change forces a key frame (the
-        # new leader re-runs the central stage from its replica);
-        # while nobody leads, key frames are suppressed and the
-        # fleet runs distributed-only on last-known masks.
-        transition = None
-        partition_transition = None
+        # Scheduler failover: advance the heartbeat/lease protocol and
+        # the partition (split-brain) machinery one frame. While nobody
+        # leads, key frames are suppressed and the fleet runs
+        # distributed-only on last-known masks. Each acting authority
+        # schedules its own reachable side of any cut; without failover
+        # the primary is the one authority over every live camera.
+        live = [c for c in camera_ids if c not in down]
+        transitions: Tuple[FailoverTransition, ...] = ()
         central_ok = True
-        authorities: Optional[Tuple[Authority, ...]] = None
-        if failover is not None:
-            live = [c for c in camera_ids if c not in down]
-            transition = failover.step(
-                frame_idx,
-                frame_faults is not None
-                and frame_faults.scheduler_down,
-                live,
+        if failover is None:
+            authorities = (Authority(PRIMARY, 0, frozenset(live)),)
+        else:
+            assert frame_faults is not None
+            cut = sorted(frame_faults.sched_partitioned & frozenset(live))
+            stepped = (
+                failover.step(frame_idx, frame_faults.scheduler_down, live),
+                failover.step_partition(frame_idx, cut, live),
             )
+            transitions = tuple(t for t in stepped if t is not None)
             central_ok = failover.central_available
-            if transition is not None:
-                forced_key = forced_key or in_horizon != 0
-            if faults is not None and faults.has_scheduler_partitions:
-                # Scheduler partition: the cut side may elect its own
-                # leader (split-brain unless epochs fence it). The
-                # per-authority scheduling below replaces the single
-                # schedule() call only on this code path — runs without
-                # partition faults keep the pre-partition behaviour.
-                cut = sorted(
-                    frame_faults.sched_partitioned & frozenset(live)
-                    if frame_faults is not None
-                    else frozenset()
-                )
-                partition_transition = failover.step_partition(
-                    frame_idx, cut, live
-                )
-                if partition_transition is not None or (
-                    failover.reclaim_pending
-                ):
-                    forced_key = forced_key or in_horizon != 0
-                authorities = failover.authorities(live, cut)
-        if (
-            ingest.forced_key
-            and scheduler is not None
-            and config.policy != "full"
-            and in_horizon != 0
-        ):
-            # A coalesced backlog wants a central resynchronization.
-            forced_key = True
+            authorities = failover.authorities(live, cut)
+        # Reasons to re-run the central stage before the horizon ends:
+        # a camera crashed or rejoined (a quarantined camera's churn, the
+        # flap signature, is the watchdog's to manage and masked out); the
+        # watchdog changed membership last frame or a camera is warming
+        # up in probation; a coalesced ingest backlog; a leadership
+        # change (the new leader re-runs the central stage from its
+        # replica); or the primary reclaiming the fleet after a cut heals.
+        visible_down = down - quarantined
+        resync = (
+            visible_down != state.prev_down
+            or state.health_forced_key
+            or bool(probation)
+            or ingest.forced_key
+            or bool(transitions)
+            or (failover is not None and failover.reclaim_pending)
+        )
+        state.prev_down = visible_down
+        state.health_forced_key = False
+        forced_key = resync and scheduler is not None and in_horizon != 0
         is_key = config.policy == "full" or (
             (in_horizon == 0 or forced_key) and central_ok
         )
-        if (
-            failover is not None
-            and not central_ok
-            and (in_horizon == 0 or forced_key)
-        ):
+        if not central_ok and (in_horizon == 0 or forced_key):
             # A scheduled (or forced) key frame lands in the
             # outage window: skip it, everyone's decision goes
             # one horizon staler.
             registry.counter("skipped_key_frames_total").inc()
-            for cam_id in camera_ids:
-                if cam_id not in down:
-                    stale_horizons[cam_id] += 1
-                    registry.gauge(
-                        "assignment_staleness_horizons",
-                        camera=cam_id,
-                    ).set(stale_horizons[cam_id])
+            for cam_id in live:
+                stale_horizons[cam_id] += 1
+                registry.gauge(
+                    "assignment_staleness_horizons",
+                    camera=cam_id,
+                ).set(stale_horizons[cam_id])
         frame_start = self.clock.now()
 
         frame_tags = {"frame": frame_idx, "key": is_key}
@@ -904,12 +829,8 @@ class Pipeline:
                 self._apply_frame_faults(
                     tracer, registry, frame_faults, nodes, forced_key
                 )
-            if transition is not None:
+            for transition in transitions:
                 self._record_transition(tracer, registry, transition)
-            if partition_transition is not None:
-                self._record_transition(
-                    tracer, registry, partition_transition
-                )
             if ingest.any_active:
                 self._record_ingest(tracer, registry, ingest)
             with tracer.span("sim.advance"):
@@ -938,10 +859,7 @@ class Pipeline:
                     )
                     for cam_id, lag in camera_lags.items()
                 }
-                if faults is not None and faults.has_sensor_faults:
-                    self._apply_frozen_views(
-                        state, frame_faults, lagged_objects
-                    )
+                self._apply_frozen_views(state, frame_faults, lagged_objects)
                 # One projection cache per frame: every consumer below
                 # (occlusion, coverage, detection, new regions, health)
                 # shares each camera's batched projection table instead
@@ -995,15 +913,11 @@ class Pipeline:
             overheads: Dict[str, float] = {}
             n_slices: Dict[int, int] = {}
             key_detected: Dict[int, int] = {}
-            if transition is not None or partition_transition is not None:
+            if transitions:
                 # Restore/sync/claim-broadcast time of the
                 # leadership change, modeled through the link and
                 # overhead models, lands on this frame.
-                overheads["failover"] = sum(
-                    t.cost_ms
-                    for t in (transition, partition_transition)
-                    if t is not None
-                )
+                overheads["failover"] = sum(t.cost_ms for t in transitions)
 
             if is_key:
                 reports = {}
@@ -1064,28 +978,42 @@ class Pipeline:
                             if frame_faults is not None
                             else None
                         )
-                        wire_active = faults is not None and (
-                            faults.has_wire_faults
-                            or faults.has_scheduler_partitions
-                        )
                         #: camera -> (decision, issuing epoch)
                         assignments: Dict[
                             int, Tuple[ScheduleDecision, int]
                         ] = {}
                         total_retries = 0
-                        if authorities is None:
+                        # The authorities' costs overlap in time (the
+                        # sides of a cut are concurrent), so the
+                        # amortized charge is the slowest side's.
+                        central_peak = 0.0
+                        for authority in authorities:
+                            auth_reports = {
+                                c: r
+                                for c, r in reports.items()
+                                if c in authority.reach
+                            }
+                            if not auth_reports:
+                                continue
+                            # A camera leader replicates onward only when
+                            # the plan has no scheduler partitions: a kept
+                            # asymmetry, pinned by tests/integration/
+                            # test_failover.py::TestReplicationAsymmetry.
+                            replicates = failover is not None and (
+                                authority.leader_id == PRIMARY
+                                or not faults.has_scheduler_partitions
+                            )
                             replicate_to = (
                                 failover.replication_target(
-                                    sorted(reports)
+                                    sorted(auth_reports)
                                 )
-                                if failover is not None
+                                if replicates
                                 else None
                             )
                             decision = scheduler.schedule(
-                                reports,
+                                auth_reports,
                                 frame_idx,
                                 link_faults=link_faults,
-                                retry=retry,
                                 replicate_to=replicate_to,
                                 no_authority=probation,
                             )
@@ -1101,90 +1029,21 @@ class Pipeline:
                                     replicate_to,
                                     replicate_to in decision.delivered,
                                 )
-                            issue_epoch = (
-                                failover.epoch
-                                if failover is not None
-                                else 0
+                            invariants.observe_issue(
+                                frame_idx,
+                                authority.epoch,
+                                authority.leader_id,
                             )
-                            if state.invariants is not None:
-                                state.invariants.observe_issue(
-                                    frame_idx,
-                                    issue_epoch,
-                                    failover.leader_id
-                                    if failover is not None
-                                    else PRIMARY,
-                                )
-                            for cam_id in nodes:
+                            for cam_id in sorted(authority.reach):
                                 assignments[cam_id] = (
-                                    decision, issue_epoch
+                                    decision, authority.epoch
                                 )
-                            total_retries = decision.comm_retries
-                            central_amortized = (
-                                decision.central_ms + decision.comm_ms
-                            ) / config.horizon
-                        else:
-                            # Split scheduling: each acting authority
-                            # runs the central stage over its own
-                            # reachable side of the cut, at its own
-                            # epoch. Costs overlap in time (the sides
-                            # are concurrent), so the amortized charge
-                            # is the slower side's.
-                            central_peak = 0.0
-                            for authority in authorities:
-                                auth_reports = {
-                                    c: reports[c]
-                                    for c in sorted(authority.reach)
-                                    if c in reports
-                                }
-                                if not auth_reports:
-                                    continue
-                                replicate_to = (
-                                    failover.replication_target(
-                                        sorted(auth_reports)
-                                    )
-                                    if authority.leader_id == PRIMARY
-                                    else None
-                                )
-                                decision = scheduler.schedule(
-                                    auth_reports,
-                                    frame_idx,
-                                    link_faults=link_faults,
-                                    retry=retry,
-                                    replicate_to=replicate_to,
-                                    no_authority=probation,
-                                )
-                                if (
-                                    replicate_to is not None
-                                    and decision.checkpoint is not None
-                                ):
-                                    self._record_replication(
-                                        tracer,
-                                        registry,
-                                        failover,
-                                        decision.checkpoint,
-                                        replicate_to,
-                                        replicate_to
-                                        in decision.delivered,
-                                    )
-                                if state.invariants is not None:
-                                    state.invariants.observe_issue(
-                                        frame_idx,
-                                        authority.epoch,
-                                        authority.leader_id,
-                                    )
-                                for cam_id in sorted(authority.reach):
-                                    assignments[cam_id] = (
-                                        decision, authority.epoch
-                                    )
-                                total_retries += decision.comm_retries
-                                central_peak = max(
-                                    central_peak,
-                                    decision.central_ms
-                                    + decision.comm_ms,
-                                )
-                            central_amortized = (
-                                central_peak / config.horizon
+                            total_retries += decision.comm_retries
+                            central_peak = max(
+                                central_peak,
+                                decision.central_ms + decision.comm_ms,
                             )
+                        central_amortized = central_peak / config.horizon
                         for cam_id, node in nodes.items():
                             if cam_id in down or cam_id in quarantined:
                                 # R5: a quarantined camera is out of the
@@ -1192,16 +1051,13 @@ class Pipeline:
                                 # reach it until probation readmits it.
                                 continue
                             entry = assignments.get(cam_id)
+                            # Hardened wire protocol: a delivered download
+                            # passes the camera's receiver guard (checksum,
+                            # dedupe, epoch fence) before it may be applied.
                             delivered_ok = (
                                 entry is not None
                                 and cam_id in entry[0].delivered
-                            )
-                            if delivered_ok and wire_active:
-                                # Hardened wire protocol: the download
-                                # passes the camera's receiver guard
-                                # (checksum, dedupe, epoch fence)
-                                # before it may be applied.
-                                delivered_ok = self._admit_assignment(
+                                and self._admit_assignment(
                                     tracer,
                                     registry,
                                     node,
@@ -1210,16 +1066,16 @@ class Pipeline:
                                     entry[1],
                                     entry[0],
                                 )
+                            )
                             if delivered_ok:
                                 decision_c, epoch_c = entry
                                 node.apply_schedule(
                                     decision_c.assigned.get(cam_id, []),
                                     decision_c.shadows.get(cam_id, {}),
                                 )
-                                if state.invariants is not None:
-                                    state.invariants.observe_applied(
-                                        frame_idx, cam_id, epoch_c
-                                    )
+                                invariants.observe_applied(
+                                    frame_idx, cam_id, epoch_c
+                                )
                                 stale_horizons[cam_id] = 0
                                 if config.policy in ("balb", "balb-cen"):
                                     policies[cam_id] = (
@@ -1327,10 +1183,7 @@ class Pipeline:
             n_slices=n_slices,
             coverage_lost=coverage_lost,
         )
-        if state.invariants is not None:
-            state.invariants.observe_frame(
-                frame_idx, visible_gt, coverage_lost
-            )
+        invariants.observe_frame(frame_idx, visible_gt, coverage_lost)
         result.add(record)
         if state.serving is not None:
             state.serving.on_frame(record)
@@ -1338,7 +1191,6 @@ class Pipeline:
         # frames the run is crash-consistent.
         state.next_frame = frame_idx + 1
         state.central_amortized = central_amortized
-        state.prev_down = prev_down
 
     def _apply_frozen_views(
         self,
@@ -1668,18 +1520,12 @@ class Pipeline:
 
     def _build_scheduler(self, rig: CameraRig) -> CentralScheduler:
         assert self.trained.associator is not None
-        channels = (
-            {
-                # Per-channel seed derived from the run seed: distinct
-                # cameras get distinct, reproducible jitter/loss streams.
-                cam.camera_id: DuplexChannel(
-                    seed=self.config.seed + cam.camera_id
-                )
-                for cam in rig
-            }
-            if self.config.use_network
-            else None
-        )
+        channels = {
+            # Per-channel seed derived from the run seed: distinct cameras
+            # get distinct, reproducible jitter/loss streams.
+            cam.camera_id: DuplexChannel(seed=self.config.seed + cam.camera_id)
+            for cam in rig
+        }
         positions = {
             c.camera_id: (c.pose.x, c.pose.y) for c in rig
         }
@@ -1690,7 +1536,6 @@ class Pipeline:
             typical_box_sizes=self.trained.typical_box_sizes,
             size_set=next(iter(self.trained.profiles.values())).size_set,
             mode=self.config.policy,
-            mask_grid=self.config.mask_grid,
             overhead_model=self.overheads,
             channels=channels,
             redundancy=self.config.redundancy,
@@ -1752,5 +1597,5 @@ def run_policy(
     if config is None:
         config = PipelineConfig(policy=policy)
     else:
-        config = PipelineConfig(**{**config.__dict__, "policy": policy})
+        config = replace(config, policy=policy)
     return Pipeline(scenario, config, trained).run()

@@ -12,6 +12,7 @@ from repro.faults import (
     validate_fault_spec,
 )
 from repro.faults.schedule import FaultEvent
+from repro.faults.spec import fault_source
 
 
 def test_parse_scripted_clauses():
@@ -98,6 +99,22 @@ def test_resolve_passes_schedules_through_and_compiles_models():
         FaultModel(crash_rate=0.2), [0, 1], 100, seed=0
     )
     assert isinstance(compiled, FaultSchedule)
+
+
+def test_fault_source_names_without_compiling():
+    assert fault_source(None) is None
+    assert fault_source("  ") is None
+    assert fault_source("heavy") is CHAOS_PRESETS["heavy"]
+    assert len(fault_source("crash:cam=1,at=3,for=2")) == 1
+    model = FaultModel(crash_rate=0.2)
+    assert fault_source(model) is model
+
+
+def test_fault_source_rejects_bad_specs_and_types():
+    with pytest.raises(ValueError, match="unknown fault kind"):
+        fault_source("bogus")
+    with pytest.raises(TypeError, match="faults must be"):
+        fault_source(3)
 
 
 def test_resolve_is_seed_deterministic():

@@ -10,6 +10,7 @@ fixture configuration and updating the constants below.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -111,6 +112,61 @@ class TestGoldenOccludedRedundantLagged:
         assert result.object_recall() == GOLDEN_OCCLUDED["recall"]
         assert result.mean_slowest_latency() == GOLDEN_OCCLUDED["latency"]
         assert _frames_sha256(result.frames) == GOLDEN_OCCLUDED["frames_sha256"]
+
+
+# The control plane under one seeded fault plan: a scheduler partition
+# cuts cameras 1 and 2 (split takeover, fenced heal, reunite), then the
+# scheduler crashes (takeover, replication, handback), with corrupt,
+# duplicate and reordered messages throughout. Drives one and two acting
+# authorities, the epoch fence and the receiver guards. Pins a sha256 over the
+# frame records, over the metrics apart from frame_wall_ms, and over the
+# span-tree signature. Same plan as .github/golden/s1_balb_control_seed0.out.
+CONTROL_FAULTS = (
+    "sched_partition:cam=1,at=8,for=8;sched_partition:cam=2,at=8,for=8;"
+    "sched_crash:at=22,for=12;corrupt:p=0.1;dup:p=0.1;reorder:p=0.1"
+)
+GOLDEN_CONTROL = {
+    "balb": {
+        "frames_sha256": (
+            "be0839be7476fae91451bc4deb697b3a23cde8fef09823ae72092d38aafdc33c"
+        ),
+        "metrics_sha256": (
+            "a720941b0f9e52df8dd29269b5e80af31f313d04d1b0ec940184ef9ca48a2b85"
+        ),
+        "spans_sha256": (
+            "02ff8254d1e2cef61e9fe21e98698cc50b6ae3a3db152190fb5d54f1048055a7"
+        ),
+    },
+    "sp": {
+        "frames_sha256": (
+            "dbc3c900b57adb08457d533938fe70381a5ea86c6d244a0473ac57d556cb2de4"
+        ),
+        "metrics_sha256": (
+            "b9a9dff970a1758748f7ac00468e3bde32d32f5caa7d3de7c9324e9d8756c7bf"
+        ),
+        "spans_sha256": (
+            "d4ebe781ef4066e8a68e93a644960f51d4b2f06713248e7d39725646c9a3c146"
+        ),
+    },
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenControlPlane:
+    @pytest.mark.parametrize("policy", sorted(GOLDEN_CONTROL))
+    def test_control_plane_matches_golden_exactly(self, golden_runs, policy):
+        scenario, config, trained, _ = golden_runs
+        faulted = PipelineConfig(**{**config.__dict__, "faults": CONTROL_FAULTS})
+        result = run_policy(scenario, policy, faulted, trained)
+        metrics = [m for m in result.metrics if m["name"] != "frame_wall_ms"]
+        assert {
+            "frames_sha256": _frames_sha256(result.frames),
+            "metrics_sha256": _sha256(json.dumps(metrics, sort_keys=True)),
+            "spans_sha256": _sha256(repr(span_tree_signature(result.spans))),
+        } == GOLDEN_CONTROL[policy]
 
 
 # -- Golden trace structure ------------------------------------------------

@@ -54,17 +54,6 @@ class TestSplitBrain:
         with pytest.raises(InvariantViolation, match="R1 split-brain"):
             Pipeline(scenario, config, trained=trained).run()
 
-    def test_fencing_off_without_the_monitor_runs_blind(self, shared):
-        # The regression harness mode: the buggy protocol completes and
-        # the damage is only visible in the metrics — which is exactly
-        # why the monitor is on by default.
-        scenario, trained = shared
-        config = small_config(
-            faults=PARTITION, epoch_fencing=False, check_invariants=False
-        )
-        result = Pipeline(scenario, config, trained=trained).run()
-        assert result.n_frames == 40
-
     def test_epoch_fencing_survives_the_same_schedule(self, shared):
         scenario, trained = shared
         config = small_config(faults=PARTITION, trace=True)

@@ -9,8 +9,6 @@ Acceptance criteria on the golden S1/seed-0 configuration:
 * an *armed* watchdog whose fault schedule never fires produces frame
   records identical to the fault-free run (the defense draws no RNG and
   never spuriously quarantines a healthy fleet);
-* ``fleet_health=False`` still injects the sensor fault — the failure
-  model and the defense are independently switchable;
 * same-seed defended runs are bit-identical.
 """
 
@@ -170,18 +168,6 @@ class TestDefenseIsolation:
         assert _counter_sum(armed, "health_suspects_total") == 0
         # ... and perturbed nothing: frame-for-frame identical results.
         assert pickle.dumps(armed.frames) == pickle.dumps(clean_run.frames)
-
-    def test_disabled_defense_still_injects_the_fault(self, trained_s1):
-        scenario, trained = trained_s1
-        undefended = run_policy(
-            scenario, "balb",
-            _config(faults=FREEZE_SPEC, fleet_health=False),
-            trained,
-        )
-        assert _counter_sum(
-            undefended, "sensor_frozen_frames_total"
-        ) == FREEZE_FOR
-        assert _counter_sum(undefended, "health_quarantines_total") == 0
 
 
 class TestDeterminism:

@@ -45,24 +45,29 @@ class TestPipelineConfig:
             PipelineConfig(gpu_jitter=-0.01)
         PipelineConfig(gpu_jitter=0.0)  # disabling jitter is fine
 
-    def test_invalid_link_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(link_timeout_ms=-1.0)
-        with pytest.raises(ValueError):
-            PipelineConfig(link_max_retries=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(link_backoff_ms=-1.0)
-
     @pytest.mark.parametrize(
-        "grid", [(0, 12), (16, 0), (-1, 4), (16,), (16, 12, 1), (2.0, 3),
-                 (True, 3), [16, 12], "16x12"],
+        "field, value",
+        [
+            ("faults", "bogus"),
+            ("faults", "crash:cam=1,at=-3"),
+            ("faults", 3),
+            ("train_duration_s", 0),
+            ("seed", -1),
+            ("max_camera_lag_frames", 2.5),
+        ],
     )
-    def test_bad_mask_grid_rejected_at_construction(self, grid):
-        with pytest.raises(ValueError, match="mask_grid"):
-            PipelineConfig(mask_grid=grid)
+    def test_bad_value_rejected_at_construction_naming_the_field(
+        self, field, value
+    ):
+        # Each of these used to construct cleanly and then raise from
+        # inside Pipeline.run.
+        with pytest.raises((ValueError, TypeError), match=field):
+            PipelineConfig(**{field: value})
 
-    def test_mask_grid_of_one_cell_accepted(self):
-        assert PipelineConfig(mask_grid=(1, 1)).mask_grid == (1, 1)
+    @pytest.mark.parametrize("faults", [None, "", "  ", "heavy", "wire",
+                                        "crash:cam=1,at=3,for=2"])
+    def test_valid_fault_inputs_accepted(self, faults):
+        assert PipelineConfig(faults=faults).faults == faults
 
     def test_every_edge_combines_with_checkpointing(self):
         """The burst and serving edges checkpoint like any other run."""
@@ -70,14 +75,6 @@ class TestPipelineConfig:
             faults="ingest", checkpoint_path="x", checkpoint_every=5,
             serve_subscribers=10,
         )
-
-    def test_retry_policy_reflects_link_knobs(self):
-        config = PipelineConfig(link_timeout_ms=80.0, link_max_retries=5,
-                                link_backoff_ms=10.0)
-        policy = config.retry_policy()
-        assert policy.max_attempts == 5
-        assert policy.timeout_ms == 80.0
-        assert policy.penalty_ms(2) == 100.0
 
 
 class TestTrainModels:
