@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.association.pairwise import PairwiseAssociator
-from repro.geometry.box import BBox, iou_cost_rows
+from repro.geometry.box import BBox, corner_array, iou_cost_blocks
 from repro.ml.hungarian import hungarian
 
 
@@ -48,21 +50,21 @@ class GlobalObject:
 
 
 class _UnionFind:
-    """Union-find over (camera_id, index) keys."""
+    """Union-find over integer ids ``0 .. n - 1``."""
 
-    def __init__(self) -> None:
-        self._parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    def __init__(self, n: int) -> None:
+        self._parent = list(range(n))
 
-    def find(self, key: Tuple[int, int]) -> Tuple[int, int]:
-        self._parent.setdefault(key, key)
+    def find(self, key: int) -> int:
+        parent = self._parent
         root = key
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[key] != root:  # path compression
-            self._parent[key], key = root, self._parent[key]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[key] != root:  # path compression
+            parent[key], key = root, parent[key]
         return root
 
-    def union(self, a: Tuple[int, int], b: Tuple[int, int]) -> None:
+    def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self._parent[rb] = ra
@@ -90,30 +92,24 @@ class CrossCameraMatcher:
         Returns global objects sorted by id, one per union-find group.
         """
         camera_ids = sorted(observations)
-        uf = _UnionFind()
-        # Seed every observation so singletons survive.
+        # Observation ``idx`` of camera ``cam`` is union-find id
+        # ``offset[cam] + idx``; every id starts as its own group, so
+        # singletons survive.
+        offset: Dict[int, int] = {}
+        total = 0
         for cam in camera_ids:
-            for idx in range(len(observations[cam])):
-                uf.find((cam, idx))
+            offset[cam] = total
+            total += len(observations[cam])
+        uf = _UnionFind(total)
+        if total:
+            self._merge_pairs(observations, camera_ids, offset, uf)
 
-        for pos, cam_a in enumerate(camera_ids):
-            obs_a = observations[cam_a]
-            if not obs_a:
-                continue
-            targets = [b for b in camera_ids[pos + 1 :] if observations[b]]
-            # One box list per source camera; pairs that can share one
-            # neighbour search over it find it there.
-            boxes = self.associator.queries(
-                cam_a, [obs.bbox for obs in obs_a], targets
-            )
-            for cam_b in targets:
-                self._match_pair(cam_a, boxes, cam_b, observations[cam_b], uf)
-
-        groups: Dict[Tuple[int, int], GlobalObject] = {}
+        groups: Dict[int, GlobalObject] = {}
         next_id = 0
         for cam in camera_ids:
+            base = offset[cam]
             for idx, obs in enumerate(observations[cam]):
-                root = uf.find((cam, idx))
+                root = uf.find(base + idx)
                 if root not in groups:
                     groups[root] = GlobalObject(global_id=next_id)
                     next_id += 1
@@ -123,40 +119,52 @@ class CrossCameraMatcher:
         return sorted(groups.values(), key=lambda g: g.global_id)
 
     # ------------------------------------------------------------------
-    def _match_pair(
+    def _merge_pairs(
         self,
-        cam_a: int,
-        boxes_a: List[BBox],
-        cam_b: int,
-        obs_b: Sequence[LocalObservation],
+        observations: Dict[int, Sequence[LocalObservation]],
+        camera_ids: List[int],
+        offset: Dict[int, int],
         uf: _UnionFind,
     ) -> None:
-        model = self.associator.model(cam_a, cam_b)
-        if model is None:
-            return
-        # One classifier call and one regressor call per camera pair per
-        # frame — sharing one feature build — instead of one of each per
-        # observation.
-        vis_idx, predicted_boxes = model.predict_visible_boxes(boxes_a)
-        if not vis_idx:
-            return
-        candidates: List[Tuple[int, BBox]] = [
-            (idx, predicted)
-            for idx, predicted in zip(vis_idx, predicted_boxes)
-            if predicted is not None
-        ]
-        if not candidates:
-            return
-        # Cost matrix as nested lists: iou_cost_rows is bit-identical to
-        # the per-pair ``1.0 - BBox.iou`` loop it replaces, and the list
-        # form feeds hungarian without an ndarray round-trip.
-        cost = iou_cost_rows(
-            [predicted for _, predicted in candidates],
-            [b.bbox for b in obs_b],
+        """Match every pair ``(a, b)``, ``b > a``, and merge accepted matches.
+
+        All boxes become one ``(n, 4)`` corner array, sliced per camera.
+        Each source camera's pairs are predicted in one
+        :meth:`PairwiseAssociator.predict_source` call, and every pair's
+        ``1.0 - IoU`` cost comes from one :func:`iou_cost_blocks` call.
+        """
+        boxes = corner_array(
+            [obs.bbox for cam in camera_ids for obs in observations[cam]]
         )
-        for row, col in hungarian(cost):
-            if cost[row][col] <= 1.0 - self.iou_threshold:
-                uf.union((cam_a, candidates[row][0]), (cam_b, col))
+        corners = [
+            boxes[offset[cam] : offset[cam] + len(observations[cam])]
+            for cam in camera_ids
+        ]
+        # Per pair with candidates: the source's and the target's first
+        # union-find id, the candidate rows, and the candidates' predicted
+        # and the target's observed corners.
+        pairs: List[Tuple[int, int, List[int], np.ndarray, np.ndarray]] = []
+        for pos, cam_a in enumerate(camera_ids):
+            if not len(corners[pos]):
+                continue
+            targets = [p for p in range(pos + 1, len(camera_ids)) if len(corners[p])]
+            if not targets:
+                continue
+            predictions = self.associator.predict_source(
+                cam_a, corners[pos], [camera_ids[p] for p in targets]
+            )
+            for target, (idx, predicted) in zip(targets, predictions):
+                if len(idx):
+                    pairs.append((
+                        offset[cam_a], offset[camera_ids[target]], idx.tolist(),
+                        predicted, corners[target],
+                    ))
+        costs = iou_cost_blocks([(p[3], p[4]) for p in pairs])
+        limit = 1.0 - self.iou_threshold
+        for (base_a, base_b, idx, _, _), cost in zip(pairs, costs):
+            for row, col in hungarian(cost):
+                if cost[row][col] <= limit:
+                    uf.union(base_a + idx[row], base_b + col)
 
 
 def association_quality(

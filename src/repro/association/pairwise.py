@@ -8,8 +8,9 @@ the same machinery.
 
 The matcher asks every ordered pair ``(i, i')`` about the same boxes of
 camera ``i``, and all of ``i``'s pair classifiers hold the same training
-rows. :class:`SourceIndex` exploits that: one neighbour search per
-source camera per call serves every pair, and a floating-point
+rows. :class:`SourceIndex` exploits that: one pass per source camera per
+call (:meth:`PairwiseAssociator.predict_source`) serves every pair with
+one neighbour search, one vote and one regression, and a floating-point
 certificate proves each pair's derived neighbours equal its own
 brute-force search, or sends that pair down the brute-force path.
 """
@@ -17,7 +18,7 @@ brute-force search, or sends that pair down the brute-force path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from repro.association.training import (
     box_features,
     target_to_box,
 )
-from repro.geometry.box import BBox
+from repro.geometry.box import BBox, corner_array
 from repro.ml.base import Classifier, Regressor
 from repro.ml.knn import KNNClassifier, KNNRegressor, _row_index
 from repro.ml.scaling import StandardScaler
@@ -45,6 +46,33 @@ def default_classifier_factory() -> Classifier:
 def default_regressor_factory() -> Regressor:
     """The paper's choice: KNN regression (distance weighted)."""
     return KNNRegressor(k=5, weighted=True)
+
+
+#: One pair's prediction for a source camera's boxes: the query rows
+#: classified visible that have a predicted box, and those boxes'
+#: ``(x1, y1, x2, y2)`` corners as a ``(len(idx), 4)`` float64 array.
+Prediction = Tuple[np.ndarray, np.ndarray]
+
+
+#: The prediction of a pair that predicts no boxes. Its arrays have no
+#: elements, so sharing it is safe.
+NO_BOXES: Prediction = (np.zeros(0, dtype=np.intp), np.zeros((0, 4)))
+
+
+def target_corners(targets: np.ndarray) -> np.ndarray:
+    """Box corners from regressed ``(cx, cy, w, h)`` rows (last axis).
+
+    Vectorized :func:`target_to_box`: the size clamp and the
+    centre±half-size arithmetic mirror ``target_to_box``/``BBox.from_xywh``
+    exactly (np.maximum is the same selection as max; w >= 2.0 subsumes
+    from_xywh's max(0.0, w)), so each corner is bit-identical.
+    """
+    cx, cy = targets[..., 0], targets[..., 1]
+    w = np.maximum(targets[..., 2], 2.0)
+    h = np.maximum(targets[..., 3], 2.0)
+    return np.stack(
+        (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0), axis=-1
+    )
 
 
 @dataclass
@@ -95,73 +123,44 @@ class PairModel:
         if self.regressor is None or self.feature_scaler is None or not boxes:
             return [None] * len(boxes)
         feats = self._scaled_features_batch(boxes)
-        return self._target_boxes(self.regressor.predict(feats))
+        corners = target_corners(self.regressor.predict(feats)).tolist()
+        return [BBox(*row) for row in corners]
 
     def predict_visible_boxes(
-        self, boxes: Sequence[BBox], threshold: float = 0.5
-    ) -> "tuple[List[int], List[Optional[BBox]]]":
-        """Fused :meth:`predict_visible_batch` + :meth:`predict_boxes`.
+        self, corners: np.ndarray, threshold: float = 0.5
+    ) -> Prediction:
+        """Fused :meth:`predict_visible_batch` + :meth:`predict_boxes` on corners.
 
-        Returns ``(vis_idx, predicted)`` where ``vis_idx`` indexes the
-        boxes classified visible and ``predicted`` is aligned with it.
-        The scaled feature matrix is built once and fed to both models;
-        row slicing commutes with the elementwise scaler and the KNN
-        distance rows are independent, so both outputs are bit-identical
-        to the two separate calls this replaces.
+        ``corners`` holds the source boxes as an ``(n, 4)`` array. Returns
+        ``(idx, boxes)``: the rows classified visible and their predicted
+        corners. A pair without a regressor predicts no boxes, so it
+        returns no rows. The scaled feature matrix is built once and fed
+        to both models; row slicing commutes with the elementwise scaler
+        and the KNN distance rows are independent, so both outputs are
+        bit-identical to the two separate calls this replaces.
 
-        When ``boxes`` is a :class:`SharedQueries` this pair reads, both
-        models take their neighbours from the source camera's shared
-        search where its certificate holds; the outputs are the same.
+        This is the per-pair path: each model runs its own brute-force
+        search. It is also the oracle of
+        :meth:`PairwiseAssociator.predict_source`'s shared pass.
         """
-        n = len(boxes)
-        search = boxes.search(self) if isinstance(boxes, SharedQueries) else None
+        n = len(corners)
         feats: Optional[np.ndarray] = None
         if self.constant_label is not None:
-            vis_idx = list(range(n)) if self.constant_label else []
+            idx = np.arange(n if self.constant_label else 0)
         elif self.classifier is None or self.feature_scaler is None or n == 0:
-            vis_idx = []
+            return NO_BOXES
         else:
-            if search is None:
-                feats = self._scaled_features_batch(boxes)
-                proba = self.classifier.predict_proba(feats)
-            else:
-                feats = search.feats
-                proba = search.vote(self.classifier)
-            vis_idx = [i for i in range(n) if proba[i] >= threshold]
-        if not vis_idx:
-            return vis_idx, []
-        if self.regressor is None or self.feature_scaler is None:
-            return vis_idx, [None] * len(vis_idx)
+            feats = self._scaled_corners(corners)
+            idx = np.flatnonzero(self.classifier.predict_proba(feats) >= threshold)
+        if not len(idx) or self.regressor is None or self.feature_scaler is None:
+            return NO_BOXES
         if feats is None:
-            cand_feats = self._scaled_features_batch(
-                [boxes[i] for i in vis_idx]
-            )
-        elif len(vis_idx) == n:
+            cand_feats = self._scaled_corners(corners[idx])
+        elif len(idx) == n:
             cand_feats = feats
         else:
-            cand_feats = feats[vis_idx]
-        if search is None:
-            targets = self.regressor.predict(cand_feats)
-        else:
-            targets = search.regress(self.regressor, cand_feats, vis_idx)
-        return vis_idx, self._target_boxes(targets)
-
-    @staticmethod
-    def _target_boxes(targets: np.ndarray) -> List[BBox]:
-        """Target-camera boxes from regressed ``(cx, cy, w, h)`` rows."""
-        # Vectorized target_to_box/from_xywh: the size clamp and the
-        # centre±half-size arithmetic mirror the scalar helpers exactly
-        # (np.maximum is the same selection as max; w >= 2.0 subsumes
-        # from_xywh's max(0.0, w)), so each BBox is bit-identical.
-        cx, cy = targets[:, 0], targets[:, 1]
-        w = np.maximum(targets[:, 2], 2.0)
-        h = np.maximum(targets[:, 3], 2.0)
-        x1, y1 = cx - w / 2.0, cy - h / 2.0
-        x2, y2 = cx + w / 2.0, cy + h / 2.0
-        return [
-            BBox(float(x1[i]), float(y1[i]), float(x2[i]), float(y2[i]))
-            for i in range(len(targets))
-        ]
+            cand_feats = feats[idx]
+        return idx, target_corners(self.regressor.predict(cand_feats))
 
     def _scaled_features(self, box: BBox) -> np.ndarray:
         assert self.feature_scaler is not None
@@ -169,15 +168,14 @@ class PairModel:
         return self.feature_scaler.transform(raw)
 
     def _scaled_features_batch(self, boxes: Sequence[BBox]) -> np.ndarray:
+        return self._scaled_corners(corner_array(boxes))
+
+    def _scaled_corners(self, corners: np.ndarray) -> np.ndarray:
         assert self.feature_scaler is not None
-        # Vectorized box_features: one corner gather + columnwise
-        # arithmetic instead of a per-box Python feature build. Every
+        # Vectorized box_features of an (n, 4) corner array. Every
         # expression mirrors box_features/as_xywh exactly (np.maximum is
         # the same exact selection as max), so rows are bit-identical.
-        corners = np.asarray(
-            [(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float
-        )
-        raw = np.empty((len(boxes), 5), dtype=float)
+        raw = np.empty((len(corners), 5), dtype=float)
         raw[:, 0] = (corners[:, 0] + corners[:, 2]) / 2.0  # cx
         raw[:, 1] = (corners[:, 1] + corners[:, 3]) / 2.0  # cy
         w = corners[:, 2] - corners[:, 0]
@@ -216,15 +214,22 @@ class PairwiseAssociator:
         """The fitted model for the ordered pair, or None if untrained."""
         return self._models.get((source, target))
 
-    def queries(
-        self, source: int, boxes: List[BBox], targets: Sequence[int]
-    ) -> List[BBox]:
-        """``boxes`` of ``source`` as the ``(source, t)`` pair models should get them.
+    def predict_source(
+        self,
+        source: int,
+        corners: np.ndarray,
+        targets: Sequence[int],
+        threshold: float = 0.5,
+    ) -> List[Prediction]:
+        """Every target's :meth:`PairModel.predict_visible_boxes` for one source.
 
-        When at least two of the ``targets`` pairs read the source's
-        :class:`SourceIndex`, returns the boxes as :class:`SharedQueries`,
-        so those pairs share one neighbour search; otherwise returns
-        ``boxes`` unchanged and every pair searches on its own.
+        ``corners`` holds the ``source`` camera's boxes as an ``(n, 4)``
+        array. Returns one ``(idx, boxes)`` per target, in order; an
+        untrained pair predicts none. The targets whose pair models are in
+        the source's :class:`SourceIndex` get theirs from one shared pass
+        (:meth:`SourceIndex.predict`); the others, and all of them when
+        that pass declines, from their own pair model. The outputs are
+        the same either way.
         """
         # Built on first use for associators unpickled from artifacts
         # older than the index.
@@ -232,17 +237,34 @@ class PairwiseAssociator:
         if sources is None:
             sources = self._sources = build_source_indexes(self._models)
         index = sources.get(source)
-        if index is None:
-            return boxes
-        readers = [t for t in targets if t in index.column]
-        if len(readers) < 2:
-            return boxes
-        return SharedQueries(boxes, index, readers)
+        readers = (
+            [t for t in targets if t in index.column]
+            if index is not None and len(corners)
+            else []
+        )
+        shared = index.predict(corners, readers, threshold) if readers else None
+        out = []
+        for target in targets:
+            if shared is not None and target in shared:
+                out.append(shared[target])
+                continue
+            model = self._models.get((source, target))
+            got = (
+                NO_BOXES if model is None
+                else model.predict_visible_boxes(corners, threshold)
+            )
+            if target in readers:
+                # Declined: its classifier call, and its regressor call
+                # when any box was visible, ran their own searches.
+                index.calls["fallback"] += 1 + (len(got[0]) > 0)
+            out.append(got)
+        return out
 
     def shared_calls(self) -> Dict[str, int]:
         """Pair-model calls that found a shared search, by outcome, since fit.
 
-        ``certified`` calls used the shared neighbours; ``fallback`` calls
+        Each classifier call and each regressor call counts once:
+        ``certified`` calls used the shared neighbours, ``fallback`` calls
         ran their own search because the certificate declined.
         """
         total = {"certified": 0, "fallback": 0}
@@ -346,11 +368,12 @@ def distance_tolerance(feats: np.ndarray, max_sq_norm: float) -> np.ndarray:
 class SourceIndex:
     """The pair models of one source camera, indexed for a shared search.
 
-    Holds only pairs whose classifier is a :class:`KNNClassifier` and
-    whose regressor, if any, is a :class:`KNNRegressor`, all with
-    byte-identical scaled training rows, scaler and classifier ``k``.
-    ``collect_association_dataset`` gives every pair of a source camera
-    the same rows, so on the simulated rigs that is every pair.
+    Holds only pairs whose classifier is an unweighted
+    :class:`KNNClassifier` and whose regressor, if any, is a weighted
+    :class:`KNNRegressor`, all with byte-identical scaled training rows,
+    scaler and classifier ``k``. ``collect_association_dataset`` gives
+    every pair of a source camera the same rows, so on the simulated rigs
+    that is every pair.
 
     Fitting finds the unique training rows (``rep``: the first source
     row of each; ``dup``: how many rows it stands for) and marks a unique
@@ -416,7 +439,8 @@ class SourceIndex:
         Per search model, ``counts`` holds how many of its training rows
         each unique row stands for (none when a regressor's target does
         not see it), ``rows`` the model's row for it, and ``k`` the
-        model's neighbour count.
+        model's neighbour count. ``rows[0]`` is the source row, so a
+        gather from the classifiers' ``_x`` gives any model's features.
         """
         models = list(self.models.values())
         ref = models[0].classifier
@@ -445,6 +469,108 @@ class SourceIndex:
             self.rows[col, :m] = (np.cumsum(visible) - 1)[self.rep]
             self.k[col] = min(reg.k, len(reg._y))
 
+    def predict(
+        self, corners: np.ndarray, readers: Sequence[int], threshold: float
+    ) -> Optional[Dict[int, Prediction]]:
+        """The ``readers`` targets' predictions from one shared pass.
+
+        One neighbour search serves every reader; one vote gives every
+        reader's visibility and one distance-weighted regression every
+        regressor's targets, each stacked over the readers. A reader whose
+        visible rows are not all certified regresses them with its own
+        search. Returns ``{target: (idx, boxes)}`` as
+        :meth:`PairModel.predict_visible_boxes` would, or None when the
+        classifier lists are not all certified or the regressors' ``k``
+        differ: then every reader takes its per-pair path.
+        """
+        if self.basis is None:
+            self.prepare()
+        models = [self.models[t] for t in readers]
+        regressed = [pos for pos, m in enumerate(models) if m.regressor is not None]
+        cols = np.asarray([0] + [self.column[readers[pos]] for pos in regressed])
+        k = self.k[cols]
+        if len(set(k[1:].tolist())) > 1:
+            return None
+        feats = models[0]._scaled_corners(corners)
+        ok, near = self._search(feats, cols, k)
+        if not ok[0].all():
+            return None
+        calls = self.calls
+        calls["certified"] += len(models)
+        classifiers = [m.classifier for m in models]
+        regressors = [models[pos].regressor for pos in regressed]
+        # Unweighted votes are sums of 0/1, exact in any order.
+        src = self.rows[0][near[0, :, : k[0]]]
+        votes = np.stack([clf._y[src] for clf in classifiers])
+        visible = votes.mean(axis=2) >= threshold
+        out = dict.fromkeys(readers, NO_BOXES)
+        if not regressed:
+            return out
+        # KNNRegressor.regress over a (regressors, queries, k, .) gather,
+        # with its expression grouping. Its sums run over axes shorter
+        # than 8, which numpy adds in order, so every row is bit-identical.
+        near = near[1:, :, : k[1]]
+        own = self.rows[cols[1:, None, None], near]
+        x = classifiers[0]._x[self.rows[0][near]]
+        y = np.stack([reg._y[own[i]] for i, reg in enumerate(regressors)])
+        weights = 1.0 / (np.linalg.norm(feats[:, None, :] - x, axis=3) + 1e-9)
+        boxes = target_corners(
+            (y * weights[..., None]).sum(axis=2) / weights.sum(axis=2)[..., None]
+        )
+        for i, pos in enumerate(regressed):
+            idx = np.flatnonzero(visible[pos])
+            if not len(idx):
+                continue
+            if ok[1 + i, idx].all():
+                calls["certified"] += 1
+                out[readers[pos]] = idx, boxes[i, idx]
+                continue
+            calls["fallback"] += 1
+            cand = feats if len(idx) == len(feats) else feats[idx]
+            out[readers[pos]] = idx, target_corners(regressors[i].predict(cand))
+        return out
+
+    def _search(
+        self, feats: np.ndarray, cols: np.ndarray, k: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One neighbour search for the search models ``cols``.
+
+        A single product and ``argpartition`` list each query's
+        ``SHARED_DEPTH`` nearest unique rows, nearest first. The last
+        listed row stands for every row past the list, as does a
+        ``mixed`` row: neither may be selected. A model's neighbours are
+        then the first ``k`` of its training rows in the list, counted
+        with multiplicity: the same list for every classifier, and for a
+        regressor only the rows visible on its target. A query's list is
+        certified for a model when every gap between consecutive listed
+        distances exceeds :func:`distance_tolerance` and the model's
+        ``k`` rows come before the first row that may not be selected:
+        its own brute-force search then selects rows of the same values
+        in the same order, and which duplicates it takes does not matter.
+
+        Returns ``ok`` (models, queries), whether each list is certified,
+        and ``near`` (models, queries, max k), the unique rows selected.
+        """
+        rows = _row_index(len(feats))
+        dist = feats @ self.basis
+        dist += self.norms
+        depth = min(SHARED_DEPTH, dist.shape[1])
+        near = np.argpartition(dist, depth - 1, axis=1)[:, :depth]
+        near_dist = dist[rows, near]
+        order = np.argsort(near_dist, axis=1)
+        near = near[rows, order]
+        near_dist = near_dist[rows, order]
+        tol = distance_tolerance(feats, self.max_sq_norm)[:, None]
+        certified = (near_dist[:, 1:] - near_dist[:, :-1] > tol).all(axis=1)
+        stop = self.mixed[near]
+        stop[:, -1] = True
+        counts = np.where(stop, self.big, self.counts[cols[:, None, None], near])
+        cum = np.cumsum(counts, axis=2)
+        last = (cum >= k[:, None, None]).argmax(axis=2)
+        ok = certified & (last < stop.argmax(axis=1))
+        slot_pos = (cum[:, :, None, :] > np.arange(k.max())[:, None]).argmax(axis=3)
+        return ok, near[rows, slot_pos]
+
 
 def _shares_rows(ref: PairModel, model: PairModel) -> bool:
     """Can ``model`` join the source index whose first member is ``ref``?"""
@@ -462,15 +588,21 @@ def _shares_rows(ref: PairModel, model: PairModel) -> bool:
 
 
 def _indexable(model: PairModel) -> bool:
-    """KNN pair whose regressor rows are its visible classifier rows."""
+    """KNN pair the shared pass mirrors, with its visible rows as regressor rows.
+
+    The shared pass mirrors unweighted votes and weighted regressions
+    only; pairs with the other weightings keep their per-pair path.
+    """
     clf, reg = model.classifier, model.regressor
-    if not isinstance(clf, KNNClassifier) or clf._x is None:
+    if not isinstance(clf, KNNClassifier) or clf._x is None or clf.weighted:
         return False
     if model.feature_scaler is None or model.constant_label is not None:
         return False
     if reg is None:
         return True
     if not isinstance(reg, KNNRegressor) or reg._x is None or reg._y is None:
+        return False
+    if not reg.weighted:
         return False
     assert clf._y is not None
     return reg._x.tobytes() == clf._x[clf._y == 1.0].tobytes()
@@ -492,116 +624,3 @@ def build_source_indexes(
         for source, members in by_source.items()
         if len(members) >= 2
     }
-
-
-class SharedQueries(list):
-    """Boxes of one source camera that several pair models query in one call.
-
-    To any other reader this is a plain list. The pair models of the
-    ``readers`` targets also find the source's shared neighbour search on
-    it, run by whichever of them asks first.
-    """
-
-    def __init__(
-        self, boxes: Sequence[BBox], index: SourceIndex, readers: Sequence[int]
-    ) -> None:
-        super().__init__(boxes)
-        self.index = index
-        # Slot 0 of the search is the classifiers'.
-        self.slots = {target: slot for slot, target in enumerate(readers, start=1)}
-        self._search: Optional[_SharedSearch] = None
-
-    def search(self, model: PairModel) -> Optional["_PairSearch"]:
-        """``model``'s view of the shared search, or None if it reads none."""
-        source, target = model.pair
-        index = self.index
-        slot = self.slots.get(target)
-        if slot is None or source != index.source or index.models[target] is not model:
-            return None
-        if self._search is None:
-            self._search = _SharedSearch(index, self, list(self.slots))
-        return _PairSearch(self._search, slot)
-
-
-class _SharedSearch:
-    """One source camera's neighbour search over one set of query boxes.
-
-    A single product and ``argpartition`` list each query's
-    ``SHARED_DEPTH`` nearest unique rows, nearest first. The last listed
-    row stands for every row past the list, as does a ``mixed`` row:
-    neither may be selected. A model's neighbours are then the first
-    ``k`` of its training rows in the list, counted with multiplicity:
-    the same list for every classifier, and for a regressor only the
-    rows visible on its target. A query's list is certified for a model
-    when every gap between consecutive listed distances exceeds
-    :func:`distance_tolerance` and the model's ``k`` rows come before the
-    first row that may not be selected: its own brute-force search then
-    selects rows of the same values in the same order, and which
-    duplicates it takes does not matter.
-    """
-
-    def __init__(
-        self, index: SourceIndex, boxes: Sequence[BBox], readers: List[int]
-    ) -> None:
-        if index.basis is None:
-            index.prepare()
-        feats = index.models[readers[0]]._scaled_features_batch(boxes)
-        self.feats = feats
-        self.calls = index.calls
-        rows = _row_index(len(feats))
-        dist = feats @ index.basis
-        dist += index.norms
-        depth = min(SHARED_DEPTH, dist.shape[1])
-        near = np.argpartition(dist, depth - 1, axis=1)[:, :depth]
-        near_dist = dist[rows, near]
-        order = np.argsort(near_dist, axis=1)
-        near = near[rows, order]
-        near_dist = near_dist[rows, order]
-        tol = distance_tolerance(feats, index.max_sq_norm)[:, None]
-        certified = (near_dist[:, 1:] - near_dist[:, :-1] > tol).all(axis=1)
-        stop = index.mixed[near]
-        stop[:, -1] = True
-        # Model axis: the classifiers, then each reader's regressor.
-        models = np.asarray([0] + [index.column[t] for t in readers])
-        k = index.k[models]
-        models = models[:, None, None]
-        cum = np.cumsum(np.where(stop, index.big, index.counts[models, near]), axis=2)
-        last = (cum >= k[:, None, None]).argmax(axis=2)
-        self.ok = certified & (last < stop.argmax(axis=1))
-        slot_pos = (cum[:, :, None, :] > np.arange(k.max())[:, None]).argmax(axis=3)
-        self.idx = index.rows[models, near[rows, slot_pos]]
-        self.k = k.tolist()
-        self.cls_ok = bool(self.ok[0].all())
-
-
-class _PairSearch:
-    """One pair model's view of a :class:`_SharedSearch`."""
-
-    __slots__ = ("feats", "_search", "_slot")
-
-    def __init__(self, search: _SharedSearch, slot: int) -> None:
-        self.feats = search.feats
-        self._search = search
-        self._slot = slot
-
-    def vote(self, classifier: Classifier) -> np.ndarray:
-        """``classifier.predict_proba(self.feats)``, from shared neighbours if certified."""
-        assert isinstance(classifier, KNNClassifier)
-        search = self._search
-        if search.cls_ok:
-            search.calls["certified"] += 1
-            return classifier.vote(self.feats, search.idx[0, :, : search.k[0]])
-        search.calls["fallback"] += 1
-        return classifier.predict_proba(self.feats)
-
-    def regress(
-        self, regressor: Regressor, feats: np.ndarray, vis_idx: List[int]
-    ) -> np.ndarray:
-        """``regressor.predict(feats)`` for the query rows ``vis_idx``, likewise."""
-        assert isinstance(regressor, KNNRegressor)
-        search, slot = self._search, self._slot
-        if search.ok[slot, vis_idx].all():
-            search.calls["certified"] += 1
-            return regressor.regress(feats, search.idx[slot, vis_idx, : search.k[slot]])
-        search.calls["fallback"] += 1
-        return regressor.predict(feats)

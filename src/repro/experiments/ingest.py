@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 from repro.experiments.report import format_table
+from repro.faults.schedule import FaultSchedule
+from repro.faults.spec import fault_source
 from repro.runtime.pipeline import PipelineConfig, TrainedModels, run_policy
 from repro.scenarios.builder import Scenario
 
@@ -67,9 +69,23 @@ def ingest_point(
     burst: str,
     capacity: int = 2,
 ) -> IngestPoint:
-    """One (ingest policy, burst spec) cell."""
+    """One (ingest policy, burst spec) cell.
+
+    Clauses on cameras outside the scenario's rig are dropped, because
+    ``Pipeline`` rejects them: the quick report runs the staggered sweep,
+    written for cameras 0-2, on S2, whose rig has cameras 0 and 1. That
+    clause never fired, so dropping it changes no number; the table
+    still prints ``burst`` as given.
+    """
+    rig = {cam.camera_id for cam in scenario.cameras}
+    schedule = fault_source(burst)
+    assert isinstance(schedule, FaultSchedule)
     cfg = replace(
-        base, faults=burst, ingest_policy=ingest_policy,
+        base,
+        faults=FaultSchedule(
+            [e for e in schedule.events if e.camera_id is None or e.camera_id in rig]
+        ),
+        ingest_policy=ingest_policy,
         ingest_capacity=capacity,
     )
     result = run_policy(scenario, cfg.policy, cfg, trained)

@@ -241,22 +241,23 @@ def quantized_region(
     return BBox.from_xywh(cx, cy, float(size), float(size)), size
 
 
-def iou_matrix(
-    boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]
-) -> np.ndarray:
-    """Dense IoU matrix between two box lists (rows: a, cols: b).
+def corner_array(boxes: Sequence[BBox]) -> np.ndarray:
+    """The boxes' ``(x1, y1, x2, y2)`` corners as an ``(n, 4)`` float64 array."""
+    return np.array(
+        [(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float
+    ).reshape(-1, 4)
 
-    Every entry is bit-identical to ``boxes_a[i].iou(boxes_b[j])``: the
-    batched expressions mirror :meth:`BBox.intersection`/:meth:`BBox.iou`
-    term for term (np.minimum/np.maximum are the same exact selections as
-    min/max, and the union grouping matches the scalar left-to-right
-    evaluation), so matchers built on either form agree exactly.
+
+def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corner arrays ``a`` and ``b`` (last axis ``x1, y1, x2, y2``).
+
+    The leading axes broadcast against each other: ``a[:, None]``
+    against ``b[None]`` gives the dense ``(n, m)`` matrix. Every entry is
+    bit-identical to :meth:`BBox.iou` of the two boxes: the expressions
+    mirror :meth:`BBox.intersection`/:meth:`BBox.iou` term for term
+    (np.minimum/np.maximum are the same exact selections as min/max, and
+    the union grouping matches the scalar left-to-right evaluation).
     """
-    n, m = len(boxes_a), len(boxes_b)
-    if n == 0 or m == 0:
-        return np.zeros((n, m))
-    a = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes_a]).reshape(-1, 1, 4)
-    b = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes_b]).reshape(1, -1, 4)
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
@@ -267,6 +268,22 @@ def iou_matrix(
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((inter == 0.0) | (union <= 0.0), 0.0, inter / union)
+
+
+def iou_matrix(
+    boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]
+) -> np.ndarray:
+    """Dense IoU matrix between two box lists (rows: a, cols: b).
+
+    Every entry is bit-identical to ``boxes_a[i].iou(boxes_b[j])`` (see
+    :func:`iou_corners`), so matchers built on either form agree exactly.
+    """
+    n, m = len(boxes_a), len(boxes_b)
+    if n == 0 or m == 0:
+        return np.zeros((n, m))
+    return iou_corners(
+        corner_array(boxes_a)[:, None, :], corner_array(boxes_b)[None, :, :]
+    )
 
 
 #: Below this many cells, the scalar mirror of the batched IoU chain is
@@ -280,18 +297,30 @@ def iou_cost_rows(
     """``1.0 - IoU`` cost matrix as nested lists (rows: a, cols: b).
 
     Bit-identical to ``(1.0 - iou_matrix(boxes_a, boxes_b)).tolist()``
-    on every entry: small matrices run a scalar mirror of the batched
-    expression — same min/max selections, same term grouping, same
-    ``1.0 - x`` subtraction — and larger ones take the batched path,
-    whose tolist round-trip is exact for float64.
+    on every entry: small matrices run :func:`scalar_iou_cost_rows` and
+    larger ones take the batched path, whose tolist round-trip is exact
+    for float64.
     """
     n, m = len(boxes_a), len(boxes_b)
     if n * m > _IOU_SCALAR_MAX_CELLS:
         return (1.0 - iou_matrix(boxes_a, boxes_b)).tolist()
-    corners_b = [(b.x1, b.y1, b.x2, b.y2) for b in boxes_b]
+    return scalar_iou_cost_rows(
+        [(b.x1, b.y1, b.x2, b.y2) for b in boxes_a],
+        [(b.x1, b.y1, b.x2, b.y2) for b in boxes_b],
+    )
+
+
+def scalar_iou_cost_rows(
+    corners_a: Sequence[Sequence[float]], corners_b: Sequence[Sequence[float]]
+) -> List[List[float]]:
+    """``1.0 - IoU`` of corner rows ``(x1, y1, x2, y2)``, in plain Python.
+
+    A scalar mirror of ``1.0 - iou_corners``: same min/max selections,
+    same term grouping, same ``1.0 - x`` subtraction, so every entry is
+    bit-identical to it.
+    """
     rows: List[List[float]] = []
-    for a in boxes_a:
-        ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
+    for ax1, ay1, ax2, ay2 in corners_a:
         area_a = (ax2 - ax1) * (ay2 - ay1)
         row: List[float] = []
         for bx1, by1, bx2, by2 in corners_b:
@@ -308,6 +337,34 @@ def iou_cost_rows(
                 row.append(1.0 - inter / union)
         rows.append(row)
     return rows
+
+
+def iou_cost_blocks(
+    pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
+) -> List[List[List[float]]]:
+    """``1.0 - IoU`` of each ``(a, b)`` pair of corner arrays, as nested lists.
+
+    Every block is bit-identical to :func:`iou_cost_rows` of the same
+    boxes. With more than ``_IOU_SCALAR_MAX_CELLS`` cells in all, one
+    broadcast :func:`iou_corners` call scores every row of every ``a``
+    against its ``b`` padded to the widest, and slicing off the padding
+    columns leaves each block; with fewer, :func:`scalar_iou_cost_rows`
+    scores each pair, faster than numpy's per-call overhead.
+    """
+    if sum(len(a) * len(b) for a, b in pairs) <= _IOU_SCALAR_MAX_CELLS:
+        return [scalar_iou_cost_rows(a.tolist(), b.tolist()) for a, b in pairs]
+    padded = np.zeros((len(pairs), max(len(b) for _, b in pairs), 4))
+    for i, (_, b) in enumerate(pairs):
+        padded[i, : len(b)] = b
+    which = np.repeat(np.arange(len(pairs)), [len(a) for a, _ in pairs])
+    rows = np.concatenate([a for a, _ in pairs])[:, None, :]
+    cost = (1.0 - iou_corners(rows, padded[which])).tolist()
+    blocks = []
+    start = 0
+    for a, b in pairs:
+        blocks.append([row[: len(b)] for row in cost[start : start + len(a)]])
+        start += len(a)
+    return blocks
 
 
 def pairwise_iou_matrix(

@@ -81,8 +81,9 @@ class _KNNModel:
     k nearest training rows, and the subclass's voting or regression
     turns those rows into outputs. The second step depends only on the
     values of the selected rows, in order, so a caller that knows the
-    same rows by other means (the shared per-camera search in
-    :mod:`repro.association.pairwise`) can skip the first.
+    same rows by other means can replay it: the per-source association
+    pass in :mod:`repro.association.pairwise` mirrors it, stacked over
+    several models, on its shared neighbours.
     """
 
     def __init__(self, k: int, weighted: bool) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+import math
 import pickle
 from typing import Dict, List, Optional, Tuple
 
@@ -188,6 +189,10 @@ class PipelineConfig:
             raise ValueError("horizon must be >= 1")
         if self.n_horizons < 1:
             raise ValueError("n_horizons must be >= 1")
+        # NaN passes every ordering check below, so finiteness is its own.
+        for name in ("warmup_s", "train_duration_s", "gpu_jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite; got {getattr(self, name)!r}")
         if self.train_duration_s <= 0:
             raise ValueError("train_duration_s must be positive")
         if self.seed < 0:
@@ -372,6 +377,25 @@ def _typical_box_sizes(dataset, default: Dict[int, float]) -> Dict[int, float]:
     } or dict(default)
 
 
+def _check_fault_cameras(faults: object, scenario: Scenario) -> None:
+    """Reject scripted fault events on cameras the scenario's rig lacks.
+
+    Such an event would never fire. A :class:`FaultModel` draws its
+    cameras from the rig, so only schedules are checked.
+    """
+    source = fault_source(faults)
+    if not isinstance(source, FaultSchedule):
+        return
+    rig_ids = sorted(cam.camera_id for cam in scenario.cameras)
+    for event in source.events:
+        if event.camera_id is not None and event.camera_id not in rig_ids:
+            raise ValueError(
+                f"faults: {event.kind.value} event names camera "
+                f"{event.camera_id}, which is not in the {scenario.name} rig; "
+                f"its cameras are {rig_ids}"
+            )
+
+
 class Pipeline:
     """Runs one policy over one scenario and collects metrics."""
 
@@ -384,6 +408,7 @@ class Pipeline:
     ) -> None:
         self.scenario = scenario
         self.config = config or PipelineConfig()
+        _check_fault_cameras(self.config.faults, scenario)
         need_assoc = self.config.policy in _CENTRALIZED
         self.trained = trained or train_models(
             scenario, self.config, need_association=need_assoc

@@ -11,7 +11,10 @@ from repro.association.matcher import (
 )
 from repro.association.pairwise import PairwiseAssociator
 from repro.association.training import AssociationDataset
-from repro.geometry.box import BBox
+from repro.geometry.box import BBox, corner_array
+from repro.runtime.pipeline import Pipeline, PipelineConfig, train_models
+from repro.scenarios.aic21 import get_scenario
+from tests.ml.reference_hungarian import reference_hungarian
 
 
 def shift_dataset(n=1500, seed=0, dx=200.0):
@@ -127,3 +130,69 @@ class TestAssociationQuality:
         )
         correct, wrong, _ = association_quality([g])
         assert correct == 0 and wrong == 1
+
+
+def _reference_associate(associator, iou_threshold, observations):
+    """Per-pair matching on BBox objects: one list of members per global object.
+
+    Each pair runs its own brute-force pair model, scores ``1.0 - BBox.iou``
+    per box pair, solves with the frozen unseeded Hungarian, and merges
+    through a union-find keyed by ``(camera, index)``.
+    """
+    parent = {}
+
+    def find(key):
+        parent.setdefault(key, key)
+        while parent[key] != key:
+            key = parent[key]
+        return key
+
+    cameras = sorted(observations)
+    for pos, a in enumerate(cameras):
+        for b in cameras[pos + 1 :]:
+            model = associator.model(a, b)
+            if model is None or not observations[a] or not observations[b]:
+                continue
+            boxes = corner_array([o.bbox for o in observations[a]])
+            idx, predicted = model.predict_visible_boxes(boxes)
+            cost = [
+                [1.0 - BBox(*p).iou(o.bbox) for o in observations[b]]
+                for p in predicted.tolist()
+            ]
+            for r, c in reference_hungarian(cost) if cost else []:
+                if cost[r][c] <= 1.0 - iou_threshold:
+                    ra, rb = find((a, int(idx[r]))), find((b, c))
+                    if ra != rb:
+                        parent[rb] = ra
+    groups = {}
+    for cam in cameras:
+        for i, o in enumerate(observations[cam]):
+            groups.setdefault(find((cam, i)), {}).setdefault(cam, o)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("scenario_name", ["S1", "S3"])
+def test_associate_equals_the_per_pair_reference(scenario_name, monkeypatch):
+    """On recorded key frames, ``associate`` forms the reference's objects."""
+    frames = []
+    original = CrossCameraMatcher.associate
+
+    def recording(self, observations):
+        found = original(self, observations)
+        frames.append((self, observations, found))
+        return found
+
+    monkeypatch.setattr(CrossCameraMatcher, "associate", recording)
+    scenario = get_scenario(scenario_name, seed=0)
+    config = PipelineConfig(policy="balb", horizon=1, n_horizons=15, seed=0)
+    Pipeline(scenario, config, train_models(scenario, config)).run()
+    assert len(frames) >= 15
+    merged = 0
+    for matcher, observations, found in frames:
+        want = _reference_associate(
+            matcher.associator, matcher.iou_threshold, observations
+        )
+        assert [g.global_id for g in found] == list(range(len(want)))
+        assert [g.members for g in found] == want
+        merged += sum(len(members) > 1 for members in want)
+    assert merged > 0

@@ -1,9 +1,9 @@
-"""The shared per-source neighbour search equals the per-pair searches.
+"""The per-source association pass equals the per-pair path.
 
-Every output the shared path produces is compared with the brute-force
-per-pair path (``_k_nearest`` inside each model) by ``tobytes()``: the
-classifier probabilities, the regressed targets and the boxes the
-matcher sees.
+Every output of :meth:`PairwiseAssociator.predict_source` is compared
+with each pair model's own :meth:`PairModel.predict_visible_boxes`,
+whose classifier and regressor run their brute-force ``_k_nearest``
+search, by ``tobytes()``: the visible rows and the predicted corners.
 """
 
 import pickle
@@ -15,9 +15,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.association import pairwise
-from repro.association.pairwise import PairwiseAssociator, SharedQueries
+from repro.association.pairwise import NO_BOXES, PairwiseAssociator
 from repro.association.training import AssociationDataset
-from repro.geometry.box import BBox
+from repro.geometry.box import BBox, corner_array
 from repro.ml.knn import KNNClassifier, KNNRegressor
 from repro.runtime.pipeline import Pipeline, PipelineConfig, train_models
 from repro.scenarios.aic21 import get_scenario
@@ -38,30 +38,26 @@ def _fit(dataset, k_cls=7, k_reg=5):
     ).fit(dataset)
 
 
-def _assert_shared_equals_per_pair(assoc, boxes, targets):
-    """Every reader's outputs through SharedQueries equal its own search's."""
-    shared = assoc.queries(0, list(boxes), targets)
-    for target in targets:
+def _assert_source_equals_per_pair(assoc, boxes, targets):
+    """``predict_source`` gives every target its per-pair prediction."""
+    corners = corner_array(boxes)
+    got = assoc.predict_source(0, corners, targets)
+    assert len(got) == len(targets)
+    for target, (idx, predicted) in zip(targets, got):
         model = assoc.model(0, target)
-        if model is None:
-            continue
-        got = model.predict_visible_boxes(shared)
-        want = model.predict_visible_boxes(list(boxes))
-        assert got[0] == want[0]
-        assert [b and b.as_tuple() for b in got[1]] == [
-            b and b.as_tuple() for b in want[1]
-        ]
-        search = shared.search(model) if isinstance(shared, SharedQueries) else None
-        if search is None:
-            continue
-        feats = model._scaled_features_batch(list(boxes))
-        assert search.feats.tobytes() == feats.tobytes()
-        proba = search.vote(model.classifier)
-        assert proba.tobytes() == model.classifier.predict_proba(feats).tobytes()
-        if model.regressor is not None:
-            rows = list(range(len(boxes)))
-            reg = search.regress(model.regressor, feats, rows)
-            assert reg.tobytes() == model.regressor.predict(feats).tobytes()
+        want_idx, want = (
+            NO_BOXES if model is None else model.predict_visible_boxes(corners)
+        )
+        assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes()
+        assert predicted.shape == want.shape == (len(idx), 4)
+        assert predicted.dtype == want.dtype and predicted.tobytes() == want.tobytes()
+        # The per-pair path agrees with the BBox-level batch APIs.
+        if model is not None and len(want_idx):
+            visible = model.predict_visible_batch(boxes)
+            if model.constant_label is None:
+                assert np.flatnonzero(visible).tolist() == want_idx.tolist()
+            rows = model.predict_boxes([boxes[i] for i in want_idx])
+            assert [b.as_tuple() for b in rows] == [tuple(r) for r in want.tolist()]
 
 
 # A coarse grid makes distinct rows at equal distance from a query
@@ -105,20 +101,27 @@ _query_coord = st.one_of(st.integers(0, 12).map(lambda v: 100.0 + 5.0 * v), _fre
 @given(
     data=training_sets(),
     k_cls=st.integers(1, 9),
-    k_reg=st.integers(1, 6),
+    k_reg=st.sampled_from([1, 2, 3, 3, 3, 4, 5, 6]),
     queries=st.lists(
         st.tuples(_query_coord, _query_coord, _size, _size), min_size=1, max_size=6
     ),
     from_training=st.integers(0, 3),
+    subset=st.integers(0, 7),
 )
-def test_shared_path_is_bit_identical(data, k_cls, k_reg, queries, from_training):
-    """Grid midpoints (equal distances), free points, and training rows."""
+def test_shared_path_is_bit_identical(data, k_cls, k_reg, queries, from_training, subset):
+    """Grid midpoints (equal distances), free points, and training rows.
+
+    ``subset`` picks the targets asked, so single readers are covered.
+    """
     ds, n_targets, bases = data
     assoc = _fit(ds, k_cls, k_reg)
     boxes = [BBox.from_xywh(*q) for q in queries]
     boxes += [BBox.from_xywh(*b) for b in bases[:from_training]]
-    _assert_shared_equals_per_pair(assoc, boxes, list(range(1, n_targets + 1)))
+    targets = [t for t in range(1, n_targets + 1) if subset >> (t - 1) & 1]
+    targets = targets or [n_targets]
+    _assert_source_equals_per_pair(assoc, boxes, targets)
     calls = assoc.shared_calls()
+    event("single target" if len(targets) == 1 else "several targets")
     event("some calls certified" if calls["certified"] else "none certified")
     event("some calls fell back" if calls["fallback"] else "none fell back")
 
@@ -151,14 +154,45 @@ def _generic_queries(n=11, seed=1):
     ]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_targets=st.integers(2, 4),
+    subset=st.integers(1, 15),
+    k_reg=st.integers(1, 6),
+)
+def test_generic_sources_are_bit_identical(seed, n_targets, subset, k_reg):
+    """Generic rows certify, so this mostly runs the stacked vote and regression."""
+    rng = np.random.default_rng(seed)
+    ds = AssociationDataset()
+    edges = rng.uniform(200.0, 800.0, n_targets)
+    rows = []
+    for _ in range(int(rng.integers(40, 300))):
+        src = BBox.from_xywh(
+            rng.uniform(0, 1000), rng.uniform(100, 600),
+            rng.uniform(30, 80), rng.uniform(20, 60),
+        )
+        rows.append(src)
+        for t in range(1, n_targets + 1):
+            visible = src.x1 + rng.normal(0.0, 80.0) < edges[t - 1]
+            dst = src.translate(40.0 * t + rng.normal(0.0, 5.0), -10.0)
+            ds.pair(0, t).add(src, dst if visible else None)
+    assoc = _fit(ds, k_reg=k_reg)
+    queries = _generic_queries(int(rng.integers(1, 14)), seed=seed % 1000)
+    queries += rows[: int(rng.integers(0, 3))]
+    targets = [t for t in range(1, n_targets + 1) if subset >> (t - 1) & 1]
+    _assert_source_equals_per_pair(assoc, queries, targets or [1])
+    calls = assoc.shared_calls()
+    event("some calls certified" if calls["certified"] else "none certified")
+    event("some calls fell back" if calls["fallback"] else "none fell back")
+
+
 class TestCertificate:
     def test_generic_queries_take_the_certified_path(self):
         assoc = _fit(_generic_dataset())
-        shared = assoc.queries(0, _generic_queries(), [1, 2, 3])
-        for t in (1, 2, 3):
-            assoc.model(0, t).predict_visible_boxes(shared)
+        assoc.predict_source(0, corner_array(_generic_queries()), [1, 2, 3])
         assert assoc.shared_calls() == {"certified": 6, "fallback": 0}
-        _assert_shared_equals_per_pair(assoc, _generic_queries(), [1, 2, 3])
+        _assert_source_equals_per_pair(assoc, _generic_queries(), [1, 2, 3])
 
     def test_equal_distance_declines_and_falls_back(self):
         """Two distinct rows exactly as far from the query decide k=1."""
@@ -177,7 +211,7 @@ class TestCertificate:
         rows = assoc.model(0, 1).classifier._x
         d_left, d_right = (float(np.sum((feats - rows[i]) ** 2)) for i in (0, 1))
         assert d_left == pytest.approx(d_right, rel=1e-12)
-        _assert_shared_equals_per_pair(assoc, [query], [1, 2])
+        _assert_source_equals_per_pair(assoc, [query], [1, 2])
         assert assoc.shared_calls()["fallback"] > 0
 
     def test_mixed_duplicates_decline(self):
@@ -191,8 +225,22 @@ class TestCertificate:
             for i, other in enumerate(others):
                 ds.pair(0, t).add(other, other.translate(50.0, 0.0) if i % 2 else None)
         assoc = _fit(ds, k_cls=1, k_reg=1)
-        _assert_shared_equals_per_pair(assoc, [box], [1, 2])
+        _assert_source_equals_per_pair(assoc, [box], [1, 2])
         assert assoc.shared_calls()["fallback"] > 0
+
+    def test_an_uncertified_regressor_searches_on_its_own(self):
+        """Target 2's fifth visible row lies past the shared list; target 1's do not."""
+        ds = AssociationDataset()
+        for i in range(1, 41):
+            src = BBox.from_xywh(100.0 + 3.0 * i, 300.0, 40.0, 30.0)
+            ds.pair(0, 1).add(src, src.translate(50.0, 0.0) if i < 30 else None)
+            seen = i <= 4 or i >= 35
+            ds.pair(0, 2).add(src, src.translate(80.0, 0.0) if seen else None)
+        assoc = _fit(ds)
+        query = BBox.from_xywh(100.0, 300.0, 40.0, 30.0)
+        _assert_source_equals_per_pair(assoc, [query], [1, 2])
+        # Both votes and target 1's regression used the shared list.
+        assert assoc.shared_calls() == {"certified": 3, "fallback": 1}
 
     def test_k_above_the_row_count(self):
         ds = AssociationDataset()
@@ -201,7 +249,25 @@ class TestCertificate:
             ds.pair(0, t).add(src, src.translate(10.0, 0.0))
             ds.pair(0, t).add(src.translate(300.0, 0.0), None)
         assoc = _fit(ds)
-        _assert_shared_equals_per_pair(assoc, _generic_queries(5), [1, 2])
+        _assert_source_equals_per_pair(assoc, _generic_queries(5), [1, 2])
+
+    def test_regressors_with_different_k_take_the_per_pair_path(self):
+        """Target 2 sees 3 rows, so its regressor's k is 3, not 5."""
+        rng = np.random.default_rng(0)
+        ds = AssociationDataset()
+        for i in range(200):
+            src = BBox.from_xywh(
+                rng.uniform(0, 1000), rng.uniform(100, 600),
+                rng.uniform(30, 80), rng.uniform(20, 60),
+            )
+            ds.pair(0, 1).add(src, src.translate(40.0, 0.0) if src.x1 < 500.0 else None)
+            ds.pair(0, 2).add(src, src.translate(80.0, 0.0) if i < 3 else None)
+        assoc = _fit(ds)
+        index = assoc._sources[0]
+        assert index.k[index.column[1]] == 5 and index.k[index.column[2]] == 3
+        _assert_source_equals_per_pair(assoc, _generic_queries(), [1, 2])
+        calls = assoc.shared_calls()
+        assert calls["certified"] == 0 and calls["fallback"] >= 3
 
     def test_tolerance_covers_float_error(self):
         """Distances computed two ways differ by far less than the tolerance."""
@@ -217,11 +283,12 @@ class TestCertificate:
 
 
 class TestSharingRule:
-    def test_single_reader_keeps_the_per_pair_path(self):
+    def test_single_reader_shares_the_search(self):
+        """One target is enough to read the source's index."""
         assoc = _fit(_generic_dataset())
-        boxes = _generic_queries()
-        assert assoc.queries(0, boxes, [2]) is boxes
-        assert isinstance(assoc.queries(0, boxes, [1, 2]), SharedQueries)
+        assoc.predict_source(0, corner_array(_generic_queries()), [2])
+        assert assoc.shared_calls() == {"certified": 2, "fallback": 0}
+        _assert_source_equals_per_pair(assoc, _generic_queries(), [2])
 
     def test_constant_label_pairs_are_not_readers(self):
         ds = _generic_dataset(targets=(1, 2))
@@ -229,25 +296,29 @@ class TestSharingRule:
         for box in [src] * 20:
             ds.pair(0, 3).add(box, None)
         assoc = _fit(ds)
-        shared = assoc.queries(0, _generic_queries(), [1, 2, 3])
-        assert isinstance(shared, SharedQueries)
-        assert set(shared.slots) == {1, 2}
-        assert shared.search(assoc.model(0, 3)) is None
+        assert set(assoc._sources[0].column) == {1, 2}
+        _assert_source_equals_per_pair(assoc, _generic_queries(), [1, 2, 3])
+        assert assoc.shared_calls() == {"certified": 4, "fallback": 0}
 
     def test_search_runs_once_and_lazily(self, monkeypatch):
-        assoc = _fit(_generic_dataset())
+        """One search per call, and none when no target reads the index."""
+        ds = _generic_dataset()
+        for box in [BBox.from_xywh(100.0, 300.0, 40.0, 30.0)] * 20:
+            ds.pair(0, 4).add(box, None)
+        assoc = _fit(ds)
         runs = []
-        original = pairwise._SharedSearch.__init__
+        original = pairwise.SourceIndex._search
 
         def counting(self, *args):
             runs.append(1)
-            original(self, *args)
+            return original(self, *args)
 
-        monkeypatch.setattr(pairwise._SharedSearch, "__init__", counting)
-        shared = assoc.queries(0, _generic_queries(), [1, 2, 3])
-        assert runs == []
-        for t in (1, 2, 3):
-            assoc.model(0, t).predict_visible_boxes(shared)
+        monkeypatch.setattr(pairwise.SourceIndex, "_search", counting)
+        corners = corner_array(_generic_queries())
+        assoc.predict_source(0, corners, [1, 2, 3, 4])
+        assert runs == [1]
+        assoc.predict_source(0, corners, [4])
+        assoc.predict_source(0, corners[:0], [1, 2, 3])
         assert runs == [1]
 
     def test_unpickled_and_legacy_associators_share(self):
@@ -255,9 +326,13 @@ class TestSharingRule:
         loaded = pickle.loads(pickle.dumps(assoc))
         legacy = pickle.loads(pickle.dumps(assoc))
         del legacy._sources  # pickled before the index existed
+        assert all(
+            getattr(loaded._sources[0], name) is None
+            for name in pairwise.SourceIndex._DERIVED
+        )
         seen = []
         for each in (assoc, loaded, legacy):
-            _assert_shared_equals_per_pair(each, _generic_queries(), [1, 2, 3])
+            _assert_source_equals_per_pair(each, _generic_queries(), [1, 2, 3])
             seen.append(each.shared_calls())
         assert seen[0]["certified"] > 0
         assert seen[0] == seen[1] == seen[2]
@@ -271,18 +346,22 @@ class TestRefit:
         assoc.fit(_generic_dataset(targets=(1, 3), seed=1))
         assert assoc.model(0, 2) is None
         assert assoc.model(0, 3) is not None
-        shared = assoc.queries(0, _generic_queries(), [1, 2, 3])
-        assert set(shared.slots) == {1, 3}
+        assert set(assoc._sources[0].column) == {1, 3}
+        got = assoc.predict_source(0, corner_array(_generic_queries()), [1, 2, 3])
+        assert got[1] is NO_BOXES
+        _assert_source_equals_per_pair(assoc, _generic_queries(), [1, 2, 3])
 
 
 def test_s1_key_frames_mostly_take_the_certified_path():
     """Guards the fast path: a certificate that always declines is still correct."""
-    scenario = get_scenario("S1", seed=0)
-    config = PipelineConfig(policy="balb", horizon=1, n_horizons=40, seed=0)
-    trained = train_models(scenario, config)
-    Pipeline(scenario, config, trained).run()
-    calls = trained.associator.shared_calls()
-    total = calls["certified"] + calls["fallback"]
-    assert total >= 40 * 9
-    assert calls["fallback"] <= 0.01 * total
-
+    for seed in (0, 7919):
+        scenario = get_scenario("S1", seed=seed)
+        config = PipelineConfig(policy="balb", horizon=1, n_horizons=40, seed=seed)
+        trained = train_models(scenario, config)
+        Pipeline(scenario, config, trained).run()
+        calls = trained.associator.shared_calls()
+        total = calls["certified"] + calls["fallback"]
+        # Every source camera with a later camera reads its index, so all
+        # ten camera pairs make a classifier call on every key frame.
+        assert total >= 40 * 10
+        assert calls["fallback"] <= 0.01 * total

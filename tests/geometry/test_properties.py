@@ -4,7 +4,15 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.box import DEFAULT_SIZE_SET, BBox, quantize_size, quantized_region
+from repro.geometry.box import (
+    DEFAULT_SIZE_SET,
+    BBox,
+    corner_array,
+    iou_cost_blocks,
+    iou_cost_rows,
+    quantize_size,
+    quantized_region,
+)
 from repro.geometry.polygon import ConvexPolygon
 
 coords = st.floats(-1000, 1000, allow_nan=False, allow_infinity=False)
@@ -18,6 +26,26 @@ def boxes(draw):
     w = draw(sizes)
     h = draw(sizes)
     return BBox.from_xywh(cx, cy, w, h)
+
+
+# Few distinct values make touching, nested and identical boxes common.
+_grid_boxes = st.builds(
+    lambda x, y, w, h: BBox(x, y, x + w, y + h),
+    st.sampled_from([0.0, 5.0, 10.0]), st.sampled_from([0.0, 5.0, 10.0]),
+    st.sampled_from([0.0, 5.0, 10.0]), st.sampled_from([0.0, 5.0, 10.0]),
+)
+_box_lists = st.lists(st.one_of(boxes(), _grid_boxes), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_box_lists, _box_lists), min_size=1, max_size=4))
+def test_iou_cost_blocks_equal_the_scalar_iou(pairs):
+    """Both branches (few cells: scalar; many: one broadcast) equal 1 - BBox.iou."""
+    blocks = iou_cost_blocks([(corner_array(a), corner_array(b)) for a, b in pairs])
+    for (a, b), block in zip(pairs, blocks):
+        want = [[1.0 - x.iou(y) for y in b] for x in a]
+        assert block == want
+        assert iou_cost_rows(a, b) == want
 
 
 class TestBoxProperties:

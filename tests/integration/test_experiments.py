@@ -130,3 +130,18 @@ class TestAblations:
         assert len(inst.objects) == 15
         for obj in inst.objects:
             assert obj.coverage  # non-empty
+
+    def test_random_instance_draws_sizes_like_rng_choice(self):
+        """The indexed size draw consumes the stream as ``rng.choice`` does."""
+        profiles = jetson_fleet_profiles(0)
+        cams = sorted(profiles)
+        sizes = (64, 128, 256)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            want = []
+            for _ in range(40):
+                k = int(rng.integers(2, len(cams) + 1)) if rng.random() < 0.6 else 1
+                coverage = rng.choice(cams, size=k, replace=False)
+                want.append([(int(c), int(rng.choice(sizes))) for c in coverage])
+            inst = random_instance(profiles, 40, np.random.default_rng(seed))
+            assert [list(o.target_sizes.items()) for o in inst.objects] == want

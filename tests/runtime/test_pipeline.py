@@ -54,13 +54,17 @@ class TestPipelineConfig:
             ("train_duration_s", 0),
             ("seed", -1),
             ("max_camera_lag_frames", 2.5),
+            ("gpu_jitter", float("nan")),
+            ("warmup_s", float("inf")),
+            ("train_duration_s", float("nan")),
         ],
     )
     def test_bad_value_rejected_at_construction_naming_the_field(
         self, field, value
     ):
         # Each of these used to construct cleanly and then raise from
-        # inside Pipeline.run.
+        # inside Pipeline.run, or (NaN and inf pass every ordering check)
+        # run on a meaningless value.
         with pytest.raises((ValueError, TypeError), match=field):
             PipelineConfig(**{field: value})
 
@@ -68,6 +72,11 @@ class TestPipelineConfig:
                                         "crash:cam=1,at=3,for=2"])
     def test_valid_fault_inputs_accepted(self, faults):
         assert PipelineConfig(faults=faults).faults == faults
+
+    def test_fault_on_a_camera_outside_the_rig_rejected(self):
+        """S2's cameras are 0 and 1; a crash on camera 99 would never fire."""
+        with pytest.raises(ValueError, match=r"camera 99.*\[0, 1\]"):
+            Pipeline(scenario_s2(seed=0), small_config(faults="crash:cam=99,at=2,for=5"))
 
     def test_every_edge_combines_with_checkpointing(self):
         """The burst and serving edges checkpoint like any other run."""
