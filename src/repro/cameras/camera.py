@@ -85,9 +85,9 @@ class Camera:
         self.name = name or f"cam{camera_id}"
         self._rotation = _rotation_matrix(pose.yaw, pose.pitch_down)
         self._position = np.array([pose.x, pose.y, pose.z])
-        # Flattened pose/rotation/intrinsics for the scalar fast path and
-        # its batched mirror (identical expression grouping keeps the two
-        # bit-for-bit equal; see project_objects).
+        # Flattened pose/rotation/intrinsics for the scalar path and its
+        # batched mirror (identical expression grouping keeps the two
+        # bit-for-bit equal; see project_objects_multi).
         (
             self._r00, self._r01, self._r02,
             self._r10, self._r11, self._r12,
@@ -114,7 +114,7 @@ class Camera:
         Pure scalar arithmetic: per-call numpy allocations were the single
         hottest cost of the frame loop, and BLAS matvec rounding differs
         from elementwise evaluation, which would break the bit-identity
-        contract with the batched path (see project_objects).
+        contract with the batched path (see project_objects_multi).
         """
         dx = x - self._px
         dy = y - self._py
@@ -132,7 +132,9 @@ class Camera:
 
         Visibility requires: within range, in front of the camera, at least
         a third of the raw box inside the frame, and a box at least
-        ``min_box_pixels`` on each side after clipping.
+        ``min_box_pixels`` on each side after clipping. This single-object
+        form backs :meth:`can_see`; every per-frame box table comes from
+        :func:`project_objects_multi`, which must match it bit for bit.
         """
         ddx = obj.x - self._px
         ddy = obj.y - self._py
@@ -154,65 +156,6 @@ class Camera:
         if clipped.width < self.min_box_pixels or clipped.height < self.min_box_pixels:
             return None
         return clipped
-
-    def project_objects(self, frame: "FrameArrays") -> Dict[int, BBox]:
-        """Batched project_object over a whole frame's SoA snapshot.
-
-        Returns ``{object_id: clipped_box}`` for exactly the objects
-        project_object would accept, in object order, with bit-identical
-        box coordinates: every expression mirrors the scalar path's
-        grouping, and numpy's elementwise float64 ops round identically to
-        CPython floats (unlike BLAS matvec, which is why project_point is
-        scalar-form too).
-        """
-        n = frame.n
-        if n == 0:
-            return {}
-        dx0 = frame.x - self._px
-        dy0 = frame.y - self._py
-        in_range = dx0 * dx0 + dy0 * dy0 <= self._max_range_sq
-        dx = frame.corners_x - self._px
-        dy = frame.corners_y - self._py
-        dz = frame.corners_z - self._pz
-        cz = (self._r20 * dx + self._r21 * dy) + self._r22 * dz
-        candidates = in_range & (cz >= 0.5).all(axis=1)
-        idx = np.nonzero(candidates)[0]
-        if idx.size == 0:
-            return {}
-        dx, dy, dz, cz = dx[idx], dy[idx], dz[idx], cz[idx]
-        cx = (self._r00 * dx + self._r01 * dy) + self._r02 * dz
-        cy = (self._r10 * dx + self._r11 * dy) + self._r12 * dz
-        f = self._focal
-        us = f * cx / cz + self._half_w
-        vs = f * cy / cz + self._half_h
-        rx1 = us.min(axis=1)
-        ry1 = vs.min(axis=1)
-        rx2 = us.max(axis=1)
-        ry2 = vs.max(axis=1)
-        w, h = self.frame_size
-        fw, fh = float(w), float(h)
-        # Mirror of BBox.clip / is_empty / the area-ratio and minimum-side
-        # visibility checks in project_object.
-        cx1 = np.minimum(np.maximum(rx1, 0.0), fw)
-        cy1 = np.minimum(np.maximum(ry1, 0.0), fh)
-        cx2 = np.minimum(np.maximum(rx2, 0.0), fw)
-        cy2 = np.minimum(np.maximum(ry2, 0.0), fh)
-        cw = cx2 - cx1
-        ch = cy2 - cy1
-        raw_area = (rx2 - rx1) * (ry2 - ry1)
-        visible = (cw > 1e-9) & (ch > 1e-9)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            visible &= ~((raw_area > 0) & (cw * ch / raw_area < 1.0 / 3.0))
-        visible &= (cw >= self.min_box_pixels) & (ch >= self.min_box_pixels)
-        ids = frame.object_ids
-        # float() casts keep BBox fields plain Python floats (same pickle
-        # and repr bytes as the scalar path), not np.float64.
-        return {
-            int(ids[idx[k]]): BBox(
-                float(cx1[k]), float(cy1[k]), float(cx2[k]), float(cy2[k])
-            )
-            for k in np.nonzero(visible)[0]
-        }
 
     def can_see(self, obj: WorldObject) -> bool:
         """True when the object projects to a valid visible box."""
@@ -289,12 +232,15 @@ def _stacked_constants(cameras: "Sequence[Camera]") -> np.ndarray:
 def project_objects_multi(
     cameras: "Sequence[Camera]", frame: "FrameArrays"
 ) -> "List[Dict[int, BBox]]":
-    """Batched :meth:`Camera.project_objects` over a whole camera rig.
+    """``{object_id: clipped_box}`` tables for every camera of a rig.
 
-    One stacked ``(C, n, 8)`` evaluation replaces ``C`` per-camera calls;
-    every per-camera table is bit-identical to ``camera.project_objects``
-    because all expressions stay elementwise with the same grouping —
-    per-camera constants merely broadcast along the object/corner axes.
+    The one projection path behind every per-frame box table. A single
+    stacked ``(C, n, 8)`` evaluation yields, per camera and in object
+    order, exactly the objects :meth:`Camera.project_object` accepts,
+    with bit-identical coordinates: all expressions stay elementwise with
+    the scalar path's grouping — per-camera constants merely broadcast
+    along the object/corner axes — and numpy's elementwise float64 ops
+    round like CPython floats (BLAS matvec would not).
     Rows behind a camera run through the projective division anyway (the
     gather is what the batching removes); their NaN/inf results are
     discarded by the ``candidates`` mask exactly like the scalar path's

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cameras.camera import Camera
+from repro.cameras.projection import camera_boxes
 from repro.geometry.box import BBox
 from repro.world.entities import WorldObject
 
@@ -32,16 +33,15 @@ def visible_fractions(
     Only objects the camera geometrically sees are returned. Coverage by
     closer objects is accumulated with a union upper bound (summed overlap
     capped at 1), which is exact for disjoint occluders and conservative
-    when occluders themselves overlap. ``boxes`` optionally supplies the
-    frame's cached projection table; the coverage accumulation stays
-    scalar in object order so both paths sum in the same order.
+    when occluders themselves overlap. ``boxes`` is the frame's cached
+    projection table, built here when not supplied; the coverage
+    accumulation stays scalar, in object order.
     """
+    if boxes is None:
+        boxes = camera_boxes(camera, objects)
     projected: List[Tuple[int, float, BBox]] = []
     for obj in objects:
-        if boxes is None:
-            box = camera.project_object(obj)
-        else:
-            box = boxes.get(obj.object_id)
+        box = boxes.get(obj.object_id)
         if box is None:
             continue
         distance = obj.distance_to(camera.pose.x, camera.pose.y)

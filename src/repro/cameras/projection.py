@@ -1,12 +1,10 @@
 """Per-frame projection cache shared by every projection consumer.
 
-One simulation frame used to project the same objects five separate
-times per camera — coverage splitting, occlusion, full-frame detection,
-region detection, new-region search and fleet-health observation each
-called ``Camera.project_object`` on the same list. The cache computes
-each camera's projection table once per distinct object snapshot with
-the batched :meth:`Camera.project_objects` and hands the resulting
-``{object_id: BBox}`` mapping to every consumer.
+Coverage splitting, occlusion, full-frame detection, region detection,
+new-region search and fleet-health observation all need each camera's
+view of the same objects. The cache projects every camera of the rig in
+one :func:`project_objects_multi` call per distinct object snapshot and
+hands the resulting ``{object_id: BBox}`` tables to every consumer.
 
 A cache instance lives for exactly one frame. Tables are keyed by the
 *identity* of the object list (per-camera lag means different cameras
@@ -25,27 +23,27 @@ from repro.world.entities import WorldObject
 from repro.world.soa import FrameArrays
 
 
-class FrameProjectionCache:
-    """Memoized batched projections for one frame.
+def camera_boxes(
+    camera: Camera, objects: Sequence[WorldObject]
+) -> Dict[int, BBox]:
+    """One camera's ``{object_id: clipped_box}`` table, for callers
+    outside the frame loop that hold no :class:`FrameProjectionCache`."""
+    return project_objects_multi([camera], FrameArrays(objects))[0]
 
-    When constructed with the rig's cameras, the first table request for
-    an object snapshot projects *all* registered cameras in one stacked
-    call (:func:`project_objects_multi`); a camera outside the registered
-    set falls back to its own batched projection.
-    """
+
+class FrameProjectionCache:
+    """Memoized batched projections of one frame over the rig's cameras."""
 
     __slots__ = ("_cameras", "_frames", "_tables", "_coverage")
 
-    def __init__(self, cameras: Sequence[Camera] = ()) -> None:
+    def __init__(self, cameras: Sequence[Camera]) -> None:
         self._cameras = list(cameras)
         # id(list) -> (list ref, FrameArrays); the ref pins the id.
         self._frames: Dict[int, Tuple[Sequence[WorldObject], FrameArrays]] = {}
         # (camera_id, id(list)) -> visible-object box table.
         self._tables: Dict[Tuple[int, int], Dict[int, BBox]] = {}
-        # (camera id tuple, id(list)) -> {object_id: [covering cam ids]}.
-        self._coverage: Dict[
-            Tuple[Tuple[int, ...], int], Dict[int, List[int]]
-        ] = {}
+        # id(list) -> {object_id: [covering cam ids]}.
+        self._coverage: Dict[int, Dict[int, List[int]]] = {}
 
     def arrays(self, objects: Sequence[WorldObject]) -> FrameArrays:
         """The SoA snapshot for this object list (built once per list)."""
@@ -61,62 +59,34 @@ class FrameProjectionCache:
     ) -> Dict[int, BBox]:
         """``{object_id: clipped_box}`` of the camera's visible objects.
 
-        Bit-identical to calling ``camera.project_object`` per object;
-        objects absent from the mapping are not visible.
+        The first request for a snapshot fills every camera's table in one
+        stacked call; objects absent from the mapping are not visible.
         """
-        key = (camera.camera_id, id(objects))
+        snapshot = id(objects)
+        key = (camera.camera_id, snapshot)
         table = self._tables.get(key)
         if table is None:
-            frame = self.arrays(objects)
-            if any(c is camera for c in self._cameras):
-                snapshot = id(objects)
-                for cam, built in zip(
-                    self._cameras,
-                    project_objects_multi(self._cameras, frame),
-                ):
-                    self._tables[(cam.camera_id, snapshot)] = built
-                table = self._tables[key]
-            else:
-                table = camera.project_objects(frame)
-                self._tables[key] = table
+            tables = project_objects_multi(self._cameras, self.arrays(objects))
+            for cam, built in zip(self._cameras, tables):
+                self._tables[(cam.camera_id, snapshot)] = built
+            table = self._tables[key]
         return table
 
-    def coverage_set(
-        self,
-        cameras: Sequence[Camera],
-        obj: WorldObject,
-        objects: Sequence[WorldObject],
-    ) -> List[int]:
-        """Cached mirror of :meth:`CameraRig.coverage_set` (camera order)."""
-        table = self._coverage_table(cameras, objects)
-        return table.get(obj.object_id, [])
-
     def coverage_table(
-        self, cameras: Sequence[Camera], objects: Sequence[WorldObject]
-    ) -> Dict[int, List[int]]:
-        """The full frame coverage table, for whole-frame consumers.
-
-        Callers sweeping every object should take this once instead of
-        calling :meth:`coverage_set` per object; its keys are exactly
-        the ids visible to at least one camera.
-        """
-        return self._coverage_table(cameras, objects)
-
-    def _coverage_table(
-        self, cameras: Sequence[Camera], objects: Sequence[WorldObject]
+        self, objects: Sequence[WorldObject]
     ) -> Dict[int, List[int]]:
         """``{object_id: covering camera ids}`` built in one sweep.
 
-        One pass over each camera's box table replaces a per-object scan
-        of every camera; appending in camera order preserves exactly the
-        id order :meth:`CameraRig.coverage_set` produces. Objects visible
-        nowhere are absent (callers default to an empty list).
+        One pass over each camera's box table; appending in camera order
+        gives exactly the id order :meth:`CameraRig.coverage_set`
+        produces. Its keys are exactly the ids visible to at least one
+        camera (callers default to an empty list).
         """
-        key = (tuple(c.camera_id for c in cameras), id(objects))
+        key = id(objects)
         table = self._coverage.get(key)
         if table is None:
             table = {}
-            for camera in cameras:
+            for camera in self._cameras:
                 cam_id = camera.camera_id
                 for oid in self.boxes(camera, objects):
                     table.setdefault(oid, []).append(cam_id)

@@ -11,9 +11,10 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cameras.camera import Camera
+from repro.cameras.camera import Camera, project_objects_multi
 from repro.geometry.box import BBox
 from repro.world.entities import WorldObject
+from repro.world.soa import FrameArrays
 
 
 class CameraRig:
@@ -50,15 +51,10 @@ class CameraRig:
         self, objects: Sequence[WorldObject]
     ) -> Dict[int, Dict[int, BBox]]:
         """``{camera_id: {object_id: bbox}}`` of all visible objects."""
-        out: Dict[int, Dict[int, BBox]] = {}
-        for cam in self.cameras:
-            boxes = {}
-            for obj in objects:
-                box = cam.project_object(obj)
-                if box is not None:
-                    boxes[obj.object_id] = box
-            out[cam.camera_id] = boxes
-        return out
+        tables = project_objects_multi(self.cameras, FrameArrays(objects))
+        return {
+            cam.camera_id: table for cam, table in zip(self.cameras, tables)
+        }
 
     def coverage_set(self, obj: WorldObject) -> List[int]:
         """Ground-truth coverage set C_j: cameras that can see ``obj``."""
@@ -67,8 +63,8 @@ class CameraRig:
     def visible_counts(self, objects: Sequence[WorldObject]) -> Dict[int, int]:
         """Objects-per-camera workload snapshot (the Figure 2 quantity)."""
         return {
-            c.camera_id: sum(1 for o in objects if c.can_see(o))
-            for c in self.cameras
+            cam_id: len(boxes)
+            for cam_id, boxes in self.project_all(objects).items()
         }
 
     # ------------------------------------------------------------------

@@ -27,7 +27,9 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from repro.runtime.metrics import RunResult
 
-MAGIC = b"repro-checkpoint-v1\n"
+#: v2: every run state carries a FaultSchedule (empty on a fault-free
+#: run). A v1 fault-free state holds ``faults=None`` and cannot resume.
+MAGIC = b"repro-checkpoint-v2\n"
 
 
 class CheckpointError(RuntimeError):
@@ -85,6 +87,12 @@ def load_checkpoint(path: str) -> RunCheckpoint:
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
     if not blob.startswith(MAGIC):
+        header = blob.split(b"\n", 1)[0]
+        if header.startswith(b"repro-checkpoint-"):
+            raise CheckpointError(
+                f"{path!r} is a {header.decode('ascii', 'replace')} file; "
+                f"this build resumes {MAGIC.strip().decode()} only"
+            )
         raise CheckpointError(f"{path!r} is not a repro checkpoint (bad magic)")
     rest = blob[len(MAGIC):]
     sep = rest.find(b"\n")

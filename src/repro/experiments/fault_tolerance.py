@@ -103,9 +103,7 @@ def degradation_point(
     """One (policy, fault intensity) cell of the crash/loss sweeps."""
     model = FaultModel(crash_rate=crash, mean_outage_frames=8,
                        loss_prob=loss)
-    cfg = replace(
-        base, policy=policy, faults=None if model.is_null else model
-    )
+    cfg = replace(base, policy=policy, faults=model)
     result = run_policy(scenario, policy, cfg, trained)
     return DegradationPoint(
         policy=policy,

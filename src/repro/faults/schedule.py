@@ -4,7 +4,8 @@ A :class:`FaultSchedule` is an immutable list of :class:`FaultEvent`
 windows over the frame index axis. The pipeline asks it once per frame
 for a :class:`FrameFaults` snapshot — who is down, who is partitioned,
 what each camera's link loss/delay and GPU slowdown are — and for the
-events *starting* at that frame, which it emits as trace spans.
+events *starting* at that frame, which it emits as trace spans. A
+fault-free run carries an empty schedule, whose every frame is empty.
 """
 
 from __future__ import annotations
@@ -290,8 +291,9 @@ class FaultSchedule:
     def has_sensor_faults(self) -> bool:
         """Can any event degrade a sensor without killing the camera?
 
-        Freeze/drift/flap/fade events arm the fleet-health watchdog;
-        without them the pipeline keeps its pristine code path and
+        Freeze/drift/flap/fade events arm the fleet-health watchdog,
+        which exports health gauges and can suspect a camera on report
+        quality; a plan without them leaves the watchdog unarmed, so
         fault-free golden traces stay byte-identical.
         """
         return any(e.kind in _SENSOR_KINDS for e in self.events)
@@ -453,6 +455,15 @@ class FaultSchedule:
     # ------------------------------------------------------------------
     def at(self, frame: int, camera_ids: Sequence[int]) -> FrameFaults:
         """Resolve the full per-camera fault state of one frame."""
+        if not self.events:
+            return FrameFaults(
+                frame=frame,
+                down=frozenset(),
+                partitioned=frozenset(),
+                gpu_factor={},
+                link_faults={},
+                started=(),
+            )
         cams = sorted(camera_ids)
         partitioned = self.partitioned_cameras(frame) & frozenset(cams)
         gpu = {}

@@ -385,18 +385,18 @@ def resolve_faults(
     camera_ids: Sequence[int],
     n_frames: int,
     seed: int,
-) -> Optional[FaultSchedule]:
+) -> FaultSchedule:
     """Turn a config-level fault input into a concrete schedule.
 
     Accepts ``None`` / empty (faults disabled), a spec string, a preset
     name from :data:`CHAOS_PRESETS`, a ready :class:`FaultSchedule`, or
-    a :class:`FaultModel` to compile for this run. Returns ``None``
-    whenever nothing can ever fire, so the pipeline keeps its pristine
-    fault-free code path.
+    a :class:`FaultModel` to compile for this run. Every run gets a
+    schedule: it is empty (falsy) whenever nothing can ever fire, and an
+    empty schedule changes no output of a run.
     """
     source = fault_source(faults)
-    if isinstance(source, FaultModel):
-        if source.is_null:
-            return None
-        source = source.compile(camera_ids, n_frames, seed)
-    return source if source else None
+    if isinstance(source, FaultModel) and not source.is_null:
+        return source.compile(camera_ids, n_frames, seed)
+    if isinstance(source, FaultSchedule):
+        return source
+    return FaultSchedule()

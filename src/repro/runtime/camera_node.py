@@ -225,8 +225,8 @@ class CameraNode:
                 if box is None:
                     box = track.bbox
                 track.bbox = box
-                # Inline _left_frame: centre outside the frame drops the
-                # track (same grouping as BBox.center).
+                # A track whose centre left the frame is dropped (same
+                # grouping as BBox.center).
                 cx = (box.x1 + box.x2) / 2.0
                 cy = (box.y1 + box.y2) / 2.0
                 if not (0.0 <= cx <= frame_w and 0.0 <= cy <= frame_h):
@@ -370,12 +370,6 @@ class CameraNode:
             for obj in objects
         }
 
-    def assigned_track_count(self) -> int:
-        """Number of tracks this camera currently inspects."""
-        return sum(
-            1 for t in self.tracks.values() if t.status is TrackStatus.ASSIGNED
-        )
-
     def _match_detections(
         self,
         reference_boxes: Dict[int, BBox],
@@ -420,9 +414,3 @@ class CameraNode:
         self.tracks.pop(tid, None)
         self.flow.drop(tid)
         self.book.drop(tid)
-
-    def _left_frame(self, box: BBox) -> bool:
-        """Centre-outside-frame test (inlined on the regular-frame path)."""
-        w, h = self.camera.frame_size
-        cx, cy = box.center
-        return not (0.0 <= cx <= w and 0.0 <= cy <= h)

@@ -17,6 +17,7 @@ from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 import math
+from numbers import Integral
 import pickle
 from typing import Dict, List, Optional, Tuple
 
@@ -148,8 +149,9 @@ class PipelineConfig:
     trace: bool = False  # collect a per-frame span trace into RunResult
     #: Fault injection: None (disabled), a spec string / chaos preset name
     #: (see repro.faults.spec), a FaultSchedule, or a FaultModel compiled
-    #: against this run's seed. With None the fault-free code path is
-    #: bit-identical to a build without fault support.
+    #: against this run's seed. Every run resolves it to a FaultSchedule;
+    #: a plan that fires nothing resolves to the empty one, whose run is
+    #: identical to a build without fault support.
     faults: Optional[object] = None
     #: Scheduler failover (only armed when the fault plan contains
     #: scheduler_crash or sched_partition events): heartbeat cadence of
@@ -185,6 +187,17 @@ class PipelineConfig:
             raise ValueError(
                 f"unknown policy {self.policy!r}; options: {POLICIES}"
             )
+        for name in (
+            "horizon", "n_horizons", "seed", "redundancy",
+            "max_camera_lag_frames", "failover_heartbeat_frames",
+            "checkpoint_every", "stop_after_frames", "ingest_capacity",
+            "serve_subscribers", "serve_every",
+        ):
+            value = getattr(self, name)
+            if value is None and name == "stop_after_frames":
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer; got {value!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.n_horizons < 1:
@@ -193,20 +206,16 @@ class PipelineConfig:
         for name in ("warmup_s", "train_duration_s", "gpu_jitter"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite; got {getattr(self, name)!r}")
+        if self.warmup_s < 0:
+            raise ValueError("warmup_s must be non-negative")
         if self.train_duration_s <= 0:
             raise ValueError("train_duration_s must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.redundancy < 1:
             raise ValueError("redundancy must be >= 1")
-        if (
-            not isinstance(self.max_camera_lag_frames, int)
-            or self.max_camera_lag_frames < 0
-        ):
-            raise ValueError(
-                "max_camera_lag_frames must be a non-negative int; "
-                f"got {self.max_camera_lag_frames!r}"
-            )
+        if self.max_camera_lag_frames < 0:
+            raise ValueError("max_camera_lag_frames must be non-negative")
         if self.gpu_jitter < 0:
             raise ValueError("gpu_jitter must be non-negative")
         try:
@@ -271,7 +280,7 @@ class _RunState:
     result: RunResult
     registry: MetricsRegistry
     camera_ids: List[int]
-    faults: Optional[FaultSchedule]
+    faults: FaultSchedule
     prev_down: frozenset
     stale_horizons: Dict[int, int]
     central_amortized: float
@@ -480,10 +489,10 @@ class Pipeline:
         camera_ids = [cam.camera_id for cam in rig]
 
         # Fault injection: compiled up front from its own seed stream, so
-        # fault randomness never interleaves with the simulation RNGs. None
-        # (the default) keeps every code path below byte-identical to a
-        # fault-free build.
-        faults: Optional[FaultSchedule] = resolve_faults(
+        # fault randomness never interleaves with the simulation RNGs. A
+        # plan that fires nothing is the empty schedule, which keeps every
+        # output below byte-identical to a fault-free build.
+        faults = resolve_faults(
             config.faults, camera_ids, total_frames, config.seed + 31_337
         )
         stale_horizons: Dict[int, int] = {cam: 0 for cam in camera_ids}
@@ -500,9 +509,7 @@ class Pipeline:
             history = WorldHistory(depth=config.max_camera_lag_frames + 1)
         # Clock drift generalizes the static skew: size the history for
         # the worst static + drifted lag any camera can reach this run.
-        max_drift = (
-            faults.max_drift_lag(total_frames) if faults is not None else 0
-        )
+        max_drift = faults.max_drift_lag(total_frames)
         if max_drift > 0:
             history = WorldHistory(
                 depth=config.max_camera_lag_frames + max_drift + 1
@@ -513,7 +520,7 @@ class Pipeline:
         # suspect a camera on report quality, so arming it on every run
         # would change fault-free outputs.
         health: Optional[FleetHealthWatchdog] = None
-        if faults is not None and faults.has_sensor_faults:
+        if faults.has_sensor_faults:
             health = FleetHealthWatchdog(camera_ids)
 
         # Failover is armed only when the fault plan can actually take the
@@ -521,11 +528,7 @@ class Pipeline:
         # on assignment downloads, whose extra bytes cost modeled
         # communication time on every key frame.
         failover: Optional[FailoverManager] = None
-        if (
-            scheduler is not None
-            and faults is not None
-            and faults.has_scheduler_faults
-        ):
+        if scheduler is not None and faults.has_scheduler_faults:
             failover = FailoverManager(
                 camera_ids,
                 scheduler.capacities,
@@ -596,7 +599,6 @@ class Pipeline:
         frames.
         """
         config = self.config
-        faults = state.faults
         run_span = tracer.span(
             "run",
             policy=config.policy,
@@ -605,11 +607,7 @@ class Pipeline:
         )
         with run_span:
             for frame_idx in range(state.next_frame, state.total_frames):
-                frame_faults = (
-                    faults.at(frame_idx, state.camera_ids)
-                    if faults is not None
-                    else None
-                )
+                frame_faults = state.faults.at(frame_idx, state.camera_ids)
                 ingest = state.ingest.pass_frame(
                     frame_idx,
                     frame_idx * state.dt,
@@ -617,11 +615,7 @@ class Pipeline:
                         config.policy == "full"
                         or frame_idx % config.horizon == 0
                     ),
-                    bursting=(
-                        frame_faults.bursting
-                        if frame_faults is not None
-                        else frozenset()
-                    ),
+                    bursting=frame_faults.bursting,
                 )
                 self._process_frame(
                     state, tracer, frame_idx, frame_faults, ingest
@@ -680,11 +674,9 @@ class Pipeline:
     def _finalize(self, state: _RunState) -> None:
         """Post-run accounting, exactly once per completed run."""
         registry = state.registry
-        state.ingest.finish(
-            registry,
-            export=state.faults is not None and state.faults.has_ingest_bursts,
-        )
-        if state.faults is not None and state.scheduler is not None:
+        state.ingest.finish(registry, export=state.faults.has_ingest_bursts)
+        # Channel and guard counters are a fault run's export only.
+        if state.faults and state.scheduler is not None:
             for cam_id, channel in state.scheduler.channels.items():
                 if channel.messages_dropped:
                     registry.counter(
@@ -731,15 +723,15 @@ class Pipeline:
         state: _RunState,
         tracer,
         frame_idx: int,
-        frame_faults: Optional[FrameFaults],
+        frame_faults: FrameFaults,
         ingest: FrameIngest,
     ) -> None:
         """Process one frame and fold the results back into ``state``.
 
-        ``frame_faults`` is the frame's resolved fault state (None when
-        the run has no faults) and ``ingest`` the ingest edge's view of
-        the frame; a burst-free frame's view is empty and touches no
-        span, counter or RNG draw.
+        ``frame_faults`` is the frame's resolved fault state (empty on a
+        fault-free frame) and ``ingest`` the ingest edge's view of the
+        frame; a burst-free frame's view is empty and touches no span,
+        counter or RNG draw.
         """
         config = self.config
         dt = state.dt
@@ -764,23 +756,16 @@ class Pipeline:
         # Membership view of this frame: transitions the watchdog took at
         # the end of frame N take effect on frame N+1, and the invariant
         # monitor sees the same view the frame is processed under (R5/R6).
-        quarantined = (
-            health.quarantined() if health is not None else frozenset()
-        )
-        probation = (
-            health.in_probation() if health is not None else frozenset()
-        )
+        quarantined = probation = frozenset()
         if health is not None:
+            quarantined = health.quarantined()
+            probation = health.in_probation()
             invariants.observe_membership(
                 frame_idx, quarantined, health.membership_epoch
             )
 
         in_horizon = frame_idx % config.horizon
-        down = (
-            frame_faults.down
-            if frame_faults is not None
-            else frozenset()
-        )
+        down = frame_faults.down
         # Cameras whose frame is stuck behind a burst process nothing this
         # tick, but they are *not* down: they still heartbeat and their
         # crash/rejoin membership is untouched.
@@ -802,7 +787,6 @@ class Pipeline:
         if failover is None:
             authorities = (Authority(PRIMARY, 0, frozenset(live)),)
         else:
-            assert frame_faults is not None
             cut = sorted(frame_faults.sched_partitioned & frozenset(live))
             stepped = (
                 failover.step(frame_idx, frame_faults.scheduler_down, live),
@@ -847,13 +831,12 @@ class Pipeline:
         frame_start = self.clock.now()
 
         frame_tags = {"frame": frame_idx, "key": is_key}
-        if faults is not None:
+        if faults:
             frame_tags["forced"] = forced_key
         with tracer.span("frame", **frame_tags):
-            if frame_faults is not None:
-                self._apply_frame_faults(
-                    tracer, registry, frame_faults, nodes, forced_key
-                )
+            self._apply_frame_faults(
+                tracer, registry, frame_faults, nodes, forced_key
+            )
             for transition in transitions:
                 self._record_transition(tracer, registry, transition)
             if ingest.any_active:
@@ -863,11 +846,7 @@ class Pipeline:
                 objects = world.objects
                 if history is not None:
                     history.push(objects)
-                drift_lags = (
-                    frame_faults.drift_lags
-                    if frame_faults is not None
-                    else {}
-                )
+                drift_lags = frame_faults.drift_lags
                 lagged_objects = {
                     cam_id: (
                         history.view(
@@ -922,7 +901,7 @@ class Pipeline:
                     # Whole-frame coverage in one table pull; its keys
                     # are exactly the ids some camera can observe, so
                     # the fault-free split needs no per-object calls.
-                    table = cache.coverage_table(rig.cameras, objects)
+                    table = cache.coverage_table(objects)
                     if effective_down:
                         visible_gt, coverage_lost = _split_coverage(
                             objects,
@@ -998,11 +977,6 @@ class Pipeline:
                         max(tracking) if tracking else 0.0
                     )
                     if scheduler is not None and reports:
-                        link_faults = (
-                            frame_faults.link_faults
-                            if frame_faults is not None
-                            else None
-                        )
                         #: camera -> (decision, issuing epoch)
                         assignments: Dict[
                             int, Tuple[ScheduleDecision, int]
@@ -1038,7 +1012,7 @@ class Pipeline:
                             decision = scheduler.schedule(
                                 auth_reports,
                                 frame_idx,
-                                link_faults=link_faults,
+                                link_faults=frame_faults.link_faults,
                                 replicate_to=replicate_to,
                                 no_authority=probation,
                             )
@@ -1120,12 +1094,12 @@ class Pipeline:
                                     "assignment_fallbacks_total",
                                     camera=cam_id,
                                 ).inc()
-                            if faults is not None:
+                            if faults:
                                 registry.gauge(
                                     "assignment_staleness_horizons",
                                     camera=cam_id,
                                 ).set(stale_horizons[cam_id])
-                        if faults is not None and total_retries:
+                        if faults and total_retries:
                             registry.counter(
                                 "message_retries_total"
                             ).inc(total_retries)
@@ -1177,7 +1151,6 @@ class Pipeline:
                     tracer,
                     frame_idx,
                     frame_faults,
-                    down,
                     lagged_objects,
                     objects,
                     is_key,
@@ -1194,7 +1167,7 @@ class Pipeline:
             registry.histogram("inference_ms", camera=cam_id).observe(
                 ms
             )
-        if faults is not None and coverage_lost:
+        if faults and coverage_lost:
             registry.counter(
                 "coverage_lost_object_frames_total"
             ).inc(len(coverage_lost))
@@ -1220,7 +1193,7 @@ class Pipeline:
     def _apply_frozen_views(
         self,
         state: _RunState,
-        frame_faults: Optional[FrameFaults],
+        frame_faults: FrameFaults,
         lagged_objects: Dict[int, List],
     ) -> None:
         """Serve each frozen camera the snapshot it froze on, bit-exact.
@@ -1231,11 +1204,7 @@ class Pipeline:
         token repeats — the signature the watchdog keys on. When the
         freeze lifts, the capture is dropped and the live view resumes.
         """
-        frozen = (
-            frame_faults.frozen
-            if frame_faults is not None
-            else frozenset()
-        )
+        frozen = frame_faults.frozen
         if not frozen and not state.frozen_views:
             return
         for cam_id in sorted(lagged_objects):
@@ -1253,8 +1222,7 @@ class Pipeline:
         state: _RunState,
         tracer,
         frame_idx: int,
-        frame_faults: Optional[FrameFaults],
-        down: frozenset,
+        frame_faults: FrameFaults,
         lagged_objects: Dict[int, List],
         objects,
         is_key: bool,
@@ -1280,16 +1248,13 @@ class Pipeline:
         if is_key:
             # Denominator of the report-quality signal: how many objects
             # each camera could have seen this frame.
-            coverage = cache.coverage_table(state.rig.cameras, objects)
+            coverage = cache.coverage_table(objects)
             for covered in coverage.values():
                 for cam in covered:
                     visible[cam] = visible.get(cam, 0) + 1
-        drift_lags = (
-            frame_faults.drift_lags if frame_faults is not None else {}
-        )
         signals: Dict[int, HealthSignals] = {}
         for cam in state.camera_ids:
-            alive = cam not in down
+            alive = cam not in frame_faults.down
             view = lagged_objects[cam]
             # An empty view carries no content to hash; feeding a
             # frame-unique token (negative, outside crc32's range) keeps
@@ -1304,7 +1269,7 @@ class Pipeline:
             signals[cam] = HealthSignals(
                 alive=alive,
                 content_token=token,
-                skew_frames=drift_lags.get(cam, 0),
+                skew_frames=frame_faults.drift_lags.get(cam, 0),
                 quality=quality,
             )
         transitions = health.observe(frame_idx, signals)
@@ -1378,7 +1343,11 @@ class Pipeline:
         nodes: Dict[int, CameraNode],
         forced_key: bool,
     ) -> None:
-        """Surface this frame's fault state: spans, counters, GPU throttle."""
+        """Surface this frame's fault state: spans, counters, GPU throttle.
+
+        Runs on every frame; an empty frame resets every camera's GPU and
+        fade factors to 1.0 and records nothing.
+        """
         for event in frame_faults.started:
             with tracer.span(
                 "fault." + event.kind.value,

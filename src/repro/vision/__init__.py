@@ -1,4 +1,4 @@
-"""Vision pipeline: simulated detector, flow prediction, slicing, tracking."""
+"""Vision pipeline: simulated detector, flow prediction, slicing."""
 
 from repro.vision.detector import Detection, DetectorErrorModel, SimulatedDetector
 from repro.vision.flow import (
@@ -13,7 +13,6 @@ from repro.vision.slicing import (
     build_slices,
     slice_counts_by_size,
 )
-from repro.vision.tracker import Track, TrackManager
 
 __all__ = [
     "Detection",
@@ -27,6 +26,4 @@ __all__ = [
     "TargetSizeBook",
     "build_slices",
     "slice_counts_by_size",
-    "Track",
-    "TrackManager",
 ]

@@ -22,6 +22,7 @@ from typing import List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.cameras.camera import Camera
+from repro.cameras.projection import camera_boxes
 from repro.geometry.box import BBox
 from repro.world.entities import ObjectClass, WorldObject
 
@@ -85,25 +86,22 @@ class SimulatedDetector:
 
         ``miss_multipliers`` optionally scales each object's miss
         probability (e.g. from the occlusion model); ``inf`` forces a miss.
-        ``boxes`` optionally supplies the frame's cached projection table
-        (visible object id -> true box) so nothing is re-projected here;
-        invisible objects draw no noise on either path.
+        ``boxes`` is the frame's cached projection table (visible object
+        id -> true box), built here when not supplied; invisible objects
+        draw no noise.
         """
+        if boxes is None:
+            boxes = camera_boxes(self.camera, objects)
         multipliers_get = (miss_multipliers or {}).get
         detections: List[Detection] = []
-        boxes_get = boxes.get if boxes is not None else None
+        boxes_get = boxes.get
         detect_object = self._detect_object
         for obj in objects:
-            if boxes_get is None:
-                true_box = self.camera.project_object(obj)
-            else:
-                true_box = boxes_get(obj.object_id)
+            true_box = boxes_get(obj.object_id)
             if true_box is None:
                 continue
             det = detect_object(
-                obj,
-                true_box=true_box,
-                miss_multiplier=multipliers_get(obj.object_id, 1.0),
+                obj, true_box, multipliers_get(obj.object_id, 1.0)
             )
             if det is not None:
                 detections.append(det)
@@ -119,8 +117,11 @@ class SimulatedDetector:
     ) -> List[Detection]:
         """Partial-frame inspection: only objects whose true box centre lies
         in some region are detectable. One object yields at most one
-        detection even when regions overlap.
+        detection even when regions overlap. ``boxes`` is as in
+        :meth:`detect_full_frame`.
         """
+        if boxes is None:
+            boxes = camera_boxes(self.camera, objects)
         detections: List[Detection] = []
         seen: set[int] = set()
         # Region corners unpacked once; the inner test walks them with
@@ -128,16 +129,13 @@ class SimulatedDetector:
         # BBox.contains_point.
         rects = [(r.x1, r.y1, r.x2, r.y2) for r in regions]
         multipliers_get = (miss_multipliers or {}).get
-        boxes_get = boxes.get if boxes is not None else None
+        boxes_get = boxes.get
         detect_object = self._detect_object
         for obj in objects:
             obj_id = obj.object_id
             if obj_id in seen:
                 continue
-            if boxes_get is None:
-                true_box = self.camera.project_object(obj)
-            else:
-                true_box = boxes_get(obj_id)
+            true_box = boxes_get(obj_id)
             if true_box is None:
                 continue
             cx = (true_box.x1 + true_box.x2) / 2.0
@@ -147,11 +145,7 @@ class SimulatedDetector:
                     break
             else:
                 continue
-            det = detect_object(
-                obj,
-                true_box=true_box,
-                miss_multiplier=multipliers_get(obj_id, 1.0),
-            )
+            det = detect_object(obj, true_box, multipliers_get(obj_id, 1.0))
             if det is not None:
                 seen.add(obj_id)
                 detections.append(det)
@@ -161,19 +155,16 @@ class SimulatedDetector:
     def _detect_object(
         self,
         obj: WorldObject,
-        true_box: Optional[BBox] = None,
+        true_box: BBox,
         miss_multiplier: float = 1.0,
     ) -> Optional[Detection]:
-        box = true_box if true_box is not None else self.camera.project_object(obj)
-        if box is None:
-            return None
         # errors.miss_probability inlined: min()/property calls were a
         # visible slice of the per-detection cost. Python min/max keep
         # the first argument on ties, so the conditional forms below
         # select the same values bit-for-bit.
         errors = self.errors
-        bw = box.x2 - box.x1
-        bh = box.y2 - box.y1
+        bw = true_box.x2 - true_box.x1
+        bh = true_box.y2 - true_box.y1
         side = bw if bw < bh else bh
         p = errors.base_miss_prob
         small = errors.small_box_pixels
@@ -186,7 +177,7 @@ class SimulatedDetector:
             miss_prob = 1.0
         if miss_multiplier == _INF or self._rng.random() < miss_prob:
             return None
-        noisy = self._jitter_box(box)
+        noisy = self._jitter_box(true_box)
         w, h = self.camera.frame_size
         noisy = noisy.clip(float(w), float(h))
         if noisy.is_empty():

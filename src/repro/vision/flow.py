@@ -21,6 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cameras.camera import Camera
+from repro.cameras.projection import camera_boxes
 from repro.geometry.box import BBox
 from repro.world.entities import WorldObject
 
@@ -132,22 +133,21 @@ def find_new_regions(
     is not covered by a predicted box, emit a loose region around it (the
     pixel-motion cluster). This is how new arrivals get detected at their
     first appearance instead of waiting for the next key frame. ``boxes``
-    optionally supplies the frame's cached projection table; RNG draws
-    happen per emitted region only, in object order, on both paths.
+    is the frame's cached projection table, built here when not
+    supplied; RNG draws happen per emitted region only, in object order.
     """
     noise = noise or FlowNoiseModel()
+    if boxes is None:
+        boxes = camera_boxes(camera, objects)
     regions: List[BBox] = []
     # Predicted-box corners unpacked once; the coverage test walks them
     # with the same comparisons and short-circuit order as
     # BBox.contains_point.
     rects = [(p.x1, p.y1, p.x2, p.y2) for p in predicted_boxes]
-    boxes_get = boxes.get if boxes is not None else None
+    boxes_get = boxes.get
     min_speed = noise.min_apparent_speed_px
     for obj in objects:
-        if boxes_get is None:
-            box = camera.project_object(obj)
-        else:
-            box = boxes_get(obj.object_id)
+        box = boxes_get(obj.object_id)
         if box is None:
             continue
         cx = (box.x1 + box.x2) / 2.0

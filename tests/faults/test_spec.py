@@ -75,12 +75,11 @@ def test_presets_are_valid_non_null_models():
         assert not model.is_null, name
 
 
-def test_resolve_disabled_forms_return_none():
-    assert resolve_faults(None, [0], 10, seed=0) is None
-    assert resolve_faults("", [0], 10, seed=0) is None
-    assert resolve_faults("  ", [0], 10, seed=0) is None
-    assert resolve_faults(FaultModel(), [0], 10, seed=0) is None
-    assert resolve_faults(FaultSchedule(), [0], 10, seed=0) is None
+def test_resolve_disabled_forms_return_an_empty_schedule():
+    for disabled in (None, "", "  ", FaultModel(), FaultSchedule()):
+        sched = resolve_faults(disabled, [0], 10, seed=0)
+        assert isinstance(sched, FaultSchedule) and not sched
+        assert not sched.at(3, [0]).any_active
 
 
 def test_resolve_preset_name_and_spec_string():

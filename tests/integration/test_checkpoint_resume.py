@@ -101,6 +101,21 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="unexpected payload"):
             load_checkpoint(path)
 
+    def test_older_format_refused_naming_the_file(self, tmp_path):
+        """A v1 file is refused: its fault-free states hold faults=None,
+        which the one fault path cannot resume."""
+        import hashlib
+
+        path = str(tmp_path / "old.ckpt")
+        payload = pickle.dumps(RunCheckpoint("s", "c", "t", "state"))
+        digest = hashlib.sha256(payload).hexdigest().encode()
+        with open(path, "wb") as fh:
+            fh.write(b"repro-checkpoint-v1\n" + digest + b"\n" + payload)
+        with pytest.raises(
+            CheckpointError, match=r"old\.ckpt.*repro-checkpoint-v1"
+        ):
+            load_checkpoint(path)
+
     def test_write_is_atomic_no_temp_left_behind(self, tmp_path):
         path = str(tmp_path / "a.ckpt")
         save_checkpoint(path, RunCheckpoint("s", "c", "t", "state"))

@@ -1,7 +1,11 @@
 """Tests for the end-to-end pipeline configuration and mechanics."""
 
+import numpy as np
 import pytest
 
+from repro.faults import FaultModel, FaultSchedule
+from repro.obs.export import span_tree_signature
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.pipeline import (
     POLICIES,
     Pipeline,
@@ -67,6 +71,37 @@ class TestPipelineConfig:
         # run on a meaningless value.
         with pytest.raises((ValueError, TypeError), match=field):
             PipelineConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon", 2.5),
+            ("n_horizons", 3.0),
+            ("seed", 1.5),
+            ("redundancy", True),
+            ("failover_heartbeat_frames", 2.5),
+            ("checkpoint_every", 5.0),
+            ("stop_after_frames", 17.5),
+            ("ingest_capacity", 2.5),
+            ("serve_subscribers", 3.0),
+            ("serve_every", 1.5),
+            ("warmup_s", -5.0),
+        ],
+    )
+    def test_non_integer_count_or_negative_warmup_rejected(self, field, value):
+        # Each used to construct: a float horizon or seed raised from
+        # inside the run, a float serve_every broke the staleness bound
+        # mid-run, float capacities ran as floats, and a negative warmup
+        # silently skipped the warmup. (max_camera_lag_frames is in the
+        # test above.)
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(checkpoint_path="x", **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = PipelineConfig(
+            horizon=np.int64(5), seed=np.int32(3), ingest_capacity=np.uint8(2)
+        )
+        assert config.horizon == 5
 
     @pytest.mark.parametrize("faults", [None, "", "  ", "heavy", "wire",
                                         "crash:cam=1,at=3,for=2"])
@@ -155,3 +190,88 @@ class TestPipelineRuns:
         result = run_policy(scenario, "balb", small_config())
         for frame in result.frames:
             assert set(frame.inference_ms) == {0, 1}
+
+
+@pytest.fixture(scope="module")
+def s2_trained():
+    scenario = scenario_s2(seed=0)
+    return scenario, train_models(scenario, small_config())
+
+
+def _stable_metrics(result):
+    return [m for m in result.metrics if m["name"] != "frame_wall_ms"]
+
+
+def _span_view(result):
+    return (
+        span_tree_signature(result.spans),
+        [(s.name, s.depth, s.tags) for s in result.spans],
+    )
+
+
+class TestEmptyFaultPlan:
+    """A plan that fires nothing runs exactly like no plan at all."""
+
+    #: Onsets so rare the run's compiled schedule is empty.
+    RARE = FaultModel(crash_rate=1e-12)
+
+    def test_rare_model_is_not_null_but_compiles_to_no_events(self, s2_trained):
+        scenario, trained = s2_trained
+        assert not self.RARE.is_null
+        for policy in ("balb", "full"):
+            pipeline = Pipeline(
+                scenario, small_config(policy, faults=self.RARE), trained
+            )
+            state = pipeline._init_state(MetricsRegistry())
+            assert isinstance(state.faults, FaultSchedule)
+            assert not state.faults
+
+    def test_fault_only_exports_follow_the_plan(self, s2_trained):
+        """A fault-free run exports no fault-only metric or span tag; a
+        plan that fires exports them."""
+        scenario, trained = s2_trained
+        plain = Pipeline(scenario, small_config(trace=True), trained).run()
+        crash = Pipeline(
+            scenario,
+            small_config(trace=True, faults="crash:cam=1,at=3,for=4"),
+            trained,
+        ).run()
+
+        def names(result):
+            return {m["name"] for m in result.metrics}
+
+        def frame_tags(result):
+            return {
+                tuple(sorted(s.tags)) for s in result.spans if s.name == "frame"
+            }
+
+        fault_only = {
+            "assignment_staleness_horizons", "camera_down_frames_total",
+            "clock_drift_lag_frames", "coverage_lost_object_frames_total",
+            "fault_events_total", "forced_key_frames_total",
+            "message_retries_total", "messages_dropped_total",
+            "quality_fade_factor", "scheduler_down_frames_total",
+            "sensor_frozen_frames_total", "wire_corrupt_dropped_total",
+        }
+        assert not names(plain) & fault_only
+        assert frame_tags(plain) == {("frame", "key")}
+        assert {
+            "assignment_staleness_horizons", "forced_key_frames_total"
+        } <= names(crash)
+        assert frame_tags(crash) == {("forced", "frame", "key")}
+
+    @pytest.mark.parametrize("policy", ["balb", "full"])
+    def test_empty_plans_equal_no_plan(self, s2_trained, policy):
+        scenario, trained = s2_trained
+        plain = Pipeline(
+            scenario, small_config(policy, trace=True), trained
+        ).run()
+        for faults in ("", FaultSchedule(), FaultModel(), self.RARE):
+            run = Pipeline(
+                scenario,
+                small_config(policy, trace=True, faults=faults),
+                trained,
+            ).run()
+            assert run.frames == plain.frames
+            assert _stable_metrics(run) == _stable_metrics(plain)
+            assert _span_view(run) == _span_view(plain)
