@@ -93,18 +93,3 @@ class OcclusionModel:
         span = 1.0 - self.visibility_threshold
         hidden = (1.0 - fraction) / span
         return 1.0 + 8.0 * hidden**2
-
-    def occluded_coverage_set(
-        self,
-        cameras: Sequence[Camera],
-        obj: WorldObject,
-        objects: Sequence[WorldObject],
-    ) -> List[int]:
-        """Cameras that see ``obj`` after occlusion filtering."""
-        covering = []
-        for camera in cameras:
-            fractions = visible_fractions(camera, objects)
-            fraction = fractions.get(obj.object_id)
-            if fraction is not None and self.effectively_visible(fraction):
-                covering.append(camera.camera_id)
-        return covering

@@ -17,10 +17,12 @@ regression in the runtime itself, which is exactly what the gate is for.
 
 The per-episode fault schedules are compiled from the preset's
 :class:`~repro.faults.model.FaultModel` with a derived seed
-(``base * 7919 + 13 * i``, shifted by the pipeline's usual ``31_337``
-fault-stream offset), while the simulation seed stays fixed — episodes
-share one trained model set and differ only in the faults thrown at
-them.
+(``base * 7919 + 13 * i``, shifted by the pipeline's usual
+:data:`~repro.faults.spec.FAULT_SEED_OFFSET`), while the simulation
+seed stays fixed — episodes share one trained model set and differ only
+in the faults thrown at them. Each shrunk schedule prints one
+:func:`~repro.faults.spec.render_clause` line per event, so joining the
+lines with ``;`` gives a ``--faults`` spec.
 """
 
 from __future__ import annotations
@@ -30,15 +32,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.faults.model import FaultModel
 from repro.faults.schedule import FaultEvent, FaultSchedule
-from repro.faults.spec import CHAOS_PRESETS
+from repro.faults.spec import CHAOS_PRESETS, FAULT_SEED_OFFSET, render_clause
 from repro.runtime.invariants import InvariantViolation
 from repro.runtime.pipeline import PipelineConfig, run_policy, train_models
 from repro.scenarios.aic21 import get_scenario
-
-#: The pipeline compiles fault models at ``config.seed + 31_337`` so the
-#: fault stream never collides with the simulation RNGs; the soak
-#: harness compiles its own schedules and mirrors the same offset.
-_FAULT_SEED_OFFSET = 31_337
 
 #: ddmin-lite run budget per violating episode. Shrinking re-runs the
 #: pipeline once per candidate subset, so the budget bounds soak time.
@@ -209,7 +206,7 @@ def run_soak(
     for i in range(episodes):
         fault_seed = _episode_seed(seed, i)
         schedule = model.compile(
-            camera_ids, n_frames, fault_seed + _FAULT_SEED_OFFSET
+            camera_ids, n_frames, fault_seed + FAULT_SEED_OFFSET
         )
         violation, quarantines, readmissions = _run_episode(
             scenario, trained, seed, schedule, fencing
@@ -256,18 +253,6 @@ def run_soak(
     )
 
 
-def _format_event(event: FaultEvent) -> str:
-    parts = [event.kind.value]
-    if event.camera_id is not None:
-        parts.append(f"cam={event.camera_id}")
-    parts.append(f"at={event.start_frame}")
-    if event.duration is not None:
-        parts.append(f"for={event.duration}")
-    if event.magnitude:
-        parts.append(f"mag={event.magnitude:g}")
-    return " ".join(parts)
-
-
 def format_soak_report(result: SoakResult) -> str:
     """Render the soak verdict as deterministic plain text."""
     lines = [
@@ -312,7 +297,7 @@ def format_soak_report(result: SoakResult) -> str:
             f"  shrunk schedule ({len(ep.shrunk_events)}/{ep.n_events} "
             f"events, {ep.shrink_runs} shrink runs):"
         )
-        lines += [f"    {_format_event(e)}" for e in ep.shrunk_events]
+        lines += [f"    {render_clause(e)}" for e in ep.shrunk_events]
     lines.append("")
     if result.sensor_faults:
         lines.append(

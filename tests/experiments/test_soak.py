@@ -10,7 +10,8 @@ from repro.experiments.soak import (
     format_soak_report,
     run_soak,
 )
-from repro.faults.schedule import FaultEvent, FaultKind
+from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
+from repro.faults.spec import parse_fault_spec
 
 
 class TestShrink:
@@ -76,7 +77,7 @@ class TestReportFormat:
         assert "episodes passed: 1/2" in report
         assert "episode 1 violation: R1 split-brain" in report
         assert "shrunk schedule (1/3 events, 4 shrink runs)" in report
-        assert "scheduler_partition cam=1 at=9 for=3" in report
+        assert "    sched_partition:cam=1,at=9,for=3\n" in report
 
     def test_report_is_pure_text_of_its_inputs(self):
         result = self.result([self.outcome()])
@@ -115,3 +116,9 @@ class TestRunSoak:
         assert 0 < len(bad.shrunk_events) <= bad.n_events
         kinds = {e.kind for e in bad.shrunk_events}
         assert FaultKind.SCHEDULER_PARTITION in kinds
+        # The printed lines, joined with ';', replay as a --faults spec.
+        report = format_soak_report(result)
+        block = report.split("shrink runs):\n")[1].split("\n\n")[0]
+        spec = ";".join(line.strip() for line in block.splitlines())
+        replay = parse_fault_spec(spec)
+        assert replay.events == FaultSchedule(bad.shrunk_events).events

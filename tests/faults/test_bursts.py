@@ -2,8 +2,8 @@
 
 The ``burst:`` clause, the ``rand:burst=`` model knobs and the
 ``ingest`` chaos preset all land as ``INGEST_BURST`` events; this module
-pins their parsing, their window semantics (``ingest_bursting`` and the
-ingest edge's release of held frames) and the schedule-stability
+pins their parsing, their window semantics (``FrameFaults.bursting`` and
+the ingest edge's release of held frames) and the schedule-stability
 guarantee that adding burst knobs to a model never reshuffles the other
 fault draws.
 """
@@ -60,11 +60,15 @@ class TestBurstWindows:
 
     def test_ingest_bursting_tracks_the_window(self):
         schedule = self._schedule()
-        assert not schedule.ingest_bursting(3, 1)
-        assert schedule.ingest_bursting(4, 1)
-        assert schedule.ingest_bursting(6, 1)
-        assert not schedule.ingest_bursting(7, 1)
-        assert not schedule.ingest_bursting(5, 0)  # other cameras flow
+
+        def bursting(frame, cam):
+            return cam in schedule.at(frame, [0, 1, 2]).bursting
+
+        assert not bursting(3, 1)
+        assert bursting(4, 1)
+        assert bursting(6, 1)
+        assert not bursting(7, 1)
+        assert not bursting(5, 0)  # other cameras flow
 
     def _drive(self, schedule, n_frames, camera_ids=(0, 1, 2)):
         """Pass ``n_frames`` frames through an edge; per-frame stalls."""
@@ -157,9 +161,7 @@ class TestCanonicalBurstWorkloads:
         schedule = parse_fault_spec(staggered_burst_spec(5, 40))
         cams = (0, 1, 2)
         for frame in range(40):
-            stalled = sum(
-                1 for cam in cams if schedule.ingest_bursting(frame, cam)
-            )
+            stalled = len(schedule.at(frame, cams).bursting)
             assert stalled < len(cams)
 
     def test_windows_stay_inside_short_runs(self):

@@ -18,6 +18,13 @@ def test_validation_rejects_bad_rates():
         FaultModel(delay_ms=-1.0)
 
 
+@pytest.mark.parametrize("name", sorted(FaultModel.__dataclass_fields__))
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_fields_rejected_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        FaultModel(**{name: value})
+
+
 def test_null_model_compiles_empty():
     model = FaultModel()
     assert model.is_null

@@ -1,8 +1,16 @@
 """FaultEvent/FaultSchedule semantics: windows, queries, per-frame views."""
 
+import pickle
+
 import pytest
 
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.net.link import LinkFault
+
+
+def _link(sched, frame, camera_id):
+    """One camera's link fault at ``frame`` (a clean link when absent)."""
+    return sched.at(frame, [camera_id]).link_faults.get(camera_id, LinkFault())
 
 
 def test_event_window_half_open():
@@ -55,10 +63,11 @@ def test_schedule_down_and_partitioned_queries():
         FaultEvent(FaultKind.CAMERA_CRASH, 10, duration=5, camera_id=1),
         FaultEvent(FaultKind.PARTITION, 12, duration=4, camera_id=2),
     ])
-    assert sched.down_cameras(9) == frozenset()
-    assert sched.down_cameras(10) == frozenset({1})
-    assert sched.partitioned_cameras(13) == frozenset({2})
-    assert sched.down_cameras(15) == frozenset()
+    rig = [0, 1, 2]
+    assert sched.at(9, rig).down == frozenset()
+    assert sched.at(10, rig).down == frozenset({1})
+    assert sched.at(13, rig).partitioned == frozenset({2})
+    assert sched.at(15, rig).down == frozenset()
 
 
 def test_loss_prob_composes_as_survival_product():
@@ -67,9 +76,9 @@ def test_loss_prob_composes_as_survival_product():
         FaultEvent(FaultKind.LINK_LOSS, 0, duration=10, camera_id=0,
                    magnitude=0.5),
     ])
-    assert sched.loss_prob(0, 0) == pytest.approx(0.75)
-    assert sched.loss_prob(0, 1) == pytest.approx(0.5)
-    assert sched.loss_prob(10, 0) == 0.0
+    assert _link(sched, 0, 0).loss_prob == pytest.approx(0.75)
+    assert _link(sched, 0, 1).loss_prob == pytest.approx(0.5)
+    assert _link(sched, 10, 0).loss_prob == 0.0
 
 
 def test_gpu_factor_multiplies_and_delay_sums():
@@ -82,10 +91,11 @@ def test_gpu_factor_multiplies_and_delay_sums():
         FaultEvent(FaultKind.LINK_DELAY, 0, duration=5, camera_id=0,
                    magnitude=5.0),
     ])
-    assert sched.gpu_factor(0, 0) == pytest.approx(6.0)
-    assert sched.gpu_factor(0, 1) == 1.0
-    assert sched.extra_delay_ms(0, 0) == pytest.approx(15.0)
-    assert sched.extra_delay_ms(0, 1) == pytest.approx(10.0)
+    gpu = sched.at(0, [0, 1]).gpu_factor
+    assert gpu.get(0, 1.0) == pytest.approx(6.0)
+    assert gpu.get(1, 1.0) == 1.0
+    assert _link(sched, 0, 0).extra_delay_ms == pytest.approx(15.0)
+    assert _link(sched, 0, 1).extra_delay_ms == pytest.approx(10.0)
 
 
 def test_at_partition_is_total_loss():
@@ -111,8 +121,8 @@ def test_at_restricts_to_known_cameras():
 def test_started_at_reports_openings_once():
     e = FaultEvent(FaultKind.CAMERA_CRASH, 4, duration=3, camera_id=0)
     sched = FaultSchedule([e])
-    assert sched.started_at(4) == (e,)
-    assert sched.started_at(5) == ()
+    assert sched.at(4, [0]).started == (e,)
+    assert sched.at(5, [0]).started == ()
 
 
 def test_empty_schedule_is_falsy_and_inert():
@@ -139,10 +149,10 @@ def test_scheduler_down_window():
         FaultEvent(FaultKind.SCHEDULER_CRASH, 10, duration=5),
     ])
     assert sched.has_scheduler_faults
-    assert not sched.scheduler_down(9)
-    assert sched.scheduler_down(10)
-    assert sched.scheduler_down(14)
-    assert not sched.scheduler_down(15)
+    assert not sched.at(9, [0, 1]).scheduler_down
+    assert sched.at(10, [0, 1]).scheduler_down
+    assert sched.at(14, [0, 1]).scheduler_down
+    assert not sched.at(15, [0, 1]).scheduler_down
     view = sched.at(12, [0, 1])
     assert view.scheduler_down and view.any_active
     assert not sched.at(20, [0, 1]).scheduler_down
@@ -153,15 +163,15 @@ def test_scheduler_open_crash_closed_by_rejoin():
         FaultEvent(FaultKind.SCHEDULER_CRASH, 8),
         FaultEvent(FaultKind.SCHEDULER_REJOIN, 20),
     ])
-    assert sched.scheduler_down(8)
-    assert sched.scheduler_down(19)
-    assert not sched.scheduler_down(20)
-    assert not sched.scheduler_down(100)
+    assert sched.at(8, [0]).scheduler_down
+    assert sched.at(19, [0]).scheduler_down
+    assert not sched.at(20, [0]).scheduler_down
+    assert not sched.at(100, [0]).scheduler_down
 
 
 def test_scheduler_open_crash_without_rejoin_lasts_forever():
     sched = FaultSchedule([FaultEvent(FaultKind.SCHEDULER_CRASH, 8)])
-    assert sched.scheduler_down(10_000)
+    assert sched.at(10_000, [0]).scheduler_down
 
 
 def test_camera_schedules_report_no_scheduler_faults():
@@ -169,5 +179,45 @@ def test_camera_schedules_report_no_scheduler_faults():
         FaultEvent(FaultKind.CAMERA_CRASH, 0, duration=2, camera_id=0),
     ])
     assert not sched.has_scheduler_faults
-    assert not sched.scheduler_down(0)
+    assert not sched.at(0, []).scheduler_down
     assert not sched.at(0, [0]).scheduler_down
+
+
+#: ``_pickled_schedule()`` as pickled (protocol 4) before the schedule
+#: derived its windows: the bytes checkpoints already hold.
+_OLDER_PICKLE = bytes.fromhex(
+    "8004952f010000000000008c15726570726f2e6661756c74732e7363686564756c65948c"
+    "0d4661756c745363686564756c659493942981947d948c066576656e74739468008c0a46"
+    "61756c744576656e749493942981947d94288c046b696e649468008c094661756c744b69"
+    "6e649493948c096c696e6b5f6c6f737394859452948c0b73746172745f6672616d65944b"
+    "008c086475726174696f6e944b058c0963616d6572615f6964944e8c096d61676e697475"
+    "646594473fd0000000000000756268072981947d9428680a680c8c0f7363686564756c65"
+    "725f6372617368948594529468104b0368114e68124e6813470000000000000000756268"
+    "072981947d9428680a680c8c107363686564756c65725f72656a6f696e94859452946810"
+    "4b0968114e68124e68134700000000000000007562879473622e"
+)
+
+
+def _pickled_schedule():
+    return FaultSchedule([
+        FaultEvent(FaultKind.SCHEDULER_CRASH, 3),
+        FaultEvent(FaultKind.SCHEDULER_REJOIN, 9),
+        FaultEvent(FaultKind.LINK_LOSS, 0, duration=5, magnitude=0.25),
+    ])
+
+
+def test_pickle_holds_only_the_events():
+    sched = _pickled_schedule()
+    assert sched.__getstate__() == {"events": sched.events}
+    assert pickle.dumps(sched, protocol=4) == _OLDER_PICKLE
+
+
+def test_older_pickle_resolves_frames_like_a_fresh_schedule():
+    loaded = pickle.loads(_OLDER_PICKLE)
+    fresh = _pickled_schedule()
+    assert loaded.events == fresh.events
+    for frame in range(12):
+        assert loaded.at(frame, [0, 1]) == fresh.at(frame, [0, 1])
+    assert loaded.at(8, [0]).scheduler_down
+    assert not loaded.at(9, [0]).scheduler_down
+    assert _link(loaded, 4, 1).loss_prob == 0.25

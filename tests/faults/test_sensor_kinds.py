@@ -144,20 +144,24 @@ class TestRoundTrip:
 class TestScheduleQueries:
     def test_frozen_cameras_respect_the_window(self):
         sched = parse_fault_spec("freeze:cam=1,at=5,for=3")
-        assert sched.frozen_cameras(4) == frozenset()
-        assert sched.frozen_cameras(5) == frozenset({1})
-        assert sched.frozen_cameras(7) == frozenset({1})
-        assert sched.frozen_cameras(8) == frozenset()
+        assert sched.at(4, [0, 1]).frozen == frozenset()
+        assert sched.at(5, [0, 1]).frozen == frozenset({1})
+        assert sched.at(7, [0, 1]).frozen == frozenset({1})
+        assert sched.at(8, [0, 1]).frozen == frozenset()
         assert sched.has_sensor_faults
 
     def test_drift_lag_grows_and_caps(self):
         sched = parse_fault_spec("drift:cam=2,rate=0.5,at=10,for=40")
-        assert sched.drift_lag(9, 2) == 0
-        assert sched.drift_lag(10, 2) == 0  # floor(0.5 * 1)
-        assert sched.drift_lag(13, 2) == 2  # floor(0.5 * 4)
-        assert sched.drift_lag(49, 2) == DRIFT_LAG_CAP
+
+        def lag(frame, cam):
+            return sched.at(frame, [0, 2]).drift_lags.get(cam, 0)
+
+        assert lag(9, 2) == 0
+        assert lag(10, 2) == 0  # floor(0.5 * 1)
+        assert lag(13, 2) == 2  # floor(0.5 * 4)
+        assert lag(49, 2) == DRIFT_LAG_CAP
         assert sched.max_drift_lag(60) == DRIFT_LAG_CAP
-        assert sched.drift_lag(20, 0) == 0  # other cameras unaffected
+        assert lag(20, 0) == 0  # other cameras unaffected
 
     def test_flap_alternates_down_and_up(self):
         sched = parse_fault_spec("flap:cam=1,period=2,at=10,for=8")
@@ -170,12 +174,16 @@ class TestScheduleQueries:
 
     def test_fade_ramps_then_holds(self):
         sched = parse_fault_spec("fade:cam=0,x=5,at=10,for=30")
-        assert sched.fade_factor(9, 0) == pytest.approx(1.0)
-        ramp = [sched.fade_factor(10 + i, 0) for i in range(FADE_RAMP_FRAMES + 3)]
+
+        def fade(frame):
+            return sched.at(frame, [0]).fade.get(0, 1.0)
+
+        assert fade(9) == pytest.approx(1.0)
+        ramp = [fade(10 + i) for i in range(FADE_RAMP_FRAMES + 3)]
         assert ramp[0] < ramp[1] < ramp[FADE_RAMP_FRAMES]
         assert ramp[FADE_RAMP_FRAMES] == pytest.approx(5.0)
         assert ramp[-1] == pytest.approx(5.0)
-        assert sched.fade_factor(41, 0) == pytest.approx(1.0)
+        assert fade(41) == pytest.approx(1.0)
 
     def test_at_snapshot_carries_sensor_fields(self):
         sched = parse_fault_spec(

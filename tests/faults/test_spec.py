@@ -1,5 +1,7 @@
 """The --faults spec DSL, chaos presets, and resolve_faults."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from repro.faults import (
@@ -8,11 +10,13 @@ from repro.faults import (
     FaultModel,
     FaultSchedule,
     parse_fault_spec,
+    render_clause,
     resolve_faults,
     validate_fault_spec,
 )
-from repro.faults.schedule import FaultEvent
+from repro.faults.schedule import _CAMERA_REQUIRED, FaultEvent
 from repro.faults.spec import fault_source
+from repro.runtime.pipeline import PipelineConfig
 
 
 def test_parse_scripted_clauses():
@@ -138,7 +142,8 @@ def test_parse_scheduler_clauses():
     paired = parse_fault_spec("sched_crash:at=12;sched_rejoin:at=30")
     kinds = [e.kind for e in paired.events]
     assert kinds == [FaultKind.SCHEDULER_CRASH, FaultKind.SCHEDULER_REJOIN]
-    assert paired.scheduler_down(29) and not paired.scheduler_down(30)
+    assert paired.at(29, [0]).scheduler_down
+    assert not paired.at(30, [0]).scheduler_down
 
 
 def test_parse_scheduler_clause_rejections_name_the_clause():
@@ -160,3 +165,76 @@ def test_scheduler_chaos_preset_exists():
     assert model.scheduler_crash_rate > 0
     compiled = model.compile([0, 1, 2], 500, seed=0)
     assert compiled.has_scheduler_faults
+
+
+@pytest.mark.parametrize("spec,named", [
+    ("drift:cam=1,rate=inf", "clock_drift"),
+    ("drift:cam=1,rate=nan", "clock_drift"),
+    ("flap:cam=0,period=nan", "camera_flap"),
+    ("delay:ms=nan", "link_delay"),
+    ("rand:crash=0.1,outage=nan", "mean_outage_frames"),
+    ("rand:drift=0.2,drift_slope=inf", "drift_slope"),
+    ("rand:flap=0.3,flap_period=nan", "flap_period_frames"),
+    ("rand:gpu=0.2,gpu_x=inf", "slowdown_factor"),
+])
+def test_non_finite_magnitudes_refused_when_the_config_is_built(spec, named):
+    with pytest.raises(ValueError, match=rf"^faults: {named}\b.*must be finite"):
+        PipelineConfig(faults=spec)
+
+
+#: Magnitudes the DSL can write for each kind that has a magnitude key:
+#: round numbers, long decimals and extremes alike.
+_CLAUSE_MAGNITUDES = {
+    FaultKind.LINK_LOSS: st.floats(0.0, 1.0),
+    FaultKind.MSG_CORRUPT: st.floats(0.0, 1.0),
+    FaultKind.MSG_DUPLICATE: st.floats(0.0, 1.0),
+    FaultKind.MSG_REORDER: st.floats(0.0, 1.0),
+    FaultKind.LINK_DELAY: st.sampled_from([-0.0, 1234567.0]) | st.floats(
+        0.0, allow_infinity=False
+    ),
+    FaultKind.GPU_SLOWDOWN: st.floats(0.0, exclude_min=True, allow_infinity=False),
+    FaultKind.CLOCK_DRIFT: st.floats(0.0, exclude_min=True, allow_infinity=False),
+    FaultKind.CAMERA_FLAP: st.floats(1.0, allow_infinity=False),
+    FaultKind.QUALITY_FADE: st.floats(1.0, allow_infinity=False),
+}
+_CENTRAL_NODE = (FaultKind.SCHEDULER_CRASH, FaultKind.SCHEDULER_REJOIN)
+
+
+@st.composite
+def dsl_events(draw):
+    """Valid events with a finite magnitude, as the DSL can write them.
+
+    Kinds without a magnitude key carry the 0.0 their clause parses to;
+    camera ids are non-negative, like every ``cam=``.
+    """
+    kind = draw(st.sampled_from(list(FaultKind)))
+    cameras = st.integers(0, 10_000)
+    if kind in _CENTRAL_NODE:
+        cameras = st.none()
+    elif kind not in _CAMERA_REQUIRED:
+        cameras = st.none() | cameras
+    durations = st.none()
+    if kind is not FaultKind.SCHEDULER_REJOIN:
+        durations = durations | st.integers(1, 10**9)
+    return FaultEvent(
+        kind,
+        draw(st.integers(0, 10**9)),
+        duration=draw(durations),
+        camera_id=draw(cameras),
+        magnitude=draw(_CLAUSE_MAGNITUDES.get(kind, st.just(0.0))),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(event=dsl_events())
+def test_render_clause_round_trips_every_valid_event(event):
+    (again,) = parse_fault_spec(render_clause(event)).events
+    assert again == event
+    assert repr(again.magnitude) == repr(event.magnitude)
+
+
+def test_render_keeps_every_digit():
+    loss = FaultEvent(FaultKind.LINK_LOSS, 0, magnitude=0.1234567)
+    delay = FaultEvent(FaultKind.LINK_DELAY, 3, magnitude=1234567.0)
+    assert render_clause(loss) == "loss:p=0.1234567"
+    assert render_clause(delay) == "delay:ms=1234567.0,at=3"
