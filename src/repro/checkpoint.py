@@ -29,7 +29,9 @@ if TYPE_CHECKING:
 
 #: v2: every run state carries a FaultSchedule (empty on a fault-free
 #: run). A v1 fault-free state holds ``faults=None`` and cannot resume.
-MAGIC = b"repro-checkpoint-v2\n"
+#: v3: each camera node keeps one track table (``Track`` records) in
+#: place of three dicts; a v2 node would unpickle without it.
+MAGIC = b"repro-checkpoint-v3\n"
 
 
 class CheckpointError(RuntimeError):

@@ -251,13 +251,18 @@ def _parse_event(name: str, kv: Dict[str, str], clause: str) -> FaultEvent:
         raise ValueError(
             f"fault clause {clause!r}: unknown keys {sorted(kv)}"
         )
-    return FaultEvent(
-        kind=kind,
-        start_frame=start,
-        duration=duration,
-        camera_id=camera,
-        magnitude=magnitude,
-    )
+    try:
+        return FaultEvent(
+            kind=kind,
+            start_frame=start,
+            duration=duration,
+            camera_id=camera,
+            magnitude=magnitude,
+        )
+    except ValueError as exc:
+        # The event's own range and finiteness checks, named like every
+        # other clause error.
+        raise ValueError(f"fault clause {clause!r}: {exc}") from None
 
 
 def _parse_model(kv: Dict[str, str], clause: str) -> FaultModel:

@@ -196,6 +196,19 @@ class BBox:
         return math.hypot(ax - bx, ay - by)
 
 
+def clamp(v: float, hi: float) -> float:
+    """``min(max(v, 0.0), hi)``, one corner of :meth:`BBox.clip`.
+
+    Written out with the builtins' tie rules (the first argument wins),
+    so the result is the same float, signed zeros included.
+    """
+    if 0.0 > v:
+        v = 0.0
+    if hi < v:
+        v = hi
+    return v
+
+
 # ----------------------------------------------------------------------
 # Size quantization (Section III-A: target sizes quantized to a set S)
 # ----------------------------------------------------------------------
@@ -291,25 +304,6 @@ def iou_matrix(
 _IOU_SCALAR_MAX_CELLS = 64
 
 
-def iou_cost_rows(
-    boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]
-) -> List[List[float]]:
-    """``1.0 - IoU`` cost matrix as nested lists (rows: a, cols: b).
-
-    Bit-identical to ``(1.0 - iou_matrix(boxes_a, boxes_b)).tolist()``
-    on every entry: small matrices run :func:`scalar_iou_cost_rows` and
-    larger ones take the batched path, whose tolist round-trip is exact
-    for float64.
-    """
-    n, m = len(boxes_a), len(boxes_b)
-    if n * m > _IOU_SCALAR_MAX_CELLS:
-        return (1.0 - iou_matrix(boxes_a, boxes_b)).tolist()
-    return scalar_iou_cost_rows(
-        [(b.x1, b.y1, b.x2, b.y2) for b in boxes_a],
-        [(b.x1, b.y1, b.x2, b.y2) for b in boxes_b],
-    )
-
-
 def scalar_iou_cost_rows(
     corners_a: Sequence[Sequence[float]], corners_b: Sequence[Sequence[float]]
 ) -> List[List[float]]:
@@ -344,8 +338,8 @@ def iou_cost_blocks(
 ) -> List[List[List[float]]]:
     """``1.0 - IoU`` of each ``(a, b)`` pair of corner arrays, as nested lists.
 
-    Every block is bit-identical to :func:`iou_cost_rows` of the same
-    boxes. With more than ``_IOU_SCALAR_MAX_CELLS`` cells in all, one
+    Every block is bit-identical to :func:`scalar_iou_cost_rows` of the
+    same boxes. With more than ``_IOU_SCALAR_MAX_CELLS`` cells in all, one
     broadcast :func:`iou_corners` call scores every row of every ``a``
     against its ``b`` padded to the widest, and slicing off the padding
     columns leaves each block; with fewer, :func:`scalar_iou_cost_rows`

@@ -4,8 +4,8 @@ from repro.obs.trace import SpanRecord, Tracer, get_tracer, use_tracer
 from repro.runtime.camera_node import (
     CameraNode,
     KeyFrameOutcome,
-    NodeTrack,
     RegularFrameOutcome,
+    Track,
     TrackStatus,
 )
 from repro.runtime.metrics import FrameRecord, RunResult, speedup_vs
@@ -35,7 +35,7 @@ __all__ = [
     "get_tracer",
     "use_tracer",
     "CameraNode",
-    "NodeTrack",
+    "Track",
     "TrackStatus",
     "KeyFrameOutcome",
     "RegularFrameOutcome",

@@ -11,7 +11,6 @@ GPU and refreshes its tracks from the resulting detections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,34 +19,17 @@ from repro.cameras.camera import Camera
 from repro.devices.gpu import GPUExecutor, greedy_plan
 from repro.devices.latency import LatencyModel
 from repro.devices.profiler import DeviceProfile
-from repro.geometry.box import BBox, iou_cost_rows, quantize_size
+from repro.geometry.box import BBox, quantize_size, scalar_iou_cost_rows
 from repro.ml.hungarian import hungarian
 from repro.net.envelope import ChannelGuard
 from repro.obs.trace import get_tracer
 from repro.runtime.overhead import OverheadModel
 from repro.runtime.policies import RegularFramePolicy, TrackView
 from repro.vision.detector import Detection, DetectorErrorModel, SimulatedDetector
-from repro.vision.flow import FlowNoiseModel, FlowPredictor, find_new_regions
-from repro.vision.slicing import Slice, TargetSizeBook, build_slices
+from repro.vision.flow import FlowNoiseModel, FlowPredictor, find_new_regions, observe
+from repro.vision.slicing import Slice, pinned_size, slice_tracks
+from repro.vision.tracks import Track, TrackStatus
 from repro.world.entities import WorldObject
-
-
-class TrackStatus(enum.Enum):
-    ASSIGNED = "assigned"  # this camera inspects the track
-    SHADOW = "shadow"  # tracked elsewhere; flow-predicted only
-
-
-@dataclass(slots=True)
-class NodeTrack:
-    """One locally known object on this camera."""
-
-    track_id: int
-    bbox: BBox
-    status: TrackStatus = TrackStatus.ASSIGNED
-    assigned_camera: Optional[int] = None  # for shadows: who tracks it
-    misses: int = 0
-    last_gt_id: int = -1
-
 
 @dataclass
 class KeyFrameOutcome:
@@ -70,7 +52,11 @@ class RegularFrameOutcome:
 
 
 class CameraNode:
-    """Onboard pipeline for one camera."""
+    """Onboard pipeline for one camera.
+
+    ``tracks`` is the camera's track table, ``{track_id: Track}`` in
+    ascending id order (see :mod:`repro.vision.tracks`).
+    """
 
     def __init__(
         self,
@@ -97,12 +83,11 @@ class CameraNode:
         self.executor = GPUExecutor(
             latency_model, gpu_jitter, np.random.default_rng(seed + 3)
         )
-        self.book = TargetSizeBook(latency_model.size_set)
         self.overheads = overhead_model or OverheadModel()
         self.iou_match_threshold = iou_match_threshold
         self.max_misses = max_misses
         self.frame_dt = frame_dt
-        self.tracks: Dict[int, NodeTrack] = {}
+        self.tracks: Dict[int, Track] = {}
         self._next_tid = camera.camera_id * 1_000_000
         #: Detector miss-probability multiplier from a ``quality_fade``
         #: fault (1.0 = healthy). Scales every object's miss probability
@@ -140,36 +125,30 @@ class CameraNode:
             )
 
         with tracer.span("camera.track_refresh"):
-            predicted: Dict[int, BBox] = {}
-            for tid, track in self.tracks.items():
-                box = self.flow.predict(tid)
-                predicted[tid] = box if box is not None else track.bbox
-
+            previous = list(self.tracks.values())
+            self.flow.predict(previous)
             matched, unmatched_dets = self._match_detections(
-                predicted, detections
+                previous, detections
             )
-            survivors: Dict[int, NodeTrack] = {}
-            for tid, det in matched:
-                track = self.tracks[tid]
-                track.bbox = det.bbox
+            # Full-frame inspection is authoritative: unseen tracks are
+            # gone, and a new horizon pins new slice sizes.
+            survivors: Dict[int, Track] = {}
+            for track, det in matched:
+                observe(track, det.bbox)
                 track.last_gt_id = det.gt_object_id
                 track.misses = 0
-                survivors[tid] = track
-                self.flow.observe(tid, det.bbox)
-            # Full-frame inspection is authoritative: unseen tracks are gone.
-            for tid in list(self.tracks):
-                if tid not in survivors:
-                    self.flow.drop(tid)
+                track.size = None
+                survivors[track.track_id] = track
             for det in unmatched_dets:
-                track = self._new_track(det)
+                track = Track(self._alloc_tid(), det.bbox, det.gt_object_id)
+                observe(track, det.bbox)
                 survivors[track.track_id] = track
             self.tracks = survivors
-            self.book.reset()
 
         report = [
-            (tid, t.bbox, t.last_gt_id) for tid, t in sorted(self.tracks.items())
+            (t.track_id, t.bbox, t.last_gt_id) for t in survivors.values()
         ]
-        tracking_ms = self.overheads.tracking_ms(len(self.tracks))
+        tracking_ms = self.overheads.tracking_ms(len(survivors))
         return KeyFrameOutcome(
             inference_ms=inference_ms,
             detections=detections,
@@ -191,16 +170,14 @@ class CameraNode:
         silently drop coverage.
         """
         assigned = set(assigned_track_ids)
+        own_camera_id = self.camera.camera_id
         for tid, track in self.tracks.items():
-            if tid in assigned:
-                track.status = TrackStatus.ASSIGNED
-                track.assigned_camera = self.camera.camera_id
-            elif tid in shadow_assignments:
+            if tid not in assigned and tid in shadow_assignments:
                 track.status = TrackStatus.SHADOW
                 track.assigned_camera = shadow_assignments[tid]
             else:
                 track.status = TrackStatus.ASSIGNED
-                track.assigned_camera = self.camera.camera_id
+                track.assigned_camera = own_camera_id
 
     # ------------------------------------------------------------------
     # Regular frame
@@ -214,86 +191,83 @@ class CameraNode:
     ) -> RegularFrameOutcome:
         """One regular-frame iteration under ``policy``."""
         tracer = get_tracer()
+        tracks = self.tracks
         # 1. Flow-predict every known track (assigned and shadow alike;
-        #    optical flow runs on the whole frame anyway).
+        #    optical flow runs on the whole frame anyway), and drop the
+        #    tracks whose centre left the frame (BBox.center's grouping).
         with tracer.span("camera.flow_predict"):
-            predicted: Dict[int, BBox] = {}
-            flow_predict = self.flow.predict
+            self.flow.predict(tracks.values())
             frame_w, frame_h = self.camera.frame_size
-            for tid, track in list(self.tracks.items()):
-                box = flow_predict(tid)
-                if box is None:
-                    box = track.bbox
-                track.bbox = box
-                # A track whose centre left the frame is dropped (same
-                # grouping as BBox.center).
+            predicted: List[Track] = []
+            for track in list(tracks.values()):
+                box = track.bbox
                 cx = (box.x1 + box.x2) / 2.0
                 cy = (box.y1 + box.y2) / 2.0
-                if not (0.0 <= cx <= frame_w and 0.0 <= cy <= frame_h):
-                    self._drop_track(tid)
-                    continue
-                predicted[tid] = box
+                if 0.0 <= cx <= frame_w and 0.0 <= cy <= frame_h:
+                    predicted.append(track)
+                else:
+                    del tracks[track.track_id]
 
         # 2. Policy decides the inspection set; shadow tracks that the
         #    policy claims are takeovers.
         with tracer.span("camera.policy_select"):
-            inspect: List[int] = []
+            inspect: List[Track] = []
             n_takeovers = 0
-            tracks = self.tracks
             assigned_status = TrackStatus.ASSIGNED
-            shadow_status = TrackStatus.SHADOW
             own_camera_id = self.camera.camera_id
             inspect_track = policy.inspect_track
-            for tid in sorted(predicted):
-                track = tracks[tid]
+            for track in predicted:
+                is_assigned = track.status is assigned_status
                 view = TrackView(
-                    track_id=tid,
-                    bbox=track.bbox,
-                    is_assigned=track.status is assigned_status,
-                    assigned_camera=track.assigned_camera,
+                    track.track_id,
+                    track.bbox,
+                    is_assigned,
+                    track.assigned_camera,
                 )
                 if inspect_track(view):
-                    if track.status is shadow_status:
+                    if not is_assigned:
                         track.status = assigned_status
                         track.assigned_camera = own_camera_id
                         n_takeovers += 1
-                    inspect.append(tid)
+                    inspect.append(track)
 
         # 3. New-region detection (flow finds unexplained moving pixels).
         with tracer.span("camera.new_regions"):
-            explained = list(predicted.values())
             regions = find_new_regions(
                 self.camera,
                 objects,
-                explained,
+                [t.bbox for t in predicted],
                 self._rng,
                 noise=self.flow.noise,
                 dt=self.frame_dt,
                 boxes=boxes,
             )
+            size_set = self.latency_model.size_set
             new_slices: List[Slice] = []
             for region in regions:
                 if not policy.allow_new_region(region):
                     continue
-                track = NodeTrack(track_id=self._alloc_tid(), bbox=region)
-                self.tracks[track.track_id] = track
-                size = quantize_size(region.long_side, self.book.size_set)
-                self.book.assign(track.track_id, region)
+                track = Track(
+                    self._alloc_tid(),
+                    region,
+                    size=pinned_size(region, size_set),
+                )
+                tracks[track.track_id] = track
                 new_slices.append(
-                    Slice(key=track.track_id, region=region, target_size=size)
+                    (
+                        track,
+                        region.as_tuple(),
+                        quantize_size(region.long_side, size_set),
+                    )
                 )
 
         # 4. Slice + batch + execute.
         with tracer.span("camera.slice") as slice_span:
-            slices = build_slices(
-                {tid: predicted[tid] for tid in inspect},
-                self.book,
-                self.camera.frame_size,
-            )
+            slices = slice_tracks(inspect, size_set, self.camera.frame_size)
             slices.extend(new_slices)
             counts: Dict[int, int] = {}
-            for s in slices:
-                counts[s.target_size] = counts.get(s.target_size, 0) + 1
+            for _, _, size in slices:
+                counts[size] = counts.get(size, 0) + 1
             plan = greedy_plan(counts, self.latency_model)
             slice_span.set_tag("n_slices", len(slices))
         inference_ms = self.executor.execute(plan).total_ms if plan else 0.0
@@ -302,36 +276,31 @@ class CameraNode:
         with tracer.span("camera.detect"):
             detections = self.detector.detect_regions(
                 objects,
-                [s.region for s in slices],
+                [corners for _, corners, _ in slices],
                 self._faded_multipliers(objects, miss_multipliers),
                 boxes=boxes,
             )
         with tracer.span("camera.track_refresh"):
-            inspected_boxes = {s.key: s.region for s in slices}
-            for tid in inspect:
-                inspected_boxes[tid] = predicted[tid]
-            matched, unmatched_dets = self._match_detections(
-                inspected_boxes, detections
+            # Inspected tracks are matched at their predicted boxes, new
+            # ones at their regions (both are the track's box); new ids
+            # are the largest, so the list is in id order.
+            matched, _ = self._match_detections(
+                inspect + [track for track, _, _ in new_slices], detections
             )
-            matched_tids = set()
-            for tid, det in matched:
-                track = self.tracks.get(tid)
-                if track is None:
-                    continue
-                track.bbox = det.bbox
+            matched_ids = set()
+            for track, det in matched:
+                observe(track, det.bbox)
                 track.last_gt_id = det.gt_object_id
                 track.misses = 0
-                matched_tids.add(tid)
-                self.flow.observe(tid, det.bbox)
+                matched_ids.add(track.track_id)
             # Inspected tracks with no detection accumulate misses.
-            for s in slices:
-                tid = s.key
-                if tid in matched_tids or tid not in self.tracks:
+            max_misses = self.max_misses
+            for track, _, _ in slices:
+                if track.track_id in matched_ids:
                     continue
-                track = self.tracks[tid]
                 track.misses += 1
-                if track.misses > self.max_misses:
-                    self._drop_track(tid)
+                if track.misses > max_misses:
+                    del tracks[track.track_id]
 
         total_mpx = sum(b.size * b.size * b.count for b in plan) / 1e6
         return RegularFrameOutcome(
@@ -340,7 +309,7 @@ class CameraNode:
             n_slices=len(slices),
             n_new_regions=len(new_slices),
             n_takeovers=n_takeovers,
-            tracking_ms=self.overheads.tracking_ms(len(self.tracks)),
+            tracking_ms=self.overheads.tracking_ms(len(tracks)),
             distributed_ms=self.overheads.distributed_ms(len(predicted)),
             batching_ms=self.overheads.batching_ms(
                 sum(counts.values()), len(plan), total_mpx
@@ -372,45 +341,32 @@ class CameraNode:
 
     def _match_detections(
         self,
-        reference_boxes: Dict[int, BBox],
+        references: List[Track],
         detections: Sequence[Detection],
-    ) -> Tuple[List[Tuple[int, Detection]], List[Detection]]:
-        """Hungarian IoU matching of detections onto reference boxes."""
-        if not reference_boxes or not detections:
+    ) -> Tuple[List[Tuple[Track, Detection]], List[Detection]]:
+        """Hungarian IoU matching of detections onto the tracks' boxes.
+
+        ``references`` are in id order, which fixes the cost rows.
+        """
+        if not references or not detections:
             return [], list(detections)
-        tids = sorted(reference_boxes)
-        # Cost matrix as nested lists: iou_cost_rows is bit-identical to
-        # the per-pair ``1.0 - BBox.iou`` loop it replaces, and the list
-        # form feeds hungarian without an ndarray round-trip.
-        cost = iou_cost_rows(
-            [reference_boxes[tid] for tid in tids],
-            [det.bbox for det in detections],
+        # Scalar IoU costs: a node matches tens of boxes, where numpy's
+        # per-call overhead costs more than the cells.
+        cost = scalar_iou_cost_rows(
+            [t.bbox.as_tuple() for t in references],
+            [d.bbox.as_tuple() for d in detections],
         )
-        matched: List[Tuple[int, Detection]] = []
+        limit = 1.0 - self.iou_match_threshold
+        matched: List[Tuple[Track, Detection]] = []
         used = set()
         for r, c in hungarian(cost):
-            if cost[r][c] <= 1.0 - self.iou_match_threshold:
-                matched.append((tids[r], detections[c]))
+            if cost[r][c] <= limit:
+                matched.append((references[r], detections[c]))
                 used.add(c)
         unmatched = [d for i, d in enumerate(detections) if i not in used]
         return matched, unmatched
-
-    def _new_track(self, det: Detection) -> NodeTrack:
-        track = NodeTrack(
-            track_id=self._alloc_tid(),
-            bbox=det.bbox,
-            last_gt_id=det.gt_object_id,
-        )
-        self.tracks[track.track_id] = track
-        self.flow.observe(track.track_id, det.bbox)
-        return track
 
     def _alloc_tid(self) -> int:
         tid = self._next_tid
         self._next_tid += 1
         return tid
-
-    def _drop_track(self, tid: int) -> None:
-        self.tracks.pop(tid, None)
-        self.flow.drop(tid)
-        self.book.drop(tid)

@@ -4,15 +4,11 @@ from repro.vision.detector import Detection, DetectorErrorModel, SimulatedDetect
 from repro.vision.flow import (
     FlowNoiseModel,
     FlowPredictor,
-    TrackState,
     find_new_regions,
+    observe,
 )
-from repro.vision.slicing import (
-    Slice,
-    TargetSizeBook,
-    build_slices,
-    slice_counts_by_size,
-)
+from repro.vision.slicing import pinned_size, slice_tracks
+from repro.vision.tracks import Track, TrackStatus
 
 __all__ = [
     "Detection",
@@ -20,10 +16,10 @@ __all__ = [
     "SimulatedDetector",
     "FlowPredictor",
     "FlowNoiseModel",
-    "TrackState",
     "find_new_regions",
-    "Slice",
-    "TargetSizeBook",
-    "build_slices",
-    "slice_counts_by_size",
+    "observe",
+    "pinned_size",
+    "slice_tracks",
+    "Track",
+    "TrackStatus",
 ]

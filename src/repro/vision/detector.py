@@ -17,20 +17,22 @@ supervision only** — scheduling and association logic never reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cameras.camera import Camera
 from repro.cameras.projection import camera_boxes
-from repro.geometry.box import BBox
+from repro.geometry.box import BBox, clamp
 from repro.world.entities import ObjectClass, WorldObject
 
 _INF = float("inf")
 
+#: A region's ``(x1, y1, x2, y2)`` corners.
+Corners = Tuple[float, float, float, float]
 
-@dataclass(frozen=True, slots=True)
-class Detection:
+
+class Detection(NamedTuple):
     """One detector output box on one camera."""
 
     bbox: BBox
@@ -42,7 +44,14 @@ class Detection:
 
 @dataclass(frozen=True)
 class DetectorErrorModel:
-    """Tunables of the detection noise process."""
+    """Tunables of the detection noise process.
+
+    An inspected object of box side ``side = min(w, h)`` is missed with
+    probability ``min(0.95, base_miss_prob + small_box_extra_miss *
+    (1 - side / small_box_pixels))`` (the second term only below
+    ``small_box_pixels``), times the caller's miss multiplier and capped
+    at 1.
+    """
 
     center_jitter_frac: float = 0.03  # std of centre noise, fraction of size
     size_jitter_frac: float = 0.05  # std of width/height noise
@@ -51,15 +60,6 @@ class DetectorErrorModel:
     small_box_extra_miss: float = 0.25
     false_positive_rate: float = 0.05  # expected FPs per full-frame run
     min_confidence: float = 0.35
-
-    def miss_probability(self, box: BBox) -> float:
-        """Per-inspection miss probability for a box of this size."""
-        side = min(box.width, box.height)
-        p = self.base_miss_prob
-        if side < self.small_box_pixels:
-            deficit = 1.0 - side / self.small_box_pixels
-            p += self.small_box_extra_miss * deficit
-        return min(0.95, p)
 
 
 class SimulatedDetector:
@@ -79,7 +79,7 @@ class SimulatedDetector:
     def detect_full_frame(
         self,
         objects: Sequence[WorldObject],
-        miss_multipliers: Optional[dict] = None,
+        miss_multipliers: Optional[Mapping[int, float]] = None,
         boxes: Optional[Mapping[int, BBox]] = None,
     ) -> List[Detection]:
         """Full-frame inspection: sees every visible object, with noise.
@@ -92,132 +92,135 @@ class SimulatedDetector:
         """
         if boxes is None:
             boxes = camera_boxes(self.camera, objects)
-        multipliers_get = (miss_multipliers or {}).get
-        detections: List[Detection] = []
-        boxes_get = boxes.get
-        detect_object = self._detect_object
-        for obj in objects:
-            true_box = boxes_get(obj.object_id)
-            if true_box is None:
-                continue
-            det = detect_object(
-                obj, true_box, multipliers_get(obj.object_id, 1.0)
-            )
-            if det is not None:
-                detections.append(det)
+        detections = self._detect(objects, boxes, miss_multipliers, None)
         detections.extend(self._false_positives())
         return detections
 
     def detect_regions(
         self,
         objects: Sequence[WorldObject],
-        regions: Sequence[BBox],
-        miss_multipliers: Optional[dict] = None,
+        regions: Sequence[Corners],
+        miss_multipliers: Optional[Mapping[int, float]] = None,
         boxes: Optional[Mapping[int, BBox]] = None,
     ) -> List[Detection]:
         """Partial-frame inspection: only objects whose true box centre lies
-        in some region are detectable. One object yields at most one
-        detection even when regions overlap. ``boxes`` is as in
+        in some region are detectable, once each however many regions
+        hold it. ``regions`` are ``(x1, y1, x2, y2)`` corner tuples (the
+        slices' search regions); ``boxes`` is as in
         :meth:`detect_full_frame`.
         """
         if boxes is None:
             boxes = camera_boxes(self.camera, objects)
-        detections: List[Detection] = []
-        seen: set[int] = set()
-        # Region corners unpacked once; the inner test walks them with
-        # the same comparisons and short-circuit order as
-        # BBox.contains_point.
-        rects = [(r.x1, r.y1, r.x2, r.y2) for r in regions]
-        multipliers_get = (miss_multipliers or {}).get
-        boxes_get = boxes.get
-        detect_object = self._detect_object
-        for obj in objects:
-            obj_id = obj.object_id
-            if obj_id in seen:
-                continue
-            true_box = boxes_get(obj_id)
-            if true_box is None:
-                continue
-            cx = (true_box.x1 + true_box.x2) / 2.0
-            cy = (true_box.y1 + true_box.y2) / 2.0
-            for rx1, ry1, rx2, ry2 in rects:
-                if rx1 <= cx <= rx2 and ry1 <= cy <= ry2:
-                    break
-            else:
-                continue
-            det = detect_object(obj, true_box, multipliers_get(obj_id, 1.0))
-            if det is not None:
-                seen.add(obj_id)
-                detections.append(det)
-        return detections
+        return self._detect(objects, boxes, miss_multipliers, regions)
 
     # ------------------------------------------------------------------
-    def _detect_object(
+    def _detect(
         self,
-        obj: WorldObject,
-        true_box: BBox,
-        miss_multiplier: float = 1.0,
-    ) -> Optional[Detection]:
-        # errors.miss_probability inlined: min()/property calls were a
-        # visible slice of the per-detection cost. Python min/max keep
-        # the first argument on ties, so the conditional forms below
-        # select the same values bit-for-bit.
-        errors = self.errors
-        bw = true_box.x2 - true_box.x1
-        bh = true_box.y2 - true_box.y1
-        side = bw if bw < bh else bh
-        p = errors.base_miss_prob
-        small = errors.small_box_pixels
-        if side < small:
-            p += errors.small_box_extra_miss * (1.0 - side / small)
-        if p > 0.95:
-            p = 0.95
-        miss_prob = p * miss_multiplier
-        if miss_prob > 1.0:
-            miss_prob = 1.0
-        if miss_multiplier == _INF or self._rng.random() < miss_prob:
-            return None
-        noisy = self._jitter_box(true_box)
-        w, h = self.camera.frame_size
-        noisy = noisy.clip(float(w), float(h))
-        if noisy.is_empty():
-            return None
-        # Scalar clamp written as min(max(v, lo), hi) — the exact
-        # element rule of the np.clip call it replaces, without the
-        # array round-trip.
-        confidence = float(self._rng.normal(0.85, 0.08))
-        lo = self.errors.min_confidence
-        if confidence < lo:
-            confidence = lo
-        if confidence > 0.99:
-            confidence = 0.99
-        return Detection(
-            bbox=noisy,
-            confidence=confidence,
-            object_class=obj.object_class,
-            gt_object_id=obj.object_id,
-            camera_id=self.camera.camera_id,
-        )
+        objects: Sequence[WorldObject],
+        boxes: Mapping[int, BBox],
+        miss_multipliers: Optional[Mapping[int, float]],
+        rects: Optional[Sequence[Corners]],
+    ) -> List[Detection]:
+        """The one per-object detection loop of both inspection kinds.
 
-    def _jitter_box(self, box: BBox) -> BBox:
-        # Inlined center/size/from_xywh arithmetic with the exact same
-        # grouping (the jittered sizes are >= 2, so from_xywh's
-        # non-negative clamp was always a no-op).
-        x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
-        cx = (x1 + x2) / 2.0
-        cy = (y1 + y2) / 2.0
-        w = x2 - x1
-        h = y2 - y1
-        rng = self._rng
+        Each visible object (in ``rects`` mode: whose true box centre lies
+        in a rect, tested like ``BBox.contains_point``) draws, in object
+        order: nothing when its multiplier is ``inf``; else ``random()``
+        for the miss test; if detected, ``standard_normal(4)`` for the
+        centre and size jitter, then, unless the jittered box clips to
+        nothing, one standard normal for the confidence. So an object
+        draws 0, 1, 5 or 6 values, and the count depends on earlier
+        draws, which is why this loop runs per object. Each value is
+        ``loc + scale * z``, which is what ``normal(loc, scale)`` draws
+        (``tests/vision/test_rng_identities.py`` pins that), and the
+        geometry is ``BBox.center``, ``BBox.from_xywh`` and ``BBox.clip``
+        written out with the same groupings and the builtins' ``min``/
+        ``max`` tie rules, so every box and confidence is bit-identical
+        to those operations.
+        """
         errors = self.errors
-        ncx = cx + rng.normal(0.0, errors.center_jitter_frac * w)
-        ncy = cy + rng.normal(0.0, errors.center_jitter_frac * h)
+        base_miss = errors.base_miss_prob
+        small = errors.small_box_pixels
+        extra_miss = errors.small_box_extra_miss
+        cj = errors.center_jitter_frac
         sj = errors.size_jitter_frac
-        nw = max(2.0, w * (1.0 + rng.normal(0.0, sj)))
-        nh = max(2.0, h * (1.0 + rng.normal(0.0, sj)))
-        return BBox(
-            ncx - nw / 2.0, ncy - nh / 2.0, ncx + nw / 2.0, ncy + nh / 2.0
-        )
+        lo = errors.min_confidence
+        w, h = self.camera.frame_size
+        fw = float(w)
+        fh = float(h)
+        camera_id = self.camera.camera_id
+        rng = self._rng
+        random = rng.random
+        standard_normal = rng.standard_normal
+        multipliers_get = (miss_multipliers or {}).get
+        boxes_get = boxes.get
+        detections: List[Detection] = []
+        for obj in objects:
+            oid = obj.object_id
+            box = boxes_get(oid)
+            if box is None:
+                continue
+            x1 = box.x1
+            y1 = box.y1
+            x2 = box.x2
+            y2 = box.y2
+            cx = (x1 + x2) / 2.0
+            cy = (y1 + y2) / 2.0
+            if rects is not None:
+                for rx1, ry1, rx2, ry2 in rects:
+                    if rx1 <= cx <= rx2 and ry1 <= cy <= ry2:
+                        break
+                else:
+                    continue
+            bw = x2 - x1
+            bh = y2 - y1
+            side = bw if bw < bh else bh
+            p = base_miss
+            if side < small:
+                p += extra_miss * (1.0 - side / small)
+            if p > 0.95:
+                p = 0.95
+            multiplier = multipliers_get(oid, 1.0)
+            miss_prob = p * multiplier
+            if miss_prob > 1.0:
+                miss_prob = 1.0
+            if multiplier == _INF or random() < miss_prob:
+                continue
+            z0, z1, z2, z3 = standard_normal(4).tolist()
+            ncx = cx + (0.0 + (cj * bw) * z0)
+            ncy = cy + (0.0 + (cj * bh) * z1)
+            nw = bw * (1.0 + (0.0 + sj * z2))
+            nh = bh * (1.0 + (0.0 + sj * z3))
+            if not nw > 2.0:
+                nw = 2.0
+            if not nh > 2.0:
+                nh = 2.0
+            nx1 = ncx - nw / 2.0
+            ny1 = ncy - nh / 2.0
+            nx2 = ncx + nw / 2.0
+            ny2 = ncy + nh / 2.0
+            if not (nx1 >= 0.0 and ny1 >= 0.0 and nx2 <= fw and ny2 <= fh):
+                nx1 = clamp(nx1, fw)
+                ny1 = clamp(ny1, fh)
+                nx2 = clamp(nx2, fw)
+                ny2 = clamp(ny2, fh)
+            if nx2 - nx1 <= 1e-9 or ny2 - ny1 <= 1e-9:
+                continue
+            confidence = 0.85 + 0.08 * standard_normal()
+            if confidence < lo:
+                confidence = lo
+            if confidence > 0.99:
+                confidence = 0.99
+            detections.append(
+                Detection(
+                    BBox(nx1, ny1, nx2, ny2),
+                    confidence,
+                    obj.object_class,
+                    oid,
+                    camera_id,
+                )
+            )
+        return detections
 
     def _false_positives(self) -> List[Detection]:
         n = int(self._rng.poisson(self.errors.false_positive_rate))

@@ -16,23 +16,15 @@ Section II-B). We reproduce both contracts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.cameras.camera import Camera
 from repro.cameras.projection import camera_boxes
 from repro.geometry.box import BBox
+from repro.vision.tracks import Track
 from repro.world.entities import WorldObject
-
-
-@dataclass(slots=True)
-class TrackState:
-    """Per-object motion state maintained by the predictor."""
-
-    bbox: BBox
-    velocity: Tuple[float, float] = (0.0, 0.0)  # px/frame
-    frames_since_update: int = 0
 
 
 @dataclass(frozen=True)
@@ -45,7 +37,7 @@ class FlowNoiseModel:
 
 
 class FlowPredictor:
-    """Predicts per-object boxes between detections, one instance per camera."""
+    """Moves one camera's tracks between detections."""
 
     def __init__(
         self,
@@ -59,63 +51,58 @@ class FlowPredictor:
             )
         self.noise = noise or FlowNoiseModel()
         self._rng = rng
-        self._states: Dict[int, TrackState] = {}
 
-    # ------------------------------------------------------------------
-    def observe(self, key: int, bbox: BBox) -> None:
-        """Feed a confirmed detection for ``key`` (a local track id)."""
-        prev = self._states.get(key)
-        if prev is not None:
-            # Centres inlined with BBox.center's exact grouping.
-            pbox = prev.bbox
-            pcx = (pbox.x1 + pbox.x2) / 2.0
-            pcy = (pbox.y1 + pbox.y2) / 2.0
-            ccx = (bbox.x1 + bbox.x2) / 2.0
-            ccy = (bbox.y1 + bbox.y2) / 2.0
-            frames = prev.frames_since_update + 1
-            if frames < 1:
-                frames = 1
-            velocity = ((ccx - pcx) / frames, (ccy - pcy) / frames)
-        else:
-            velocity = (0.0, 0.0)
-        self._states[key] = TrackState(bbox=bbox, velocity=velocity)
+    def predict(self, tracks: Iterable[Track]) -> None:
+        """Advance every track with a velocity by one frame of motion + noise.
 
-    def predict(self, key: int) -> Optional[BBox]:
-        """Advance ``key``'s box by one frame of estimated motion + noise."""
-        state = self._states.get(key)
-        if state is None:
-            return None
-        unobserved = state.frames_since_update + 1
-        state.frames_since_update = unobserved
-        # The common case is a track observed last frame: growth**0 is
-        # exactly 1.0 and multiplying by it is exact, so the pow can be
-        # skipped without changing a bit.
-        sigma = self.noise.base_sigma_px
-        if unobserved != 1:
-            sigma = sigma * (self.noise.drift_growth ** (unobserved - 1))
-        rng = self._rng
-        vx, vy = state.velocity
-        dx = vx + rng.normal(0.0, sigma)
-        dy = vy + rng.normal(0.0, sigma)
-        box = state.bbox
-        predicted = BBox(
-            box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy
+        The noise of all moving tracks is one ``standard_normal(2n)``
+        draw, two values per track in iteration order. It equals two
+        ``normal(0.0, sigma)`` draws per track: numpy computes those as
+        ``0.0 + sigma * z`` on the same stream
+        (``tests/vision/test_rng_identities.py`` pins it). A track
+        without a velocity keeps its box and draws nothing.
+        """
+        moving = [t for t in tracks if t.velocity is not None]
+        if not moving:
+            return
+        z = self._rng.standard_normal(2 * len(moving)).tolist()
+        base = self.noise.base_sigma_px
+        growth = self.noise.drift_growth
+        for track, zx, zy in zip(moving, z[0::2], z[1::2]):
+            unobserved = track.frames_since_update + 1
+            track.frames_since_update = unobserved
+            # growth**0 is exactly 1.0, so the common case of a track
+            # observed last frame skips the pow without changing a bit.
+            sigma = base
+            if unobserved != 1:
+                sigma = sigma * (growth ** (unobserved - 1))
+            vx, vy = track.velocity
+            dx = vx + (0.0 + sigma * zx)
+            dy = vy + (0.0 + sigma * zy)
+            box = track.bbox
+            track.bbox = BBox(
+                box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy
+            )
+
+
+def observe(track: Track, bbox: BBox) -> None:
+    """Feed a confirmed detection: the box and the flow's velocity estimate.
+
+    The velocity is the centre displacement from the track's current
+    (predicted) box, spread over the frames since the last detection.
+    """
+    if track.velocity is not None:
+        # Centres with BBox.center's exact grouping.
+        pbox = track.bbox
+        frames = track.frames_since_update + 1
+        track.velocity = (
+            ((bbox.x1 + bbox.x2) / 2.0 - (pbox.x1 + pbox.x2) / 2.0) / frames,
+            ((bbox.y1 + bbox.y2) / 2.0 - (pbox.y1 + pbox.y2) / 2.0) / frames,
         )
-        state.bbox = predicted
-        return predicted
-
-    def drop(self, key: int) -> None:
-        """Forget the motion state of ``key``."""
-        self._states.pop(key, None)
-
-    def tracked_keys(self) -> List[int]:
-        """Sorted keys currently carrying motion state."""
-        return sorted(self._states)
-
-    def staleness(self, key: int) -> int:
-        """Frames since ``key`` was last observed (-1 if unknown)."""
-        state = self._states.get(key)
-        return state.frames_since_update if state else -1
+    else:
+        track.velocity = (0.0, 0.0)
+    track.bbox = bbox
+    track.frames_since_update = 0
 
 
 def find_new_regions(
@@ -146,30 +133,26 @@ def find_new_regions(
     rects = [(p.x1, p.y1, p.x2, p.y2) for p in predicted_boxes]
     boxes_get = boxes.get
     min_speed = noise.min_apparent_speed_px
+    w, h = camera.frame_size
     for obj in objects:
         box = boxes_get(obj.object_id)
         if box is None:
             continue
         cx = (box.x1 + box.x2) / 2.0
         cy = (box.y1 + box.y2) / 2.0
-        covered = False
         for px1, py1, px2, py2 in rects:
             if px1 <= cx <= px2 and py1 <= cy <= py2:
-                covered = True
                 break
-        if covered:
-            continue
-        apparent_speed = _apparent_speed_px(camera, obj, dt)
-        if apparent_speed < min_speed:
-            continue  # flow can't see near-static targets
-        # Flow clusters are coarse: inflate and jitter the region.
-        inflate = 1.0 + float(rng.uniform(0.1, 0.4))
-        jitter = float(rng.normal(0.0, 2.0))
-        region = box.scale(inflate).translate(jitter, jitter)
-        w, h = camera.frame_size
-        region = region.clip(float(w), float(h))
-        if not region.is_empty():
-            regions.append(region)
+        else:
+            if _apparent_speed_px(camera, obj, dt) < min_speed:
+                continue  # flow can't see near-static targets
+            # Flow clusters are coarse: inflate and jitter the region.
+            inflate = 1.0 + float(rng.uniform(0.1, 0.4))
+            jitter = float(rng.normal(0.0, 2.0))
+            region = box.scale(inflate).translate(jitter, jitter)
+            region = region.clip(float(w), float(h))
+            if not region.is_empty():
+                regions.append(region)
     return regions
 
 

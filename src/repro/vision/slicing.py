@@ -3,106 +3,90 @@
 On regular frames the DNN only inspects square regions around the
 predicted object locations, quantized to the size set so same-size regions
 can be batched. The quantized size of an object is **fixed within a
-scheduling horizon** on a given camera — with one exception: when the
-object grows beyond its region, the region is re-quantized upward (the
-paper performs "downsizing" of the image content instead, which costs the
-same; we model it as the size staying servable).
+scheduling horizon** on a given camera: it is pinned on the track at first
+sight (:attr:`Track.size`) and cleared at each key frame — with one
+exception: when the object grows beyond its region, the region is
+re-quantized upward (the paper performs "downsizing" of the image content
+instead, which costs the same; we model it as the size staying servable).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.geometry.box import DEFAULT_SIZE_SET, BBox, quantize_size
+from repro.geometry.box import BBox, clamp, quantize_size
+from repro.vision.tracks import Track
 
-
-@dataclass(frozen=True, slots=True)
-class Slice:
-    """One partial-frame inspection task: a search region + batching key."""
-
-    key: int  # local track id on this camera
-    region: BBox
-    target_size: int
+#: One inspection task: the track, its search region's ``(x1, y1, x2,
+#: y2)`` corners, and the quantized size that is its batching key.
+Slice = Tuple[Track, Tuple[float, float, float, float], int]
 
 
-class TargetSizeBook:
-    """Per-horizon registry fixing each object's quantized target size.
+def pinned_size(box: BBox, size_set: Sequence[int], margin: float = 8.0) -> int:
+    """The quantized size pinned for a track first seen at ``box``.
 
-    ``assign`` pins a size at the start of a horizon (or on first sight);
-    ``lookup`` returns the pinned size; ``reset`` starts a new horizon.
+    That is the long side of ``box.expand(margin)`` (``margin >= 0``),
+    with the same subtractions.
     """
-
-    def __init__(self, size_set: Sequence[int] = DEFAULT_SIZE_SET) -> None:
-        if not size_set:
-            raise ValueError("size_set must be non-empty")
-        self.size_set = tuple(sorted(size_set))
-        self._sizes: Dict[int, int] = {}
-
-    def assign(self, key: int, box: BBox, margin: float = 8.0) -> int:
-        """Pin (or re-pin) the quantized size for ``key`` from its box."""
-        size = quantize_size(box.expand(margin).long_side, self.size_set)
-        self._sizes[key] = size
-        return size
-
-    def lookup(self, key: int) -> Optional[int]:
-        """The pinned size for ``key``, or None if unassigned."""
-        return self._sizes.get(key)
-
-    def lookup_or_assign(self, key: int, box: BBox, margin: float = 8.0) -> int:
-        """Return the pinned size, assigning it on first sight."""
-        existing = self._sizes.get(key)
-        if existing is not None:
-            return existing
-        return self.assign(key, box, margin)
-
-    def drop(self, key: int) -> None:
-        """Remove ``key``'s pinned size."""
-        self._sizes.pop(key, None)
-
-    def reset(self) -> None:
-        """Start a new horizon: clear every pinned size."""
-        self._sizes.clear()
-
-    def sizes(self) -> Dict[int, int]:
-        """A snapshot copy of all pinned sizes."""
-        return dict(self._sizes)
+    w = (box.x2 + margin) - (box.x1 - margin)
+    h = (box.y2 + margin) - (box.y1 - margin)
+    return quantize_size(h if h > w else w, size_set)
 
 
-def build_slices(
-    predicted: Dict[int, BBox],
-    book: TargetSizeBook,
+def slice_tracks(
+    tracks: Sequence[Track],
+    size_set: Sequence[int],
     frame_size: Tuple[int, int],
     margin: float = 8.0,
 ) -> List[Slice]:
-    """Turn predicted boxes into quantized, frame-clipped slices.
+    """The tracks' slices, in their order.
 
-    The square region is centred on the predicted box; its side is the
-    pinned target size. Regions are shifted (not shrunk) to stay inside the
-    frame so the batching key remains exact.
+    The square region is centred on the track's box; its side is the
+    track's pinned size, pinned here on first sight. Regions are shifted
+    (not shrunk) to stay inside the frame so the batching key remains
+    exact; a track whose region clips to nothing gets no slice. The
+    geometry is ``BBox.center``, ``BBox.from_xywh`` and ``BBox.clip``
+    on plain floats, with their groupings and Python's ``min``/``max``
+    tie rules.
     """
     w, h = frame_size
+    fw = float(w)
+    fh = float(h)
     slices: List[Slice] = []
-    for key in sorted(predicted):
-        box = predicted[key]
-        size = book.lookup_or_assign(key, box, margin)
-        cx, cy = box.center
+    for track in tracks:
+        box = track.bbox
+        size = track.size
+        if size is None:
+            size = track.size = pinned_size(box, size_set, margin)
         half = size / 2.0
-        # Shift the centre so the square fits the frame where possible.
-        cx = min(max(cx, half), max(half, w - half))
-        cy = min(max(cy, half), max(half, h - half))
-        region = BBox.from_xywh(cx, cy, float(size), float(size)).clip(
-            float(w), float(h)
-        )
-        if region.is_empty():
+        hi_x = w - half
+        hi_y = h - half
+        if not hi_x > half:
+            hi_x = half
+        if not hi_y > half:
+            hi_y = half
+        cx = (box.x1 + box.x2) / 2.0
+        cy = (box.y1 + box.y2) / 2.0
+        # min(max(c, half), hi), the shift that keeps the square in frame.
+        if half > cx:
+            cx = half
+        if hi_x < cx:
+            cx = hi_x
+        if half > cy:
+            cy = half
+        if hi_y < cy:
+            cy = hi_y
+        side = float(size)
+        x1 = cx - side / 2.0
+        y1 = cy - side / 2.0
+        x2 = cx + side / 2.0
+        y2 = cy + side / 2.0
+        if not (x1 >= 0.0 and y1 >= 0.0 and x2 <= fw and y2 <= fh):
+            x1 = clamp(x1, fw)
+            y1 = clamp(y1, fh)
+            x2 = clamp(x2, fw)
+            y2 = clamp(y2, fh)
+        if x2 - x1 <= 1e-9 or y2 - y1 <= 1e-9:
             continue
-        slices.append(Slice(key=key, region=region, target_size=size))
+        slices.append((track, (x1, y1, x2, y2), size))
     return slices
-
-
-def slice_counts_by_size(slices: Sequence[Slice]) -> Dict[int, int]:
-    """``{target_size: n_slices}`` — the GPU planner's input."""
-    counts: Dict[int, int] = {}
-    for s in slices:
-        counts[s.target_size] = counts.get(s.target_size, 0) + 1
-    return counts

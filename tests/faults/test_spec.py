@@ -1,5 +1,7 @@
 """The --faults spec DSL, chaos presets, and resolve_faults."""
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -178,8 +180,25 @@ def test_scheduler_chaos_preset_exists():
     ("rand:gpu=0.2,gpu_x=inf", "slowdown_factor"),
 ])
 def test_non_finite_magnitudes_refused_when_the_config_is_built(spec, named):
-    with pytest.raises(ValueError, match=rf"^faults: {named}\b.*must be finite"):
+    # An event clause's error names the clause; a rand: clause is the
+    # whole spec, and its model names the field.
+    clause = "" if spec.startswith("rand:") else f"fault clause '{spec}': "
+    with pytest.raises(
+        ValueError, match=rf"^faults: {re.escape(clause)}{named}\b.*must be finite"
+    ):
         PipelineConfig(faults=spec)
+
+
+@pytest.mark.parametrize("spec,clause,message", [
+    ("loss:p=0.1;dup:p=2", "dup:p=2",
+     "msg_duplicate magnitude is a probability in [0, 1]"),
+    ("fade:cam=1,at=3,for=2,x=0.5", "fade:cam=1,at=3,for=2,x=0.5",
+     "quality_fade magnitude (miss-probability multiplier) must be >= 1"),
+])
+def test_event_range_errors_name_their_clause(spec, clause, message):
+    with pytest.raises(ValueError) as info:
+        parse_fault_spec(spec)
+    assert str(info.value) == f"fault clause {clause!r}: {message}"
 
 
 #: Magnitudes the DSL can write for each kind that has a magnitude key:

@@ -9,9 +9,9 @@ from repro.geometry.box import (
     BBox,
     corner_array,
     iou_cost_blocks,
-    iou_cost_rows,
     quantize_size,
     quantized_region,
+    scalar_iou_cost_rows,
 )
 from repro.geometry.polygon import ConvexPolygon
 
@@ -45,7 +45,9 @@ def test_iou_cost_blocks_equal_the_scalar_iou(pairs):
     for (a, b), block in zip(pairs, blocks):
         want = [[1.0 - x.iou(y) for y in b] for x in a]
         assert block == want
-        assert iou_cost_rows(a, b) == want
+        assert scalar_iou_cost_rows(
+            [x.as_tuple() for x in a], [y.as_tuple() for y in b]
+        ) == want
 
 
 class TestBoxProperties:

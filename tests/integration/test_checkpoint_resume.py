@@ -116,6 +116,22 @@ class TestCheckpointFile:
         ):
             load_checkpoint(path)
 
+    def test_v2_node_layout_refused_naming_the_file(self, tmp_path):
+        """A v2 file is refused: its camera nodes hold three track dicts,
+        which the track-table node cannot resume from."""
+        import hashlib
+
+        path = str(tmp_path / "v2.ckpt")
+        payload = pickle.dumps(RunCheckpoint("s", "c", "t", "state"))
+        digest = hashlib.sha256(payload).hexdigest().encode()
+        with open(path, "wb") as fh:
+            fh.write(b"repro-checkpoint-v2\n" + digest + b"\n" + payload)
+        with pytest.raises(
+            CheckpointError,
+            match=r"v2\.ckpt.*repro-checkpoint-v2.*repro-checkpoint-v3 only",
+        ):
+            load_checkpoint(path)
+
     def test_write_is_atomic_no_temp_left_behind(self, tmp_path):
         path = str(tmp_path / "a.ckpt")
         save_checkpoint(path, RunCheckpoint("s", "c", "t", "state"))

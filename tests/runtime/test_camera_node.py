@@ -68,11 +68,14 @@ class TestKeyFrame:
 
     def test_size_book_reset_each_horizon(self):
         node = make_node()
-        node.process_key_frame([car(0, 20)])
+        objects = [car(0, 20)]
+        node.process_key_frame(objects)
         tid = list(node.tracks)[0]
-        node.book.assign(tid, node.tracks[tid].bbox)
-        node.process_key_frame([car(0, 20)])
-        assert node.book.lookup(tid) is None
+        node.process_regular_frame(objects, IndependentPolicy())
+        assert node.tracks[tid].size is not None  # pinned by the slice
+        node.process_key_frame(objects)
+        assert list(node.tracks) == [tid]
+        assert node.tracks[tid].size is None
 
 
 class TestApplySchedule:

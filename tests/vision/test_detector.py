@@ -2,6 +2,7 @@
 
 
 import numpy as np
+import pytest
 
 from repro.cameras.camera import Camera, CameraIntrinsics, CameraPose
 from repro.geometry.box import BBox
@@ -83,10 +84,25 @@ class TestFullFrame:
         assert 0.0 < d.confidence <= 1.0
 
     def test_small_boxes_miss_more(self):
-        errors = DetectorErrorModel()
-        small = BBox.from_xywh(0, 0, 10, 10)
-        large = BBox.from_xywh(0, 0, 200, 200)
-        assert errors.miss_probability(small) > errors.miss_probability(large)
+        # Miss rates over many inspections of a 10 px and a 200 px box
+        # match the error model: 0.02 + 0.25 * (1 - 10/32) and 0.02.
+        cam = make_camera()
+        errors = DetectorErrorModel(false_positive_rate=0.0)
+        det = SimulatedDetector(cam, errors, np.random.default_rng(9))
+        objects = [car_at(20, 0, 0), car_at(40, 5, 1)]
+        boxes = {
+            0: BBox.from_xywh(300, 300, 10, 10),
+            1: BBox.from_xywh(700, 300, 200, 200),
+        }
+        trials = 4000
+        seen = [0, 0]
+        for _ in range(trials):
+            for d in det.detect_full_frame(objects, boxes=boxes):
+                seen[d.gt_object_id] += 1
+        small_miss = 1 - seen[0] / trials
+        large_miss = 1 - seen[1] / trials
+        assert small_miss == pytest.approx(0.02 + 0.25 * (1 - 10 / 32), abs=0.02)
+        assert large_miss == pytest.approx(0.02, abs=0.01)
 
 
 class TestRegionDetection:
@@ -95,14 +111,14 @@ class TestRegionDetection:
         det = SimulatedDetector(cam, perfect_errors(), np.random.default_rng(4))
         obj = car_at(25, 0)
         region = cam.project_object(obj).expand(20)
-        found = det.detect_regions([obj], [region])
+        found = det.detect_regions([obj], [region.as_tuple()])
         assert [d.gt_object_id for d in found] == [0]
 
     def test_object_outside_region_missed(self):
         cam = make_camera()
         det = SimulatedDetector(cam, perfect_errors(), np.random.default_rng(5))
         obj = car_at(25, 0)
-        far_region = BBox(0, 0, 50, 50)
+        far_region = (0.0, 0.0, 50.0, 50.0)
         assert det.detect_regions([obj], [far_region]) == []
 
     def test_no_duplicate_across_overlapping_regions(self):
@@ -110,7 +126,9 @@ class TestRegionDetection:
         det = SimulatedDetector(cam, perfect_errors(), np.random.default_rng(6))
         obj = car_at(25, 0)
         region = cam.project_object(obj).expand(30)
-        found = det.detect_regions([obj], [region, region.translate(5, 5)])
+        found = det.detect_regions(
+            [obj], [region.as_tuple(), region.translate(5, 5).as_tuple()]
+        )
         assert len(found) == 1
 
     def test_empty_regions_no_detections(self):
@@ -122,7 +140,7 @@ class TestRegionDetection:
         cam = make_camera()
         det = SimulatedDetector(cam, None, np.random.default_rng(8))
         obj = car_at(25, 0)
-        region = cam.project_object(obj).expand(20)
+        region = cam.project_object(obj).expand(20).as_tuple()
         for _ in range(20):
             for d in det.detect_regions([obj], [region]):
                 assert d.gt_object_id == obj.object_id

@@ -6,12 +6,20 @@ import pytest
 
 from repro.cameras.camera import Camera, CameraIntrinsics, CameraPose
 from repro.geometry.box import BBox
-from repro.vision.flow import FlowNoiseModel, FlowPredictor, find_new_regions
+from repro.vision.flow import FlowNoiseModel, FlowPredictor, find_new_regions, observe
+from repro.vision.tracks import Track
 from repro.world.entities import ObjectClass, WorldObject
 
 
 def noise_free():
     return FlowNoiseModel(base_sigma_px=0.0, drift_growth=1.0)
+
+
+def observed(tid, box):
+    """A track the flow has seen one detection of."""
+    track = Track(tid, box)
+    observe(track, box)
+    return track
 
 
 class TestFlowPredictor:
@@ -22,68 +30,80 @@ class TestFlowPredictor:
             FlowPredictor(noise_free())
 
     def test_predict_unknown_key_none(self):
-        flow = FlowPredictor(noise_free(), np.random.default_rng(0))
-        assert flow.predict(42) is None
+        # A track the flow has not observed has no velocity: it is not
+        # moved and draws nothing.
+        rng = np.random.default_rng(0)
+        flow = FlowPredictor(FlowNoiseModel(), rng)
+        box = BBox.from_xywh(100, 100, 40, 40)
+        track = Track(42, box)
+        before = rng.bit_generator.state
+        flow.predict([track])
+        assert track.bbox is box
+        assert rng.bit_generator.state == before
 
     def test_static_object_prediction(self):
         flow = FlowPredictor(noise_free(), np.random.default_rng(0))
         box = BBox.from_xywh(100, 100, 40, 40)
-        flow.observe(1, box)
-        pred = flow.predict(1)
-        assert pred.center == pytest.approx(box.center)
+        track = observed(1, box)
+        flow.predict([track])
+        assert track.bbox.center == pytest.approx(box.center)
 
     def test_velocity_extrapolation(self):
         flow = FlowPredictor(noise_free(), np.random.default_rng(0))
-        flow.observe(1, BBox.from_xywh(100, 100, 40, 40))
-        flow.observe(1, BBox.from_xywh(110, 100, 40, 40))  # moved +10 px/frame
-        pred = flow.predict(1)
-        assert pred.center[0] == pytest.approx(120.0)
+        track = observed(1, BBox.from_xywh(100, 100, 40, 40))
+        observe(track, BBox.from_xywh(110, 100, 40, 40))  # +10 px/frame
+        flow.predict([track])
+        assert track.bbox.center[0] == pytest.approx(120.0)
 
     def test_velocity_averages_over_missed_frames(self):
         flow = FlowPredictor(noise_free(), np.random.default_rng(0))
-        flow.observe(1, BBox.from_xywh(100, 100, 40, 40))
-        flow.predict(1)
-        flow.predict(1)  # two unobserved frames
-        flow.observe(1, BBox.from_xywh(130, 100, 40, 40))
+        track = observed(1, BBox.from_xywh(100, 100, 40, 40))
+        flow.predict([track])
+        flow.predict([track])  # two unobserved frames
+        observe(track, BBox.from_xywh(130, 100, 40, 40))
         # 30 px over 3 frames -> 10 px/frame
-        pred = flow.predict(1)
-        assert pred.center[0] == pytest.approx(140.0)
+        flow.predict([track])
+        assert track.bbox.center[0] == pytest.approx(140.0)
 
     def test_noise_grows_with_staleness(self):
         noise = FlowNoiseModel(base_sigma_px=2.0, drift_growth=2.0)
-        rng = np.random.default_rng(0)
         spreads = []
         for frames in (1, 4):
             deltas = []
             for trial in range(200):
                 flow = FlowPredictor(noise, np.random.default_rng(trial))
-                flow.observe(1, BBox.from_xywh(0, 0, 10, 10))
-                pred = None
+                track = observed(1, BBox.from_xywh(0, 0, 10, 10))
                 for _ in range(frames):
-                    pred = flow.predict(1)
-                deltas.append(pred.center[0])
+                    flow.predict([track])
+                deltas.append(track.bbox.center[0])
             spreads.append(np.std(deltas))
         assert spreads[1] > spreads[0] * 2
 
     def test_drop_and_tracked_keys(self):
-        flow = FlowPredictor(noise_free(), np.random.default_rng(0))
-        flow.observe(1, BBox.from_xywh(0, 0, 10, 10))
-        flow.observe(2, BBox.from_xywh(5, 5, 10, 10))
-        assert flow.tracked_keys() == [1, 2]
-        flow.drop(1)
-        assert flow.tracked_keys() == [2]
-        assert flow.predict(1) is None
+        # Only the tracks handed in move and draw: two normals each, in
+        # order, one batch per call.
+        noise = FlowNoiseModel(base_sigma_px=1.5, drift_growth=1.6)
+        rng = np.random.default_rng(3)
+        flow = FlowPredictor(noise, rng)
+        kept = observed(2, BBox.from_xywh(5, 5, 10, 10))
+        flow.predict([kept])
+        reference = np.random.default_rng(3)
+        dx = 0.0 + (0.0 + 1.5 * reference.normal())
+        assert kept.bbox.x1 == 0.0 + dx
+        assert rng.bit_generator.state != reference.bit_generator.state
+        reference.normal()
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_staleness_counter(self):
         flow = FlowPredictor(noise_free(), np.random.default_rng(0))
-        flow.observe(1, BBox.from_xywh(0, 0, 10, 10))
-        assert flow.staleness(1) == 0
-        flow.predict(1)
-        flow.predict(1)
-        assert flow.staleness(1) == 2
-        flow.observe(1, BBox.from_xywh(1, 0, 10, 10))
-        assert flow.staleness(1) == 0
-        assert flow.staleness(99) == -1
+        track = observed(1, BBox.from_xywh(0, 0, 10, 10))
+        assert track.frames_since_update == 0
+        flow.predict([track])
+        flow.predict([track])
+        assert track.frames_since_update == 2
+        observe(track, BBox.from_xywh(1, 0, 10, 10))
+        assert track.frames_since_update == 0
+        assert Track(99, BBox.from_xywh(0, 0, 10, 10)).velocity is None
 
 
 class TestNewRegions:
