@@ -261,7 +261,7 @@ class PairwiseAssociator:
         return out
 
     def shared_calls(self) -> Dict[str, int]:
-        """Pair-model calls that found a shared search, by outcome, since fit.
+        """Pair-model calls that found a shared search, by outcome, since fit or load.
 
         Each classifier call and each regressor call counts once:
         ``certified`` calls used the shared neighbours, ``fallback`` calls
@@ -380,7 +380,8 @@ class SourceIndex:
     row ``mixed`` when its duplicates disagree on some target's label or
     regression target. :meth:`prepare` derives the search arrays from
     those and the models; pickles leave them out, so artifact and
-    checkpoint files grow only by the row map.
+    checkpoint files grow only by the row map. Pickles also hold the call
+    counters at zero, so a loaded index counts from zero.
     """
 
     _DERIVED = ("basis", "norms", "counts", "rows")
@@ -429,6 +430,10 @@ class SourceIndex:
         state = self.__dict__.copy()
         for name in self._DERIVED:
             state[name] = None
+        # The counters measure runs, not the models: a pickle (such as a
+        # checkpoint's content-addressed models entry) is the same before
+        # and after any run.
+        state["calls"] = {"certified": 0, "fallback": 0}
         return state
 
     def prepare(self) -> None:

@@ -7,12 +7,12 @@ sites. This module caches such artifacts on disk, keyed by the SHA-256
 of their canonically pickled inputs plus a code-version salt, so a warm
 rerun of the full report skips every fit.
 
-File layout mirrors :mod:`repro.checkpoint`: a magic header line, the
-hex SHA-256 of the payload, then the pickled value. Writes go to a temp
-file followed by ``os.replace`` — concurrent pool workers racing on the
-same key each write a complete entry and the rename picks a winner, so
-readers never observe a torn file. Loads verify the digest; a corrupted
-entry is counted and treated as a miss, never an error.
+Each entry is a framed file (:mod:`repro.framed`) holding the pickled
+value under this module's :data:`MAGIC`: concurrent pool workers racing
+on the same key each write a complete entry and the rename picks a
+winner, so readers never observe a torn file. A damaged entry (bad
+magic, digest or pickle) is counted and treated as a miss, never an
+error.
 
 Activation is ambient: ``with use_cache(cache): ...`` installs the cache
 in a :class:`~contextvars.ContextVar` that :func:`train_models` consults,
@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import hashlib
 import os
 import pickle
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional
 
+from repro.framed import read_framed, write_framed
 from repro.obs.registry import MetricsRegistry, get_registry
 
 MAGIC = b"repro-cache-v1\n"
@@ -103,13 +104,12 @@ class ArtifactCache:
     def get(self, key: str) -> Optional[Any]:
         """The cached value, or None on miss (absent *or* corrupt entry)."""
         try:
-            with open(self._path(key), "rb") as fh:
-                blob = fh.read()
+            _, payload = read_framed(self._path(key), MAGIC)
+            value = pickle.loads(payload)
         except OSError:
             self._miss()
             return None
-        ok, value = _decode(blob)
-        if not ok:
+        except Exception:  # FramedFileError, or pickle's zoo of types
             self.corrupt += 1
             self.registry.counter("cache_corrupt_total").inc()
             self._miss()
@@ -119,23 +119,12 @@ class ArtifactCache:
         return value
 
     def put(self, key: str, value: Any) -> None:
-        """Atomically store ``value`` (temp file + rename, digest header)."""
+        """Atomically store ``value`` as a framed file."""
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(MAGIC)
-                fh.write(digest + b"\n")
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        write_framed(
+            path, MAGIC, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        )
         self.puts += 1
         self.registry.counter("cache_puts_total").inc()
 
@@ -191,23 +180,6 @@ class ArtifactCache:
                 if os.path.isdir(shard_dir) and not os.listdir(shard_dir):
                     os.rmdir(shard_dir)
         return removed
-
-
-def _decode(blob: bytes) -> Tuple[bool, Optional[Any]]:
-    """Verify magic + digest and unpickle; (False, None) on any damage."""
-    if not blob.startswith(MAGIC):
-        return False, None
-    rest = blob[len(MAGIC):]
-    sep = rest.find(b"\n")
-    if sep != 64:  # hex-encoded sha256
-        return False, None
-    digest, payload = rest[:sep], rest[sep + 1:]
-    if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
-        return False, None
-    try:
-        return True, pickle.loads(payload)
-    except Exception:  # pickle raises a zoo of exception types
-        return False, None
 
 
 # ----------------------------------------------------------------------

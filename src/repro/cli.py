@@ -240,7 +240,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "be combined with --faults/--chaos/--trace/--checkpoint"
             )
         from repro.checkpoint import CheckpointError, load_checkpoint
-        from repro.runtime.pipeline import Pipeline
 
         try:
             checkpoint = load_checkpoint(args.resume)
@@ -250,8 +249,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = checkpoint.config
         trained = checkpoint.trained
         print(f"Scenario {scenario.name}: {scenario.description}")
-        pipeline = Pipeline(scenario, config, trained=trained)
-        result = pipeline.run(checkpoint.state)
+        result = checkpoint.resume()
     else:
         if (args.checkpoint_every or args.stop_after) and not args.checkpoint:
             raise SystemExit(

@@ -3,8 +3,6 @@
 from repro.geometry.box import (
     DEFAULT_SIZE_SET,
     BBox,
-    iou_matrix,
-    pairwise_iou_matrix,
     quantize_size,
     quantized_region,
 )
@@ -16,8 +14,6 @@ __all__ = [
     "ConvexPolygon",
     "Homography",
     "DEFAULT_SIZE_SET",
-    "iou_matrix",
-    "pairwise_iou_matrix",
     "quantize_size",
     "quantized_region",
 ]

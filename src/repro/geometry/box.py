@@ -283,22 +283,6 @@ def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where((inter == 0.0) | (union <= 0.0), 0.0, inter / union)
 
 
-def iou_matrix(
-    boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]
-) -> np.ndarray:
-    """Dense IoU matrix between two box lists (rows: a, cols: b).
-
-    Every entry is bit-identical to ``boxes_a[i].iou(boxes_b[j])`` (see
-    :func:`iou_corners`), so matchers built on either form agree exactly.
-    """
-    n, m = len(boxes_a), len(boxes_b)
-    if n == 0 or m == 0:
-        return np.zeros((n, m))
-    return iou_corners(
-        corner_array(boxes_a)[:, None, :], corner_array(boxes_b)[None, :, :]
-    )
-
-
 #: Below this many cells, the scalar mirror of the batched IoU chain is
 #: faster than paying numpy's fixed per-call overhead.
 _IOU_SCALAR_MAX_CELLS = 64
@@ -359,10 +343,3 @@ def iou_cost_blocks(
         blocks.append([row[: len(b)] for row in cost[start : start + len(a)]])
         start += len(a)
     return blocks
-
-
-def pairwise_iou_matrix(
-    boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]
-) -> List[List[float]]:
-    """Dense IoU matrix as nested lists (see :func:`iou_matrix`)."""
-    return iou_matrix(boxes_a, boxes_b).tolist()

@@ -6,7 +6,8 @@ import pytest
 from repro.geometry.box import (
     DEFAULT_SIZE_SET,
     BBox,
-    pairwise_iou_matrix,
+    corner_array,
+    iou_cost_blocks,
     quantize_size,
     quantized_region,
 )
@@ -167,13 +168,16 @@ class TestQuantization:
 
 
 class TestPairwiseIoU:
+    """The ``1 - IoU`` cost blocks association matches on."""
+
     def test_matrix_shape_and_values(self):
         a = [BBox(0, 0, 10, 10), BBox(20, 20, 30, 30)]
         b = [BBox(0, 0, 10, 10)]
-        mat = pairwise_iou_matrix(a, b)
-        assert len(mat) == 2 and len(mat[0]) == 1
-        assert mat[0][0] == pytest.approx(1.0)
-        assert mat[1][0] == 0.0
+        (costs,) = iou_cost_blocks([(corner_array(a), corner_array(b))])
+        assert len(costs) == 2 and len(costs[0]) == 1
+        assert costs[0][0] == pytest.approx(0.0)
+        assert costs[1][0] == 1.0
 
     def test_empty_inputs(self):
-        assert pairwise_iou_matrix([], []) == []
+        empty = corner_array([])
+        assert iou_cost_blocks([(empty, empty)]) == [[]]

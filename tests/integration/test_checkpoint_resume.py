@@ -2,10 +2,14 @@
 
 import os
 import pickle
+import re
 
 import pytest
 
+from repro.association.pairwise import PairwiseAssociator
+from repro.association.training import AssociationDataset
 from repro.checkpoint import (
+    ENTRY_MAGIC,
     MAGIC,
     CheckpointError,
     RunCheckpoint,
@@ -13,7 +17,14 @@ from repro.checkpoint import (
     resume_run,
     save_checkpoint,
 )
-from repro.runtime.pipeline import Pipeline, PipelineConfig, train_models
+from repro.framed import read_framed, write_framed
+from repro.geometry.box import BBox
+from repro.runtime.pipeline import (
+    Pipeline,
+    PipelineConfig,
+    TrainedModels,
+    train_models,
+)
 from repro.scenarios.aic21 import scenario_s1
 
 
@@ -128,7 +139,23 @@ class TestCheckpointFile:
             fh.write(b"repro-checkpoint-v2\n" + digest + b"\n" + payload)
         with pytest.raises(
             CheckpointError,
-            match=r"v2\.ckpt.*repro-checkpoint-v2.*repro-checkpoint-v3 only",
+            match=r"v2\.ckpt.*repro-checkpoint-v2.*repro-checkpoint-v4 only",
+        ):
+            load_checkpoint(path)
+
+    def test_v3_inline_models_refused_naming_the_file(self, tmp_path):
+        """A v3 file is refused: it holds the trained models inline, where
+        a v4 state refers to its models entry."""
+        import hashlib
+
+        path = str(tmp_path / "v3.ckpt")
+        payload = pickle.dumps(RunCheckpoint("s", "c", "t", "state"))
+        digest = hashlib.sha256(payload).hexdigest().encode()
+        with open(path, "wb") as fh:
+            fh.write(b"repro-checkpoint-v3\n" + digest + b"\n" + payload)
+        with pytest.raises(
+            CheckpointError,
+            match=r"v3\.ckpt.*repro-checkpoint-v3.*repro-checkpoint-v4 only",
         ):
             load_checkpoint(path)
 
@@ -136,8 +163,152 @@ class TestCheckpointFile:
         path = str(tmp_path / "a.ckpt")
         save_checkpoint(path, RunCheckpoint("s", "c", "t", "state"))
         save_checkpoint(path, RunCheckpoint("s", "c", "t", "state2"))
-        assert os.listdir(tmp_path) == ["a.ckpt"]
+        names = sorted(os.listdir(tmp_path))
+        assert len(names) == 2 and names[0] == "a.ckpt"
+        assert names[1].startswith("models-") and names[1].endswith(".pkl")
         assert load_checkpoint(path).state == "state2"
+
+
+def entries(directory):
+    return sorted(directory.glob("models-*.pkl"))
+
+
+def tiny_models():
+    return TrainedModels(
+        associator=None, typical_box_sizes={0: 60.0}, profiles={}
+    )
+
+
+def shifted_dataset(shift):
+    """One camera pair whose target boxes sit ``shift`` px right."""
+    dataset = AssociationDataset()
+    for i in range(30):
+        box = BBox.from_xywh(20.0 * i, 100.0, 40.0, 30.0)
+        dataset.pair(0, 1).add(box, box.translate(shift, 0.0))
+    return dataset
+
+
+class TestModelsEntry:
+    """The trained models live in one content-addressed entry per directory."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(path, RunCheckpoint("s", "c", tiny_models(), "state"))
+        (entry,) = entries(tmp_path)
+        return path, str(entry)
+
+    def test_state_refers_to_its_entry(self, saved):
+        path, entry = saved
+        digest, payload = read_framed(entry, ENTRY_MAGIC)
+        assert os.path.basename(entry) == f"models-{digest}.pkl"
+        assert pickle.loads(payload) == tiny_models()
+        assert load_checkpoint(path).trained == tiny_models()
+        # The state holds a reference, not the models' fields.
+        assert b"typical_box_sizes" in payload
+        assert b"typical_box_sizes" not in open(path, "rb").read()
+
+    def test_missing_entry_is_named(self, saved):
+        path, entry = saved
+        os.unlink(entry)
+        with pytest.raises(CheckpointError, match=rf"cannot read.*{re.escape(entry)}"):
+            load_checkpoint(path)
+
+    def test_truncated_entry_is_named(self, saved):
+        path, entry = saved
+        with open(entry, "r+b") as fh:
+            fh.truncate(os.path.getsize(entry) - 3)
+        with pytest.raises(CheckpointError, match=rf"{re.escape(entry)}.*digest mismatch"):
+            load_checkpoint(path)
+
+    def test_entry_that_does_not_hash_to_its_name_is_named(self, saved):
+        path, entry = saved
+        other = TrainedModels(None, {0: 61.0}, {})
+        write_framed(entry, ENTRY_MAGIC, pickle.dumps(other))
+        with pytest.raises(
+            CheckpointError,
+            match=rf"{re.escape(entry)}.*does not hash to its name",
+        ):
+            load_checkpoint(path)
+
+    def test_entry_with_wrong_magic_is_named(self, saved):
+        path, entry = saved
+        blob = bytearray(open(entry, "rb").read())
+        blob[0] ^= 0xFF
+        with open(entry, "wb") as fh:
+            fh.write(bytes(blob))
+        with pytest.raises(CheckpointError, match=rf"{re.escape(entry)}.*bad magic"):
+            load_checkpoint(path)
+
+    def test_load_shares_one_associator(self, shared, tmp_path):
+        scenario, trained = shared
+        path = str(tmp_path / "run.ckpt")
+        cfg = small_config(checkpoint_path=path, stop_after_frames=7)
+        Pipeline(scenario, cfg, trained=trained).run()
+        ckpt = load_checkpoint(path)
+        assert ckpt.state.scheduler.matcher.associator is ckpt.trained.associator
+        assert ckpt.state.scheduler._associator is ckpt.trained.associator
+        assert ckpt.trained.associator is not trained.associator
+
+    def test_saves_into_one_directory_write_one_entry(
+        self, shared, tmp_path, monkeypatch
+    ):
+        scenario, trained = shared
+        path = str(tmp_path / "run.ckpt")
+        cfg = small_config(checkpoint_path=path, checkpoint_every=5)
+        Pipeline(scenario, cfg, trained=trained).run()
+        (entry,) = entries(tmp_path)
+        before = os.stat(entry)
+        # The models pickle at most once per object and process: neither
+        # more saves nor a resume, which loads them, pickles them again.
+        models_pickled = []
+        real_dumps = pickle.dumps
+
+        def dumps(obj, *args, **kwargs):
+            if isinstance(obj, TrainedModels):
+                models_pickled.append(obj)
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", dumps)
+        cut = small_config(
+            checkpoint_path=str(tmp_path / "cut.ckpt"), checkpoint_every=5,
+            stop_after_frames=12,
+        )
+        Pipeline(scenario, cut, trained=trained).run()
+        assert resume_run(cut.checkpoint_path).n_frames == 40
+        assert models_pickled == []
+        assert entries(tmp_path) == [entry]
+        after = os.stat(entry)
+        assert (after.st_ino, after.st_mtime_ns) == (
+            before.st_ino, before.st_mtime_ns
+        )
+
+    def test_save_after_a_refit_writes_a_new_entry(self, tmp_path):
+        associator = PairwiseAssociator().fit(shifted_dataset(40.0))
+        trained = TrainedModels(associator, {0: 60.0, 1: 60.0}, {})
+        path = str(tmp_path / "run.ckpt")
+        box = BBox.from_xywh(200.0, 100.0, 40.0, 30.0)
+        save_checkpoint(path, RunCheckpoint("s", "c", trained, "state"))
+        first = load_checkpoint(path).trained.associator.predict_box(0, 1, box)
+        associator.fit(shifted_dataset(90.0))
+        save_checkpoint(path, RunCheckpoint("s", "c", trained, "state"))
+        assert len(entries(tmp_path)) == 2
+        refit = load_checkpoint(path).trained.associator.predict_box(0, 1, box)
+        assert refit == associator.predict_box(0, 1, box) != first
+
+
+class TestModelsDoNotChangeWhileTheyRun:
+    def test_pickle_is_equal_before_and_after_runs(self, shared):
+        """A content-addressed entry needs models that runs leave alone."""
+        scenario, trained = shared
+        before = pickle.dumps(trained, protocol=pickle.HIGHEST_PROTOCOL)
+        Pipeline(scenario, small_config(), trained=trained).run()
+        after_run = pickle.dumps(trained, protocol=pickle.HIGHEST_PROTOCOL)
+        faults = "crash:cam=1,at=5,for=10;loss:p=0.2"
+        Pipeline(scenario, small_config(faults=faults), trained=trained).run()
+        after_faults = pickle.dumps(trained, protocol=pickle.HIGHEST_PROTOCOL)
+        assert trained.associator.shared_calls()["certified"] > 0
+        assert before == after_run == after_faults
 
 
 class TestConfigValidation:

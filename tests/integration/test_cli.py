@@ -176,6 +176,20 @@ class TestCheckpointCli:
             main(["run", "--resume", ckpt])
         assert "digest mismatch" in str(exc.value)
 
+    def test_damaged_models_entry_refused_naming_it(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "run.ckpt")
+        args = RUN_SMALL + ["--checkpoint", ckpt, "--stop-after", "5"]
+        assert main(args) == 0
+        capsys.readouterr()
+        (entry,) = tmp_path.glob("models-*.pkl")
+        with open(entry, "r+b") as fh:
+            fh.truncate(1000)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--resume", ckpt])
+        assert str(exc.value).startswith("error: ")
+        assert entry.name in str(exc.value)
+        assert capsys.readouterr().out == ""
+
 
 class TestEventRuntimeCli:
     """The ingest and serving edges at the CLI: every run has both."""

@@ -10,10 +10,10 @@ the per-key ``FlowPredictor``, ``TargetSizeBook``/``build_slices`` and
 ``tests/runtime/test_camera_node_reference.py`` steps it beside the new
 node and compares tracks, outcomes and RNG states after every frame.
 Data records (``BBox``, ``Detection``, the error and noise models,
-``TrackView``) and the shared solvers (``hungarian``, ``iou_matrix``,
+``TrackView``) and the shared solvers (``hungarian``, ``iou_corners``,
 ``scalar_iou_cost_rows``, ``greedy_plan``, ``GPUExecutor``) are
-imported, not frozen; ``iou_cost_rows``, which chose between the last
-two, is frozen here.
+imported, not frozen; ``iou_cost_rows``, which chose between the
+batched ``iou_matrix`` and the scalar mirror, is frozen here with it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from repro.devices.profiler import DeviceProfile
 from repro.geometry.box import (
     DEFAULT_SIZE_SET,
     BBox,
-    iou_matrix,
+    corner_array,
+    iou_corners,
     quantize_size,
     scalar_iou_cost_rows,
 )
@@ -46,6 +47,22 @@ from repro.vision.flow import FlowNoiseModel
 from repro.world.entities import ObjectClass, WorldObject
 
 _INF = float("inf")
+
+
+def iou_matrix(
+    boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]
+) -> np.ndarray:
+    """Dense IoU matrix between two box lists (rows: a, cols: b).
+
+    Every entry is bit-identical to ``boxes_a[i].iou(boxes_b[j])`` (see
+    ``iou_corners``).
+    """
+    n, m = len(boxes_a), len(boxes_b)
+    if n == 0 or m == 0:
+        return np.zeros((n, m))
+    return iou_corners(
+        corner_array(boxes_a)[:, None, :], corner_array(boxes_b)[None, :, :]
+    )
 
 
 def iou_cost_rows(
