@@ -9,7 +9,6 @@ from repro.association.matcher import (
     CrossCameraMatcher,
     GlobalObject,
     LocalObservation,
-    association_quality,
 )
 from repro.association.pairwise import (
     PairModel,
@@ -40,7 +39,6 @@ __all__ = [
     "CrossCameraMatcher",
     "GlobalObject",
     "LocalObservation",
-    "association_quality",
     "HomographyBoxRegressor",
     "CLASSIFIER_FACTORIES",
     "REGRESSOR_FACTORIES",

@@ -12,7 +12,7 @@ Hungarian algorithm on IoU proximity against ``i'``'s detections, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,11 +42,6 @@ class GlobalObject:
     def coverage(self) -> List[int]:
         """Camera ids that observe this object (the coverage set C_j)."""
         return sorted(self.members)
-
-    def box_on(self, camera_id: int) -> Optional[BBox]:
-        """This object's box on ``camera_id``, or None if unobserved there."""
-        obs = self.members.get(camera_id)
-        return obs.bbox if obs else None
 
 
 class _UnionFind:
@@ -165,32 +160,3 @@ class CrossCameraMatcher:
             for row, col in hungarian(cost):
                 if cost[row][col] <= limit:
                     uf.union(base_a + idx[row], base_b + col)
-
-
-def association_quality(
-    globals_found: Sequence[GlobalObject],
-) -> Tuple[int, int, int]:
-    """Evaluate association against ground truth ids.
-
-    Returns ``(correct_links, wrong_links, missed_links)`` where a link is
-    a pair of observations placed in the same global object. Requires
-    observations to carry ``gt_id``; false-positive detections (gt_id=-1)
-    never count as correct.
-    """
-    correct = wrong = 0
-    gt_to_groups: Dict[int, set] = {}
-    for group in globals_found:
-        members = list(group.members.values())
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a, b = members[i], members[j]
-                if a.gt_id >= 0 and a.gt_id == b.gt_id:
-                    correct += 1
-                else:
-                    wrong += 1
-        for obs in members:
-            if obs.gt_id >= 0:
-                gt_to_groups.setdefault(obs.gt_id, set()).add(group.global_id)
-    # A gt object split across k groups has been 'missed' k-1 times.
-    missed = sum(len(groups) - 1 for groups in gt_to_groups.values())
-    return correct, wrong, missed

@@ -260,19 +260,6 @@ class PairwiseAssociator:
             out.append(got)
         return out
 
-    def shared_calls(self) -> Dict[str, int]:
-        """Pair-model calls that found a shared search, by outcome, since fit or load.
-
-        Each classifier call and each regressor call counts once:
-        ``certified`` calls used the shared neighbours, ``fallback`` calls
-        ran their own search because the certificate declined.
-        """
-        total = {"certified": 0, "fallback": 0}
-        for index in (getattr(self, "_sources", None) or {}).values():
-            for outcome, count in index.calls.items():
-                total[outcome] += count
-        return total
-
     def predict_visible(self, source: int, target: int, box: BBox) -> bool:
         """Visibility of a source-camera box on the target camera."""
         model = self._models.get((source, target))

@@ -99,10 +99,6 @@ class AssociationDataset:
             self.pairs[key] = PairDataset(pair=key)
         return self.pairs[key]
 
-    @property
-    def total_samples(self) -> int:
-        return sum(p.n_samples for p in self.pairs.values())
-
 
 def collect_association_dataset(
     world: World,

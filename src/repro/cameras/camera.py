@@ -177,17 +177,6 @@ class Camera:
             float(self.min_box_pixels),
         )
 
-    def sees_ground_point(self, x: float, y: float) -> bool:
-        """Whether the ground point projects into the frame within range."""
-        if math.hypot(x - self.pose.x, y - self.pose.y) > self.max_range:
-            return False
-        uv = self.project_point(x, y, 0.0)
-        if uv is None:
-            return False
-        u, v = uv
-        w, h = self.frame_size
-        return 0.0 <= u <= w and 0.0 <= v <= h
-
     def ground_fov_polygon(self, arc_segments: int = 10) -> ConvexPolygon:
         """Approximate ground-plane field of view as a view cone polygon."""
         half = min(self.intrinsics.horizontal_fov / 2.0, math.pi / 2 - 1e-3)

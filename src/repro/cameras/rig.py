@@ -87,9 +87,3 @@ class CameraRig:
         inter = pa.overlap_area(pb)
         smaller = min(pa.area, pb.area)
         return inter / smaller if smaller > 0 else 0.0
-
-    def cameras_seeing_ground_point(self, x: float, y: float) -> List[int]:
-        """Cameras whose frame contains the ground point ``(x, y)``."""
-        return [
-            c.camera_id for c in self.cameras if c.sees_ground_point(x, y)
-        ]

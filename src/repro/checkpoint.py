@@ -29,7 +29,7 @@ entry travels with its state file: move or copy the two together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import hashlib
 import io
 import os
@@ -91,11 +91,6 @@ class RunCheckpoint:
 
         pipeline = Pipeline(self.scenario, self.config, trained=self.trained)
         return pipeline.run(self.state)
-
-
-def resume_run(path: str) -> "RunResult":
-    """Resume the run checkpointed at ``path`` and run it to completion."""
-    return load_checkpoint(path).resume()
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +262,13 @@ class _StateUnpickler(pickle.Unpickler):
 
 
 def load_checkpoint(path: str) -> RunCheckpoint:
-    """Read a checkpoint written by :func:`save_checkpoint`, verifying both files."""
+    """Read a checkpoint written by :func:`save_checkpoint`, verifying both files.
+
+    A checkpointing run resumes checkpointing at ``path``: the restored
+    config names the file it was loaded from, not the path the run was
+    started with, so a run resumed from another working directory saves
+    beside that file, where its models entry already is.
+    """
     _, payload = _read(path, MAGIC, "checkpoint")
     try:
         checkpoint = _StateUnpickler(payload, path).load()
@@ -281,4 +282,7 @@ def load_checkpoint(path: str) -> RunCheckpoint:
         raise CheckpointError(
             f"{path!r}: unexpected payload type {type(checkpoint).__name__}"
         )
+    config = checkpoint.config
+    if getattr(config, "checkpoint_path", None) is not None:
+        checkpoint = replace(checkpoint, config=replace(config, checkpoint_path=path))
     return checkpoint

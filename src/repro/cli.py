@@ -14,6 +14,7 @@ the combined report to a file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -34,6 +35,19 @@ from repro.runtime.pipeline import (
     train_models,
 )
 from repro.scenarios.aic21 import ALL_SCENARIOS, get_scenario
+
+
+def _output_path(path: str) -> str:
+    """``type=`` of an option naming a file the command writes.
+
+    The file's directory must exist. Checking it when the arguments are
+    parsed refuses a bad path before the training and simulation that
+    precede the write.
+    """
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+    return path
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -304,6 +318,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
             spans = read_spans_jsonl(args.input)
         except FileNotFoundError:
             print(f"error: no such trace file: {args.input}", file=sys.stderr)
+            return 1
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 1
         print(format_span_summary(spans, title=f"trace {args.input}"))
         return 0
@@ -596,11 +613,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(run_parser)
     run_parser.add_argument("--policy", default="balb", choices=POLICIES)
     run_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
+        "--trace", default=None, metavar="PATH", type=_output_path,
         help="collect a span trace and write it to PATH as JSON lines",
     )
     run_parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
+        "--checkpoint", default=None, metavar="PATH", type=_output_path,
         help="write a crash-consistent checkpoint of the run state to PATH",
     )
     run_parser.add_argument(
@@ -630,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="summarize an existing JSONL trace instead of running",
     )
     trace_parser.add_argument(
-        "--out", default=None, metavar="PATH",
+        "--out", default=None, metavar="PATH", type=_output_path,
         help="also write the collected trace to PATH as JSON lines",
     )
     trace_parser.set_defaults(func=cmd_trace)
@@ -651,7 +668,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp_parser.add_argument("--only", default=None,
                             help="one of FIG2/FIG10/.../TAB2/ABLATIONS/"
                                  "EXTENSIONS/FAULTS/INGEST")
-    exp_parser.add_argument("--out", default=None, help="also write to file")
+    exp_parser.add_argument(
+        "--out", default=None, type=_output_path, help="also write to file"
+    )
     exp_parser.add_argument("--seed", type=int, default=0)
     exp_parser.set_defaults(func=cmd_experiments)
 
@@ -660,7 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate the full report (parallel, cached, profiled)",
     )
     report_parser.add_argument("--seed", type=int, default=0)
-    report_parser.add_argument("--out", default=None, help="also write to file")
+    report_parser.add_argument(
+        "--out", default=None, type=_output_path, help="also write to file"
+    )
     report_parser.add_argument(
         "--workers", type=int, default=1,
         help="process-pool size; 1 = run inline (byte-identical either way)",
@@ -701,7 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true", help="fewer rounds (CI smoke mode)"
     )
     bench_parser.add_argument(
-        "--out", default="BENCH_micro.json", help="output JSON path"
+        "--out", default="BENCH_micro.json", type=_output_path,
+        help="output JSON path"
     )
     bench_parser.add_argument(
         "--baseline", default=None,
@@ -738,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
              "split-brain violation and the shrunk repro schedule)",
     )
     soak_parser.add_argument(
-        "--out", default=None, metavar="PATH",
+        "--out", default=None, metavar="PATH", type=_output_path,
         help="also write the soak report to PATH (byte-deterministic "
              "for a given seed; CI diffs two runs)",
     )

@@ -9,10 +9,7 @@ from repro.core.bandwidth import (
     upload_plan_for_instance,
 )
 from repro.core.baselines import (
-    full_frame_latencies,
-    greedy_min_latency_assignment,
     independent_latencies,
-    unordered_balb_assignment,
 )
 from repro.core.distributed import DistributedPolicy
 from repro.core.energy import (
@@ -29,7 +26,7 @@ from repro.core.masks import (
     capacity_owner,
     priority_owner,
 )
-from repro.core.optimal import approximation_ratio, optimal_assignment
+from repro.core.optimal import optimal_assignment
 from repro.core.problem import (
     Assignment,
     MVSInstance,
@@ -37,22 +34,16 @@ from repro.core.problem import (
     camera_latency,
     camera_size_counts,
     is_feasible,
-    latency_profile,
     system_latency,
 )
 from repro.core.quality import (
     QualityResult,
-    qualities_from_boxes,
     quality_aware_central,
-    view_quality,
 )
 from repro.core.redundancy import (
     MultiAssignment,
     RedundantResult,
     balb_redundant,
-    is_feasible_multi,
-    multi_camera_latency,
-    multi_system_latency,
 )
 
 __all__ = [
@@ -63,7 +54,6 @@ __all__ = [
     "camera_latency",
     "camera_size_counts",
     "system_latency",
-    "latency_profile",
     "BALBResult",
     "balb_central",
     "order_objects",
@@ -72,12 +62,8 @@ __all__ = [
     "build_camera_masks",
     "priority_owner",
     "capacity_owner",
-    "full_frame_latencies",
     "independent_latencies",
-    "greedy_min_latency_assignment",
-    "unordered_balb_assignment",
     "optimal_assignment",
-    "approximation_ratio",
     "mvs_from_bin_packing",
     "bins_fit",
     "UploadPlan",
@@ -91,13 +77,8 @@ __all__ = [
     "assignment_energy_mj",
     "energy_aware_assignment",
     "QualityResult",
-    "view_quality",
-    "qualities_from_boxes",
     "quality_aware_central",
     "MultiAssignment",
     "RedundantResult",
     "balb_redundant",
-    "is_feasible_multi",
-    "multi_camera_latency",
-    "multi_system_latency",
 ]

@@ -1,14 +1,13 @@
 """Instance-level scheduling baselines (Section IV-C/D).
 
-* **Full** — every camera runs full-frame inspection on every frame; the
-  latency of each camera is simply ``t_i^full``.
 * **BALB-Ind** — no cross-camera coordination: every camera tracks every
   object it can see (each object is inspected by all cameras in its
   coverage set, with batching).
-* **Greedy min-latency** — an ablation of BALB without batch awareness.
-* The **Static Partitioning** baseline needs object *positions* and lives
-  in the pipeline (it is mask driven); see
-  :func:`repro.core.masks.capacity_owner`.
+* **Full** (every camera inspects every frame in full, latency
+  ``t_i^full``) and **Static Partitioning** (mask driven, see
+  :func:`repro.core.masks.capacity_owner`) are pipeline policies.
+* The ablations of BALB without batch awareness or without the
+  coverage-size ordering are :func:`repro.core.balb.balb_central` flags.
 """
 
 from __future__ import annotations
@@ -16,13 +15,7 @@ from __future__ import annotations
 import math
 from typing import Dict
 
-from repro.core.balb import balb_central
-from repro.core.problem import Assignment, MVSInstance
-
-
-def full_frame_latencies(instance: MVSInstance) -> Dict[int, float]:
-    """Per-camera latency under full-frame inspection of every frame."""
-    return {cam: instance.profiles[cam].t_full for cam in instance.camera_ids}
+from repro.core.problem import MVSInstance
 
 
 def independent_latencies(
@@ -49,30 +42,3 @@ def independent_latencies(
             )
         out[cam] = total
     return out
-
-
-def greedy_min_latency_assignment(
-    instance: MVSInstance, include_full_frame: bool = True
-) -> Assignment:
-    """Ablation: BALB without batch-awareness (always 'open a new batch').
-
-    Each object goes to the coverage camera minimizing the updated
-    latency, ignoring incomplete-batch reuse. Equivalent to
-    ``balb_central(batch_aware=False)``.
-    """
-    return balb_central(
-        instance,
-        include_full_frame=include_full_frame,
-        batch_aware=False,
-    ).assignment
-
-
-def unordered_balb_assignment(
-    instance: MVSInstance, include_full_frame: bool = True
-) -> Assignment:
-    """Ablation: BALB without the coverage-size object ordering."""
-    return balb_central(
-        instance,
-        include_full_frame=include_full_frame,
-        coverage_ordered=False,
-    ).assignment

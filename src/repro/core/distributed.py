@@ -21,7 +21,7 @@ Complexity per frame: O(N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.masks import CameraMask, priority_owner
 from repro.geometry.box import BBox
@@ -69,7 +69,3 @@ class DistributedPolicy:
             coverage, self.priority_order, exclude=(assigned_camera,)
         )
         return new_owner == self.camera_id
-
-    def owner_of(self, box: BBox) -> Optional[int]:
-        """The priority owner of the cell under ``box`` (diagnostics)."""
-        return priority_owner(self.mask.coverage_of(box), self.priority_order)

@@ -60,15 +60,6 @@ class CameraMask:
         ix, iy = self.cell_of(box)
         return self.coverage[iy][ix]
 
-    def owned_cells(self, owner_fn) -> List[Tuple[int, int]]:
-        """Cells whose ``owner_fn(coverage)`` equals this camera."""
-        owned = []
-        for iy in range(self.ny):
-            for ix in range(self.nx):
-                if owner_fn(self.coverage[iy][ix]) == self.camera_id:
-                    owned.append((ix, iy))
-        return owned
-
 
 def build_camera_masks(
     frame_sizes: Dict[int, Tuple[int, int]],

@@ -83,19 +83,3 @@ def optimal_assignment(
 
     recurse(0, max(base_latency.values()))
     return best_assignment, best_latency
-
-
-def approximation_ratio(
-    instance: MVSInstance, include_full_frame: bool = True
-) -> float:
-    """BALB's system latency divided by the optimum (>= 1)."""
-    result = balb_central(instance, include_full_frame=include_full_frame)
-    balb_lat = system_latency(
-        instance, result.assignment, include_full_frame=include_full_frame
-    )
-    _, opt_lat = optimal_assignment(
-        instance, include_full_frame=include_full_frame
-    )
-    if opt_lat <= 0:
-        raise RuntimeError("optimal latency must be positive")
-    return balb_lat / opt_lat

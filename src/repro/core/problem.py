@@ -81,13 +81,6 @@ class MVSInstance:
     def camera_ids(self) -> List[int]:
         return sorted(self.profiles)
 
-    def object_by_key(self, key: int) -> SchedObject:
-        """Look up an object by key (KeyError if absent)."""
-        for obj in self.objects:
-            if obj.key == key:
-                return obj
-        raise KeyError(f"no object with key {key}")
-
 
 Assignment = Dict[int, int]
 """Single-camera assignment: ``{object_key: camera_id}``.
@@ -155,15 +148,3 @@ def system_latency(
         camera_latency(instance, assignment, cam, include_full_frame)
         for cam in instance.camera_ids
     )
-
-
-def latency_profile(
-    instance: MVSInstance,
-    assignment: Assignment,
-    include_full_frame: bool = False,
-) -> Dict[int, float]:
-    """Per-camera latencies for an assignment."""
-    return {
-        cam: camera_latency(instance, assignment, cam, include_full_frame)
-        for cam in instance.camera_ids
-    }

@@ -6,13 +6,10 @@ viewing distance and angle matter), and the scheduler should "optimize the
 quality-efficiency tradeoff, instead of purely minimizing the frame
 processing latency".
 
-This module provides:
-
-* :func:`view_quality` — a simple, monotone quality score for a camera's
-  view of an object (pixel size saturating toward 1.0),
-* :func:`quality_aware_central` — a generalization of the central stage
-  whose camera choice blends latency balancing with view quality through a
-  single trade-off knob ``alpha`` (0 = pure BALB, 1 = pure best-view).
+This module provides :func:`quality_aware_central`, a generalization of
+the central stage whose camera choice blends latency balancing with the
+caller's per-view quality scores through a single trade-off knob ``alpha``
+(0 = pure BALB, 1 = pure best-view).
 """
 
 from __future__ import annotations
@@ -26,28 +23,6 @@ from repro.core.problem import Assignment, MVSInstance, is_feasible
 
 QualityMap = Mapping[Tuple[int, int], float]
 """``{(object_key, camera_id): quality in [0, 1]}``."""
-
-
-def view_quality(box_long_side_px: float, saturation_px: float = 250.0) -> float:
-    """Quality of a view from the object's pixel extent.
-
-    Monotone in apparent size and saturating: a 250 px object is
-    essentially as classifiable as a larger one, while a 25 px object is
-    poor. This captures the paper's "objects closer to the camera are
-    generally easier to classify".
-    """
-    if box_long_side_px < 0:
-        raise ValueError("box extent must be non-negative")
-    if saturation_px <= 0:
-        raise ValueError("saturation_px must be positive")
-    return 1.0 - math.exp(-3.0 * box_long_side_px / saturation_px)
-
-
-def qualities_from_boxes(
-    boxes: Mapping[Tuple[int, int], float]
-) -> Dict[Tuple[int, int], float]:
-    """Convenience: map ``{(key, cam): long_side_px}`` to quality scores."""
-    return {pair: view_quality(extent) for pair, extent in boxes.items()}
 
 
 @dataclass

@@ -5,9 +5,8 @@ from repro.devices.gpu import (
     ExecutionRecord,
     GPUExecutor,
     greedy_plan,
-    plan_from_counts,
 )
-from repro.devices.latency import GPUSpec, LatencyModel, speedup
+from repro.devices.latency import GPUSpec, LatencyModel
 from repro.devices.profiler import DeviceProfile, profile_device
 from repro.devices.profiles import (
     DEVICE_CATALOGUE,
@@ -16,21 +15,18 @@ from repro.devices.profiles import (
     JETSON_TX2,
     JETSON_XAVIER_NX,
     DeviceType,
-    device_by_name,
     latency_model_for,
 )
 
 __all__ = [
     "GPUSpec",
     "LatencyModel",
-    "speedup",
     "DeviceType",
     "DEVICE_CATALOGUE",
     "JETSON_NANO",
     "JETSON_TX2",
     "JETSON_XAVIER_NX",
     "JETSON_AGX_XAVIER",
-    "device_by_name",
     "latency_model_for",
     "DeviceProfile",
     "profile_device",
@@ -38,5 +34,4 @@ __all__ = [
     "ExecutionRecord",
     "GPUExecutor",
     "greedy_plan",
-    "plan_from_counts",
 ]

@@ -115,13 +115,6 @@ class GPUExecutor:
         return max(1e-3, true_ms * factor)
 
 
-def plan_from_counts(counts: dict) -> List[Batch]:
-    """Build a plan from a ``{size: n_images}`` mapping *without* splitting
-    into limit-sized launches — use :func:`greedy_plan` for that.
-    """
-    return [Batch(size=s, count=n) for s, n in sorted(counts.items()) if n > 0]
-
-
 def greedy_plan(counts: dict, model: LatencyModel) -> List[Batch]:
     """Split per-size image counts into limit-respecting launches.
 

@@ -102,14 +102,6 @@ class LatencyModel:
             cost += base * over * (1.5 + 0.25 * over)
         return self.spec.kernel_overhead_ms + cost
 
-    def batch_latency(self, size: int) -> float:
-        """``t_i^s``: the latency charged per batch of target size ``size``.
-
-        Per the paper's footnote 2, this is the execution time *at the
-        batch limit*, used as a constant regardless of batch occupancy.
-        """
-        return self.latency(size, self.batch_limit(size))
-
     def batch_limit(self, size: int) -> int:
         """``B_i^s``: max images of ``size`` batched in one launch."""
         if size in self._batch_limits:
@@ -127,22 +119,3 @@ class LatencyModel:
         mpx = (size * size) / 1e6
         by_memory = int(self.spec.memory_mb / (_MB_PER_MPX * mpx))
         return max(1, min(self.spec.max_batch, by_memory))
-
-
-def speedup(full_latency: float, scheduled_latency: float) -> float:
-    """Multiplicative speedup, the headline metric of Figure 13."""
-    if scheduled_latency <= 0:
-        raise ValueError("scheduled latency must be positive")
-    return full_latency / scheduled_latency
-
-
-def pixels(size: int, batch: int) -> int:
-    """Total input pixels of a batch — handy for tests and sanity checks."""
-    return size * size * batch
-
-
-def is_monotone_in_size(model: LatencyModel) -> bool:
-    """Sanity predicate: bigger inputs never get cheaper at batch 1."""
-    sizes = model.size_set
-    lats = [model.latency(s, 1) for s in sizes]
-    return all(a <= b + 1e-9 for a, b in zip(lats, lats[1:]))

@@ -81,12 +81,3 @@ def latency_model_for(
 ) -> LatencyModel:
     """Build the analytic latency surface for a device type."""
     return LatencyModel(device.gpu, size_set=size_set, full_frame=full_frame)
-
-
-def device_by_name(name: str) -> DeviceType:
-    """Look up a catalogue device by name (KeyError lists options)."""
-    try:
-        return DEVICE_CATALOGUE[name]
-    except KeyError:
-        known = ", ".join(sorted(DEVICE_CATALOGUE))
-        raise KeyError(f"unknown device {name!r}; known devices: {known}") from None

@@ -47,10 +47,6 @@ class OcclusionStudy:
     latency_k1: float
     latency_k2: float
 
-    @property
-    def recall_gain(self) -> float:
-        return self.recall_k2 - self.recall_k1
-
 
 def occlusion_point(
     scenario: Scenario,

@@ -61,11 +61,6 @@ class FailoverPoint:
     scheduler_down_frames: int
     mean_recovery_ms: float
 
-    @property
-    def recovered(self) -> bool:
-        """Did a standby restore central scheduling during the outage?"""
-        return self.takeovers > 0
-
 
 @dataclass(frozen=True)
 class FaultToleranceStudy:

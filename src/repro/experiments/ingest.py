@@ -48,11 +48,6 @@ class IngestStudy:
     identity_holds: bool  # the edge is transparent with bursts disabled
     sweep: Tuple[IngestPoint, ...]
 
-    def points_for(self, ingest_policy: str) -> Tuple[IngestPoint, ...]:
-        return tuple(
-            p for p in self.sweep if p.ingest_policy == ingest_policy
-        )
-
 
 def _counter_sum(result, name: str) -> int:
     return int(sum(

@@ -284,18 +284,6 @@ def _execute_job(job: Job, cache_root: Optional[str]) -> JobResult:
     )
 
 
-def run_jobs(
-    jobs: Sequence[Job],
-    workers: int,
-    cache_root: Optional[str] = None,
-) -> List[JobResult]:
-    """Execute jobs (in submission order) and gather ordered results.
-
-    ``workers == 1`` runs everything inline — no processes, no pickling.
-    """
-    return _run_waves([jobs], workers, cache_root)[0]
-
-
 def _run_waves(
     waves: Sequence[Sequence[Job]],
     workers: int,

@@ -145,13 +145,6 @@ class FaultEvent:
             return None
         return self.start_frame + self.duration
 
-    def active_at(self, frame: int) -> bool:
-        """Is this event in effect at ``frame``?"""
-        if frame < self.start_frame:
-            return False
-        end = self.end_frame
-        return end is None or frame < end
-
     def applies_to(self, camera_id: int) -> bool:
         """Does this event affect ``camera_id`` (fleet-wide counts)?"""
         return self.camera_id is None or self.camera_id == camera_id

@@ -4,7 +4,6 @@ from repro.geometry.box import (
     DEFAULT_SIZE_SET,
     BBox,
     quantize_size,
-    quantized_region,
 )
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.transforms import Homography
@@ -15,5 +14,4 @@ __all__ = [
     "Homography",
     "DEFAULT_SIZE_SET",
     "quantize_size",
-    "quantized_region",
 ]

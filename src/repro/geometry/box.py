@@ -14,7 +14,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-import math
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -102,29 +101,6 @@ class BBox:
             return 0.0
         return iw * ih
 
-    def iou(self, other: "BBox") -> float:
-        """Intersection-over-union, the proximity measure used for matching."""
-        inter = self.intersection(other)
-        if inter == 0.0:
-            return 0.0
-        union = self.area + other.area - inter
-        if union <= 0.0:
-            return 0.0
-        return inter / union
-
-    def contains_point(self, x: float, y: float) -> bool:
-        """Is the point inside or on the boundary?"""
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
-
-    def contains_box(self, other: "BBox") -> bool:
-        """Does this box fully contain ``other``?"""
-        return (
-            self.x1 <= other.x1
-            and self.y1 <= other.y1
-            and self.x2 >= other.x2
-            and self.y2 >= other.y2
-        )
-
     def expand(self, margin: float) -> "BBox":
         """Grow the box by ``margin`` pixels on every side."""
         if margin < 0 and (self.width < -2 * margin or self.height < -2 * margin):
@@ -164,36 +140,9 @@ class BBox:
             min(max(self.y2, 0.0), frame_h),
         )
 
-    def union_box(self, other: "BBox") -> "BBox":
-        """The tightest box containing both boxes."""
-        return BBox(
-            min(self.x1, other.x1),
-            min(self.y1, other.y1),
-            max(self.x2, other.x2),
-            max(self.y2, other.y2),
-        )
-
     def is_empty(self, eps: float = 1e-9) -> bool:
         """True when either side is (numerically) zero."""
         return self.width <= eps or self.height <= eps
-
-    def l1_distance(self, other: "BBox") -> float:
-        """Mean absolute error between the two boxes' corner coordinates.
-
-        This is the MAE metric of the paper's Figure 11 for a single pair.
-        """
-        return (
-            abs(self.x1 - other.x1)
-            + abs(self.y1 - other.y1)
-            + abs(self.x2 - other.x2)
-            + abs(self.y2 - other.y2)
-        ) / 4.0
-
-    def center_distance(self, other: "BBox") -> float:
-        """Euclidean distance between the two box centres."""
-        ax, ay = self.center
-        bx, by = other.center
-        return math.hypot(ax - bx, ay - by)
 
 
 def clamp(v: float, hi: float) -> float:
@@ -237,23 +186,6 @@ def _ordered_sizes(size_set: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(sorted(size_set))
 
 
-def quantized_region(
-    box: BBox,
-    size_set: Sequence[int] = DEFAULT_SIZE_SET,
-    margin: float = 8.0,
-) -> Tuple[BBox, int]:
-    """Expand ``box`` by ``margin`` and square it up to a quantized size.
-
-    Returns the square search region centred on the object together with its
-    quantized target size. The region is what the simulated detector
-    inspects on regular frames; the target size is the batching key.
-    """
-    grown = box.expand(margin)
-    size = quantize_size(grown.long_side, size_set)
-    cx, cy = grown.center
-    return BBox.from_xywh(cx, cy, float(size), float(size)), size
-
-
 def corner_array(boxes: Sequence[BBox]) -> np.ndarray:
     """The boxes' ``(x1, y1, x2, y2)`` corners as an ``(n, 4)`` float64 array."""
     return np.array(
@@ -266,10 +198,12 @@ def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The leading axes broadcast against each other: ``a[:, None]``
     against ``b[None]`` gives the dense ``(n, m)`` matrix. Every entry is
-    bit-identical to :meth:`BBox.iou` of the two boxes: the expressions
-    mirror :meth:`BBox.intersection`/:meth:`BBox.iou` term for term
-    (np.minimum/np.maximum are the same exact selections as min/max, and
-    the union grouping matches the scalar left-to-right evaluation).
+    bit-identical to the scalar IoU of the two boxes, intersection over
+    ``a.area + b.area - inter`` with :meth:`BBox.intersection` (the test
+    oracle ``tests/geometry/reference_geometry.py:iou``): the expressions
+    mirror it term for term (np.minimum/np.maximum are the same exact
+    selections as min/max, and the union grouping matches the scalar
+    left-to-right evaluation).
     """
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])

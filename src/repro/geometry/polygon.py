@@ -36,25 +36,6 @@ class ConvexPolygon:
     def area(self) -> float:
         return abs(_signed_area(self.vertices))
 
-    @property
-    def centroid(self) -> Point:
-        sx = sum(v[0] for v in self.vertices)
-        sy = sum(v[1] for v in self.vertices)
-        n = len(self.vertices)
-        return (sx / n, sy / n)
-
-    def contains(self, x: float, y: float, eps: float = 1e-9) -> bool:
-        """True when ``(x, y)`` is inside or on the boundary."""
-        verts = self.vertices
-        n = len(verts)
-        for i in range(n):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % n]
-            cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
-            if cross < -eps:
-                return False
-        return True
-
     def intersect(self, other: "ConvexPolygon") -> "ConvexPolygon | None":
         """Sutherland–Hodgman clip of ``self`` against ``other``.
 
@@ -97,18 +78,7 @@ class ConvexPolygon:
         inter = self.intersect(other)
         return inter.area if inter is not None else 0.0
 
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        """Axis-aligned bounds as ``(x_min, y_min, x_max, y_max)``."""
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return (min(xs), min(ys), max(xs), max(ys))
-
     # ------------------------------------------------------------------
-    @classmethod
-    def rectangle(cls, x1: float, y1: float, x2: float, y2: float) -> "ConvexPolygon":
-        if x2 <= x1 or y2 <= y1:
-            raise ValueError("rectangle corners must satisfy x1 < x2, y1 < y2")
-        return cls(((x1, y1), (x2, y1), (x2, y2), (x1, y2)))
 
     @classmethod
     def sector(

@@ -26,13 +26,6 @@ class Homography:
             raise ValueError("homography matrix has a vanishing scale element")
         self.matrix = matrix / matrix[2, 2]
 
-    def apply(self, x: float, y: float) -> Point:
-        """Map a single point; raises when the point maps to infinity."""
-        vec = self.matrix @ np.array([x, y, 1.0])
-        if abs(vec[2]) < 1e-12:
-            raise ValueError(f"point ({x}, {y}) maps to infinity")
-        return (float(vec[0] / vec[2]), float(vec[1] / vec[2]))
-
     def apply_many(self, points: np.ndarray) -> np.ndarray:
         """Map an ``(n, 2)`` array of points; rows mapping to infinity raise."""
         pts = np.asarray(points, dtype=float)
@@ -44,18 +37,6 @@ class Homography:
         if np.any(np.abs(w) < 1e-12):
             raise ValueError("some points map to infinity")
         return mapped[:, :2] / w[:, None]
-
-    def inverse(self) -> "Homography":
-        """The inverse transform (maps target points back to source)."""
-        return Homography(np.linalg.inv(self.matrix))
-
-    def compose(self, other: "Homography") -> "Homography":
-        """Return the transform that applies ``other`` first, then ``self``."""
-        return Homography(self.matrix @ other.matrix)
-
-    @classmethod
-    def identity(cls) -> "Homography":
-        return cls(np.eye(3))
 
     @classmethod
     def fit(cls, src: Sequence[Point], dst: Sequence[Point]) -> "Homography":

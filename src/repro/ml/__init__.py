@@ -9,7 +9,7 @@ Primary models (the paper's choice): :class:`KNNClassifier` and
 
 from repro.ml.base import Classifier, NotFittedError, Regressor
 from repro.ml.decision_tree import DecisionTreeClassifier
-from repro.ml.hungarian import assignment_cost, hungarian
+from repro.ml.hungarian import hungarian
 from repro.ml.knn import KNNClassifier, KNNRegressor
 from repro.ml.linear import LinearRegressor, LogisticClassifier
 from repro.ml.metrics import (
@@ -35,7 +35,6 @@ __all__ = [
     "RANSACRegressor",
     "StandardScaler",
     "hungarian",
-    "assignment_cost",
     "BinaryMetrics",
     "binary_metrics",
     "mean_absolute_error",

@@ -35,11 +35,6 @@ class BinaryMetrics:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if (p + r) else 0.0
 
-    @property
-    def accuracy(self) -> float:
-        total = self.tp + self.fp + self.fn + self.tn
-        return (self.tp + self.tn) / total if total else 0.0
-
 
 def binary_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> BinaryMetrics:
     """Compute a confusion matrix for 0/1 labels and predictions."""

@@ -41,13 +41,3 @@ class StandardScaler:
             raise NotFittedError("StandardScaler is not fitted yet")
         x = np.asarray(x, dtype=float)
         return (x - self.mean_) / self.scale_
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        """Fit on ``x`` and return its standardized form."""
-        return self.fit(x).transform(x)
-
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        """Map standardized values back to the original feature scale."""
-        if self.mean_ is None or self.scale_ is None:
-            raise NotFittedError("StandardScaler is not fitted yet")
-        return np.asarray(x, dtype=float) * self.scale_ + self.mean_

@@ -10,7 +10,6 @@ from repro.obs.export import (
     format_metrics_table,
     format_span_summary,
     read_spans_jsonl,
-    span_tree_signature,
     spans_to_jsonl,
     summarize_spans,
     write_spans_jsonl,
@@ -45,7 +44,6 @@ __all__ = [
     "write_spans_jsonl",
     "read_spans_jsonl",
     "summarize_spans",
-    "span_tree_signature",
     "format_span_summary",
     "format_metrics_table",
 ]

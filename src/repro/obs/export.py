@@ -8,13 +8,10 @@ trace file is a lossless serialization of a run's span forest.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import IO, Any, Dict, Iterable, List, Sequence, Union
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SpanRecord
-
-TreeSignature = Tuple[str, Tuple["TreeSignature", ...]]
-
 
 def spans_to_jsonl(spans: Sequence[SpanRecord]) -> str:
     """Serialize spans as one JSON object per line."""
@@ -35,41 +32,35 @@ def write_spans_jsonl(
 
 
 def read_spans_jsonl(source: Union[str, IO[str]]) -> List[SpanRecord]:
-    """Parse a JSONL trace back into span records."""
+    """Parse a JSONL trace back into span records.
+
+    A line that is not a JSON span record raises ``ValueError`` naming
+    the file and the line.
+    """
     if isinstance(source, str):
+        name = source
         with open(source) as f:
             text = f.read()
     else:
+        name = getattr(source, "name", "<stream>")
         text = source.read()
-    return [
-        SpanRecord.from_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
-
-
-def span_tree_signature(
-    spans: Sequence[SpanRecord],
-) -> Tuple[TreeSignature, ...]:
-    """Structure-only view of a span forest: nested ``(name, children)``.
-
-    Durations, ids and tags are dropped, so two runs with the same seed
-    produce identical signatures — the deterministic object golden tests
-    assert on.
-    """
-    children: Dict[Any, List[SpanRecord]] = {}
-    for span in spans:
-        children.setdefault(span.parent_id, []).append(span)
-    present = {s.span_id for s in spans}
-
-    def build(span: SpanRecord) -> TreeSignature:
-        kids = children.get(span.span_id, [])
-        return (span.name, tuple(build(k) for k in kids))
-
-    roots = [
-        s for s in spans if s.parent_id is None or s.parent_id not in present
-    ]
-    return tuple(build(r) for r in roots)
+    spans: List[SpanRecord] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            spans.append(SpanRecord.from_dict(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{name}, line {lineno}: not JSON: {exc.msg}") from exc
+        except KeyError as exc:
+            raise ValueError(
+                f"{name}, line {lineno}: span record has no {exc} field"
+            ) from exc
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"{name}, line {lineno}: not a span record: {exc}"
+            ) from exc
+    return spans
 
 
 def summarize_spans(

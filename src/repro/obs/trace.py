@@ -202,11 +202,6 @@ class Tracer:
         """All spans in start order (pre-order traversal of the forest)."""
         return list(self._records)
 
-    @property
-    def open_depth(self) -> int:
-        """Number of currently open spans (0 when the trace is complete)."""
-        return len(self._stack)
-
     # -- internal ------------------------------------------------------
     def _push(self, record: SpanRecord, start: float) -> None:
         record.start_ms = (start - self._epoch) * 1e3

@@ -201,9 +201,6 @@ class FleetHealthWatchdog:
         """Monotonic count of membership-changing transitions."""
         return self._epoch
 
-    def state_of(self, camera_id: int) -> HealthState:
-        return self._records[camera_id].state
-
     def score_of(self, camera_id: int) -> float:
         return self._records[camera_id].score
 

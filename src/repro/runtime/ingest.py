@@ -220,10 +220,6 @@ class BoundedFrameQueue:
         return len(self._queue)
 
     @property
-    def occupancy(self) -> int:
-        return len(self._queue)
-
-    @property
     def queued_frames(self) -> int:
         """Frames still in the queue, counting frames folded into capsules."""
         return sum(1 + c.coalesced for c in self._queue)

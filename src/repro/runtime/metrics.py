@@ -169,16 +169,6 @@ class RunResult:
                 out[stage] = totals[span_name]["total_ms"] / n
         return out
 
-    def recall_over_time(self, window: int = 10) -> List[float]:
-        """Windowed recall trace (diagnostics)."""
-        out: List[float] = []
-        for start in range(0, len(self.frames), window):
-            chunk = self.frames[start : start + window]
-            num = sum(f.recall_numerator for f in chunk)
-            den = sum(f.recall_denominator for f in chunk)
-            out.append(num / den if den else 1.0)
-        return out
-
 
 def speedup_vs(baseline: RunResult, improved: RunResult) -> float:
     """Multiplicative latency speedup of ``improved`` over ``baseline``."""

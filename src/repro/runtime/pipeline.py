@@ -436,7 +436,8 @@ class Pipeline:
         """Execute the configured run and return its metrics.
 
         A fresh run builds its state from the config; a checkpointed
-        ``state`` (restored by :func:`repro.checkpoint.resume_run`)
+        ``state`` (from :func:`repro.checkpoint.load_checkpoint`, handed
+        over by :meth:`~repro.checkpoint.RunCheckpoint.resume`)
         continues from ``state.next_frame`` with its own registry.
         With ``config.trace`` the run activates a fresh
         :class:`~repro.obs.trace.Tracer` and threads the finished span

@@ -28,12 +28,10 @@ class SkewModel:
 
     ``max_lag_frames`` bounds the skew; each camera is assigned a fixed
     lag sampled uniformly from ``[0, max_lag_frames]`` (static skew, the
-    common case for mismatched pipeline depths), optionally with
-    per-frame jitter of +/- 1 frame.
+    common case for mismatched pipeline depths).
     """
 
     max_lag_frames: int = 2
-    jitter: bool = False
 
     def __post_init__(self) -> None:
         if self.max_lag_frames < 0:
@@ -47,12 +45,6 @@ class SkewModel:
             cam: int(rng.integers(0, self.max_lag_frames + 1))
             for cam in sorted(camera_ids)
         }
-
-    def jittered_lag(self, base_lag: int, rng: np.random.Generator) -> int:
-        """The per-frame lag with optional +/-1 frame jitter."""
-        if not self.jitter:
-            return base_lag
-        return max(0, base_lag + int(rng.integers(-1, 2)))
 
 
 def drifted_lag(static_lag: int, drift_lag: int, depth: int) -> int:

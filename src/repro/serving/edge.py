@@ -109,11 +109,6 @@ class ServingStats:
     modeled_fanout_ms: float
     payload_bytes: int
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requests served from the cached encoding."""
-        return self.hits / self.requests if self.requests else 0.0
-
 
 class ServingEdge:
     """Publishes live-state snapshots and fans them out to subscribers."""

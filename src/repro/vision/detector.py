@@ -124,9 +124,9 @@ class SimulatedDetector:
         """The one per-object detection loop of both inspection kinds.
 
         Each visible object (in ``rects`` mode: whose true box centre lies
-        in a rect, tested like ``BBox.contains_point``) draws, in object
-        order: nothing when its multiplier is ``inf``; else ``random()``
-        for the miss test; if detected, ``standard_normal(4)`` for the
+        in a rect, edges included) draws, in object order: nothing when
+        its multiplier is ``inf``; else ``random()`` for the miss test;
+        if detected, ``standard_normal(4)`` for the
         centre and size jitter, then, unless the jittered box clips to
         nothing, one standard normal for the confidence. So an object
         draws 0, 1, 5 or 6 values, and the count depends on earlier

@@ -128,8 +128,7 @@ def find_new_regions(
         boxes = camera_boxes(camera, objects)
     regions: List[BBox] = []
     # Predicted-box corners unpacked once; the coverage test walks them
-    # with the same comparisons and short-circuit order as
-    # BBox.contains_point.
+    # edge-inclusive (x1 <= x <= x2 and y1 <= y <= y2).
     rects = [(p.x1, p.y1, p.x2, p.y2) for p in predicted_boxes]
     boxes_get = boxes.get
     min_speed = noise.min_apparent_speed_px

@@ -96,9 +96,6 @@ class WorldObject:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def position(self) -> Tuple[float, float]:
-        return (self.x, self.y)
 
     @property
     def velocity(self) -> Tuple[float, float]:

@@ -67,15 +67,6 @@ class World:
         """Live objects, ordered by id for determinism."""
         return [self._objects[k] for k in sorted(self._objects)]
 
-    @property
-    def departed_objects(self) -> List[WorldObject]:
-        """Objects that have completed their route (for bookkeeping)."""
-        return list(self._departed)
-
-    def object_by_id(self, object_id: int) -> Optional[WorldObject]:
-        """Look up a live object by id (None if absent/departed)."""
-        return self._objects.get(object_id)
-
     # ------------------------------------------------------------------
     def step(self, dt: float) -> None:
         """Advance the world by ``dt`` seconds."""

@@ -21,6 +21,7 @@ from repro.geometry.box import BBox, corner_array
 from repro.ml.knn import KNNClassifier, KNNRegressor
 from repro.runtime.pipeline import Pipeline, PipelineConfig, train_models
 from repro.scenarios.aic21 import get_scenario
+from tests.association.search_counts import shared_calls
 
 
 def _nudge(value, ulps):
@@ -120,7 +121,7 @@ def test_shared_path_is_bit_identical(data, k_cls, k_reg, queries, from_training
     targets = [t for t in range(1, n_targets + 1) if subset >> (t - 1) & 1]
     targets = targets or [n_targets]
     _assert_source_equals_per_pair(assoc, boxes, targets)
-    calls = assoc.shared_calls()
+    calls = shared_calls(assoc)
     event("single target" if len(targets) == 1 else "several targets")
     event("some calls certified" if calls["certified"] else "none certified")
     event("some calls fell back" if calls["fallback"] else "none fell back")
@@ -182,7 +183,7 @@ def test_generic_sources_are_bit_identical(seed, n_targets, subset, k_reg):
     queries += rows[: int(rng.integers(0, 3))]
     targets = [t for t in range(1, n_targets + 1) if subset >> (t - 1) & 1]
     _assert_source_equals_per_pair(assoc, queries, targets or [1])
-    calls = assoc.shared_calls()
+    calls = shared_calls(assoc)
     event("some calls certified" if calls["certified"] else "none certified")
     event("some calls fell back" if calls["fallback"] else "none fell back")
 
@@ -191,7 +192,7 @@ class TestCertificate:
     def test_generic_queries_take_the_certified_path(self):
         assoc = _fit(_generic_dataset())
         assoc.predict_source(0, corner_array(_generic_queries()), [1, 2, 3])
-        assert assoc.shared_calls() == {"certified": 6, "fallback": 0}
+        assert shared_calls(assoc) == {"certified": 6, "fallback": 0}
         _assert_source_equals_per_pair(assoc, _generic_queries(), [1, 2, 3])
 
     def test_equal_distance_declines_and_falls_back(self):
@@ -212,7 +213,7 @@ class TestCertificate:
         d_left, d_right = (float(np.sum((feats - rows[i]) ** 2)) for i in (0, 1))
         assert d_left == pytest.approx(d_right, rel=1e-12)
         _assert_source_equals_per_pair(assoc, [query], [1, 2])
-        assert assoc.shared_calls()["fallback"] > 0
+        assert shared_calls(assoc)["fallback"] > 0
 
     def test_mixed_duplicates_decline(self):
         """Duplicates with different labels must not be split by the search."""
@@ -226,7 +227,7 @@ class TestCertificate:
                 ds.pair(0, t).add(other, other.translate(50.0, 0.0) if i % 2 else None)
         assoc = _fit(ds, k_cls=1, k_reg=1)
         _assert_source_equals_per_pair(assoc, [box], [1, 2])
-        assert assoc.shared_calls()["fallback"] > 0
+        assert shared_calls(assoc)["fallback"] > 0
 
     def test_an_uncertified_regressor_searches_on_its_own(self):
         """Target 2's fifth visible row lies past the shared list; target 1's do not."""
@@ -240,7 +241,7 @@ class TestCertificate:
         query = BBox.from_xywh(100.0, 300.0, 40.0, 30.0)
         _assert_source_equals_per_pair(assoc, [query], [1, 2])
         # Both votes and target 1's regression used the shared list.
-        assert assoc.shared_calls() == {"certified": 3, "fallback": 1}
+        assert shared_calls(assoc) == {"certified": 3, "fallback": 1}
 
     def test_k_above_the_row_count(self):
         ds = AssociationDataset()
@@ -266,7 +267,7 @@ class TestCertificate:
         index = assoc._sources[0]
         assert index.k[index.column[1]] == 5 and index.k[index.column[2]] == 3
         _assert_source_equals_per_pair(assoc, _generic_queries(), [1, 2])
-        calls = assoc.shared_calls()
+        calls = shared_calls(assoc)
         assert calls["certified"] == 0 and calls["fallback"] >= 3
 
     def test_tolerance_covers_float_error(self):
@@ -287,7 +288,7 @@ class TestSharingRule:
         """One target is enough to read the source's index."""
         assoc = _fit(_generic_dataset())
         assoc.predict_source(0, corner_array(_generic_queries()), [2])
-        assert assoc.shared_calls() == {"certified": 2, "fallback": 0}
+        assert shared_calls(assoc) == {"certified": 2, "fallback": 0}
         _assert_source_equals_per_pair(assoc, _generic_queries(), [2])
 
     def test_constant_label_pairs_are_not_readers(self):
@@ -298,7 +299,7 @@ class TestSharingRule:
         assoc = _fit(ds)
         assert set(assoc._sources[0].column) == {1, 2}
         _assert_source_equals_per_pair(assoc, _generic_queries(), [1, 2, 3])
-        assert assoc.shared_calls() == {"certified": 4, "fallback": 0}
+        assert shared_calls(assoc) == {"certified": 4, "fallback": 0}
 
     def test_search_runs_once_and_lazily(self, monkeypatch):
         """One search per call, and none when no target reads the index."""
@@ -333,7 +334,7 @@ class TestSharingRule:
         seen = []
         for each in (assoc, loaded, legacy):
             _assert_source_equals_per_pair(each, _generic_queries(), [1, 2, 3])
-            seen.append(each.shared_calls())
+            seen.append(shared_calls(each))
         assert seen[0]["certified"] > 0
         assert seen[0] == seen[1] == seen[2]
 
@@ -359,7 +360,7 @@ def test_s1_key_frames_mostly_take_the_certified_path():
         config = PipelineConfig(policy="balb", horizon=1, n_horizons=40, seed=seed)
         trained = train_models(scenario, config)
         Pipeline(scenario, config, trained).run()
-        calls = trained.associator.shared_calls()
+        calls = shared_calls(trained.associator)
         total = calls["certified"] + calls["fallback"]
         # Every source camera with a later camera reads its index, so all
         # ten camera pairs make a classifier call on every key frame.

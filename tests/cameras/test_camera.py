@@ -6,6 +6,7 @@ import pytest
 
 from repro.cameras.camera import Camera, CameraIntrinsics, CameraPose
 from repro.world.entities import ObjectClass, WorldObject
+from tests.geometry.reference_geometry import polygon_contains
 
 
 def make_camera(x=0.0, y=0.0, z=6.0, yaw=0.0, pitch=0.3, focal=950.0,
@@ -122,25 +123,27 @@ class TestObjectProjection:
 
 
 class TestGroundFoV:
+    """The ground area a camera sees, read through ``can_see``."""
+
     def test_sees_ground_point_ahead(self):
         cam = make_camera()
-        assert cam.sees_ground_point(30.0, 0.0)
+        assert cam.can_see(car_at(30.0, 0.0))
 
     def test_does_not_see_behind(self):
         cam = make_camera()
-        assert not cam.sees_ground_point(-30.0, 0.0)
+        assert not cam.can_see(car_at(-30.0, 0.0))
 
     def test_does_not_see_beyond_range(self):
         cam = make_camera(max_range=50.0)
-        assert not cam.sees_ground_point(60.0, 0.0)
+        assert not cam.can_see(car_at(60.0, 0.0))
 
     def test_fov_polygon_contains_visible_ground_points(self):
         cam = make_camera()
         poly = cam.ground_fov_polygon()
-        assert poly.contains(30.0, 0.0)
-        assert not poly.contains(-10.0, 0.0)
+        assert polygon_contains(poly, 30.0, 0.0)
+        assert not polygon_contains(poly, -10.0, 0.0)
 
     def test_yawed_camera_sees_rotated_area(self):
         cam = make_camera(yaw=math.pi / 2)
-        assert cam.sees_ground_point(0.0, 30.0)
-        assert not cam.sees_ground_point(30.0, 0.0)
+        assert cam.can_see(car_at(0.0, 30.0))
+        assert not cam.can_see(car_at(30.0, 0.0))

@@ -109,5 +109,8 @@ class TestOverlap:
 
     def test_cameras_seeing_ground_point(self):
         rig = facing_pair()
-        assert rig.cameras_seeing_ground_point(0.0, 0.0) == [0, 1]
-        assert rig.cameras_seeing_ground_point(-25.0, 0.0) == [0]
+        def seeing(x, y):
+            return [c.camera_id for c in rig.cameras if c.can_see(car_at(x, y))]
+
+        assert seeing(0.0, 0.0) == [0, 1]
+        assert seeing(-25.0, 0.0) == [0]

@@ -6,8 +6,8 @@ from repro.core.balb import balb_central, order_objects
 from repro.core.problem import (
     MVSInstance,
     SchedObject,
+    camera_latency,
     is_feasible,
-    latency_profile,
     system_latency,
 )
 from repro.devices.profiler import DeviceProfile
@@ -80,11 +80,10 @@ class TestBALBCentral:
         )
         inst = MVSInstance(profiles=profiles, objects=objects)
         result = balb_central(inst)
-        recomputed = latency_profile(
-            inst, result.assignment, include_full_frame=True
-        )
         for cam, lat in result.camera_latencies.items():
-            assert lat == pytest.approx(recomputed[cam])
+            assert lat == pytest.approx(
+                camera_latency(inst, result.assignment, cam, True)
+            )
 
     def test_load_balances_across_identical_cameras(self):
         profiles = {0: profile("a", b64=1), 1: profile("b", b64=1)}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.distributed import DistributedPolicy
-from repro.core.masks import CameraMask
+from repro.core.masks import CameraMask, priority_owner
 from repro.geometry.box import BBox
 
 
@@ -92,8 +92,14 @@ class TestTakeoverRule:
 
     def test_owner_of_diagnostic(self):
         policy = self.covering_policy(order=(2, 0, 1))
-        assert policy.owner_of(box_in_cell(0, 0)) == 2
-        assert policy.owner_of(box_in_cell(3, 0)) == 0
+
+        def owner_of(box):
+            return priority_owner(
+                policy.mask.coverage_of(box), policy.priority_order
+            )
+
+        assert owner_of(box_in_cell(0, 0)) == 2
+        assert owner_of(box_in_cell(3, 0)) == 0
 
 
 class TestValidation:

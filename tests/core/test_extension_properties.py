@@ -9,12 +9,12 @@ from repro.core.bandwidth import min_view_cover
 from repro.core.energy import assignment_energy_mj, energy_aware_assignment
 from repro.core.problem import MVSInstance, SchedObject, is_feasible
 from repro.core.quality import quality_aware_central
-from repro.core.redundancy import (
-    balb_redundant,
+from repro.core.redundancy import balb_redundant
+from repro.devices.profiler import DeviceProfile
+from tests.core.reference_redundancy import (
     is_feasible_multi,
     multi_system_latency,
 )
-from repro.devices.profiler import DeviceProfile
 
 
 @st.composite

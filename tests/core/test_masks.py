@@ -44,13 +44,6 @@ class TestCameraMask:
         assert mask.coverage_of(BBox.from_xywh(50, 50, 10, 10)) == (0, 1)
         assert mask.coverage_of(BBox.from_xywh(350, 50, 10, 10)) == (0,)
 
-    def test_owned_cells(self):
-        mask = make_mask(lambda ix, iy: [0, 1] if ix < 2 else [0])
-        # Owner rule: camera 1 wins every shared cell, camera 0 the rest.
-        owned = mask.owned_cells(lambda cov: 1 if 1 in cov else 0)
-        assert all(ix >= 2 for ix, _ in owned)  # mask belongs to camera 0
-        assert len(owned) == 2 * 3
-
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             CameraMask(0, 100, 100, 2, 2, coverage=[[(0,)]])

@@ -9,7 +9,6 @@ from repro.core.problem import (
     camera_latency,
     camera_size_counts,
     is_feasible,
-    latency_profile,
     system_latency,
 )
 from repro.devices.profiler import DeviceProfile
@@ -66,12 +65,6 @@ class TestMVSInstance:
         with pytest.raises(ValueError):
             MVSInstance(profiles={}, objects=())
 
-    def test_object_lookup(self):
-        inst = two_camera_instance()
-        assert inst.object_by_key(1).key == 1
-        with pytest.raises(KeyError):
-            inst.object_by_key(99)
-
 
 class TestFeasibility:
     def test_valid_assignment(self):
@@ -126,8 +119,10 @@ class TestLatency:
     def test_system_latency_is_max(self):
         inst = two_camera_instance()
         assignment = {0: 0, 1: 0, 2: 1}
-        prof = latency_profile(inst, assignment)
-        assert system_latency(inst, assignment) == max(prof.values())
+        per_camera = [
+            camera_latency(inst, assignment, cam) for cam in inst.camera_ids
+        ]
+        assert system_latency(inst, assignment) == max(per_camera)
 
     def test_mixed_sizes_summed(self):
         profiles = {0: profile()}

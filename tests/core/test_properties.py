@@ -8,8 +8,8 @@ from repro.core.optimal import optimal_assignment
 from repro.core.problem import (
     MVSInstance,
     SchedObject,
+    camera_latency,
     is_feasible,
-    latency_profile,
     system_latency,
 )
 from repro.devices.profiler import DeviceProfile
@@ -61,11 +61,9 @@ class TestBALBProperties:
     @given(instances())
     def test_internal_latency_bookkeeping_consistent(self, inst):
         result = balb_central(inst)
-        recomputed = latency_profile(
-            inst, result.assignment, include_full_frame=True
-        )
         for cam, lat in result.camera_latencies.items():
-            assert abs(lat - recomputed[cam]) < 1e-6
+            recomputed = camera_latency(inst, result.assignment, cam, True)
+            assert abs(lat - recomputed) < 1e-6
 
     @settings(max_examples=80, deadline=None)
     @given(instances())

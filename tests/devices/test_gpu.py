@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.devices.gpu import Batch, GPUExecutor, greedy_plan, plan_from_counts
+from repro.devices.gpu import Batch, GPUExecutor, greedy_plan
 from repro.devices.profiles import JETSON_TX2, latency_model_for
 
 
@@ -38,10 +38,6 @@ class TestGreedyPlan:
     def test_negative_count_raises(self):
         with pytest.raises(ValueError):
             greedy_plan({128: -1}, model())
-
-    def test_plan_from_counts_no_split(self):
-        plan = plan_from_counts({64: 3, 128: 2})
-        assert [(b.size, b.count) for b in plan] == [(64, 3), (128, 2)]
 
 
 class TestGPUExecutor:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.devices.latency import GPUSpec, LatencyModel, is_monotone_in_size, speedup
+from repro.devices.latency import GPUSpec, LatencyModel
 
 
 def small_gpu():
@@ -34,7 +34,8 @@ class TestGPUSpec:
 class TestLatencyModel:
     def test_monotone_in_size(self):
         model = LatencyModel(small_gpu())
-        assert is_monotone_in_size(model)
+        lats = [model.latency(s, 1) for s in model.size_set]
+        assert all(a <= b + 1e-9 for a, b in zip(lats, lats[1:]))
 
     def test_monotone_in_batch_within_limit(self):
         model = LatencyModel(small_gpu())
@@ -79,13 +80,8 @@ class TestLatencyModel:
 
     def test_full_frame_latency_larger_than_all_slices(self):
         model = LatencyModel(small_gpu())
-        assert model.full_frame_latency() > model.batch_latency(128)
-
-    def test_batch_latency_is_latency_at_limit(self):
-        model = LatencyModel(small_gpu())
-        size = 128
-        assert model.batch_latency(size) == pytest.approx(
-            model.latency(size, model.batch_limit(size))
+        assert model.full_frame_latency() > model.latency(
+            128, model.batch_limit(128)
         )
 
     def test_invalid_inputs_raise(self):
@@ -96,12 +92,3 @@ class TestLatencyModel:
             model.latency(0, 1)
         with pytest.raises(ValueError):
             LatencyModel(small_gpu(), size_set=())
-
-
-class TestSpeedup:
-    def test_speedup(self):
-        assert speedup(100.0, 25.0) == pytest.approx(4.0)
-
-    def test_zero_latency_raises(self):
-        with pytest.raises(ValueError):
-            speedup(100.0, 0.0)

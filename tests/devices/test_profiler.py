@@ -13,7 +13,7 @@ class TestProfileDevice:
         assert profile.t_full == pytest.approx(model.full_frame_latency(), rel=0.05)
         for size in profile.size_set:
             assert profile.t_size(size) == pytest.approx(
-                model.batch_latency(size), rel=0.05
+                model.latency(size, model.batch_limit(size)), rel=0.05
             )
             assert profile.batch_limit(size) == model.batch_limit(size)
 

@@ -25,7 +25,7 @@ from repro.experiments.parallel import (
     QUICK_PROFILE,
     SECTION_ORDER,
     Job,
-    run_jobs,
+    _run_waves,
     run_report_sections,
     warm_jobs,
 )
@@ -200,7 +200,7 @@ def _double(x):
 class TestRunJobs:
     def test_inline_results_ordered_and_timed(self):
         jobs = [Job("S", i, _double, (i,)) for i in range(4)]
-        results = run_jobs(jobs, workers=1)
+        (results,) = _run_waves([jobs], workers=1, cache_root=None)
         assert [r.value for r in results] == [0, 2, 4, 6]
         assert [r.key for r in results] == [0, 1, 2, 3]
         assert all(r.elapsed_s >= 0 for r in results)

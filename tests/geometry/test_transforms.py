@@ -6,6 +6,16 @@ import pytest
 from repro.geometry.transforms import Homography
 
 
+def scalar_apply(h, x, y):
+    """One point through ``h``'s matrix: the oracle for ``apply_many``."""
+    vec = h.matrix @ np.array([x, y, 1.0])
+    return (float(vec[0] / vec[2]), float(vec[1] / vec[2]))
+
+
+def map_one(h, x, y):
+    return tuple(h.apply_many(np.array([[x, y]]))[0])
+
+
 def random_homography(rng):
     mat = np.eye(3) + rng.normal(0, 0.1, (3, 3))
     mat[2, :2] *= 0.001  # keep perspective mild so points stay finite
@@ -14,12 +24,12 @@ def random_homography(rng):
 
 class TestApply:
     def test_identity(self):
-        h = Homography.identity()
-        assert h.apply(3.0, 4.0) == pytest.approx((3.0, 4.0))
+        h = Homography(np.eye(3))
+        assert map_one(h, 3.0, 4.0) == pytest.approx((3.0, 4.0))
 
     def test_translation(self):
         h = Homography(np.array([[1, 0, 5], [0, 1, -2], [0, 0, 1]], float))
-        assert h.apply(1.0, 1.0) == pytest.approx((6.0, -1.0))
+        assert map_one(h, 1.0, 1.0) == pytest.approx((6.0, -1.0))
 
     def test_apply_many_matches_apply(self):
         rng = np.random.default_rng(0)
@@ -27,7 +37,7 @@ class TestApply:
         pts = rng.random((10, 2)) * 100
         many = h.apply_many(pts)
         for p, m in zip(pts, many):
-            assert h.apply(*p) == pytest.approx(tuple(m))
+            assert scalar_apply(h, *p) == pytest.approx(tuple(m))
 
     def test_scale_normalization(self):
         h1 = Homography(np.eye(3))
@@ -37,34 +47,18 @@ class TestApply:
     def test_bad_shapes_raise(self):
         with pytest.raises(ValueError):
             Homography(np.eye(2))
-        h = Homography.identity()
+        h = Homography(np.eye(3))
         with pytest.raises(ValueError):
             h.apply_many(np.zeros((3, 3)))
 
     def test_point_at_infinity_raises(self):
         h = Homography(np.array([[1, 0, 0], [0, 1, 0], [0.5, 0, 1]], float))
         with pytest.raises(ValueError):
-            h.apply(-2.0, 0.0)  # w = 0.5 * (-2) + 1 = 0
+            map_one(h, -2.0, 0.0)  # w = 0.5 * (-2) + 1 = 0
 
     def test_vanishing_scale_element_raises(self):
         with pytest.raises(ValueError):
             Homography(np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1e-20]], float))
-
-
-class TestInverseCompose:
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(1)
-        h = random_homography(rng)
-        inv = h.inverse()
-        pts = rng.random((5, 2)) * 50
-        round_trip = inv.apply_many(h.apply_many(pts))
-        assert np.allclose(round_trip, pts, atol=1e-8)
-
-    def test_compose(self):
-        t1 = Homography(np.array([[1, 0, 3], [0, 1, 0], [0, 0, 1]], float))
-        t2 = Homography(np.array([[1, 0, 0], [0, 1, 4], [0, 0, 1]], float))
-        composed = t2.compose(t1)
-        assert composed.apply(0.0, 0.0) == pytest.approx((3.0, 4.0))
 
 
 class TestFit:
@@ -80,7 +74,7 @@ class TestFit:
         src = [(0, 0), (1, 0), (1, 1), (0, 1)]
         dst = [(0, 0), (2, 0), (2, 2), (0, 2)]
         fitted = Homography.fit(src, dst)
-        assert fitted.apply(0.5, 0.5) == pytest.approx((1.0, 1.0))
+        assert map_one(fitted, 0.5, 0.5) == pytest.approx((1.0, 1.0))
 
     def test_too_few_points_raise(self):
         with pytest.raises(ValueError):

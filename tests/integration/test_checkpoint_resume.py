@@ -14,7 +14,6 @@ from repro.checkpoint import (
     CheckpointError,
     RunCheckpoint,
     load_checkpoint,
-    resume_run,
     save_checkpoint,
 )
 from repro.framed import read_framed, write_framed
@@ -26,6 +25,7 @@ from repro.runtime.pipeline import (
     train_models,
 )
 from repro.scenarios.aic21 import scenario_s1
+from tests.association.search_counts import shared_calls
 
 
 def small_config(**kwargs):
@@ -275,7 +275,7 @@ class TestModelsEntry:
             stop_after_frames=12,
         )
         Pipeline(scenario, cut, trained=trained).run()
-        assert resume_run(cut.checkpoint_path).n_frames == 40
+        assert load_checkpoint(cut.checkpoint_path).resume().n_frames == 40
         assert models_pickled == []
         assert entries(tmp_path) == [entry]
         after = os.stat(entry)
@@ -307,7 +307,7 @@ class TestModelsDoNotChangeWhileTheyRun:
         faults = "crash:cam=1,at=5,for=10;loss:p=0.2"
         Pipeline(scenario, small_config(faults=faults), trained=trained).run()
         after_faults = pickle.dumps(trained, protocol=pickle.HIGHEST_PROTOCOL)
-        assert trained.associator.shared_calls()["certified"] > 0
+        assert shared_calls(trained.associator)["certified"] > 0
         assert before == after_run == after_faults
 
 
@@ -333,7 +333,7 @@ class TestResumeBitIdentity:
         assert partial.n_frames == 17
         assert os.path.exists(path)
 
-        resumed = resume_run(path)
+        resumed = load_checkpoint(path).resume()
         assert_bit_identical(full, resumed)
 
     def test_resume_mid_fault_window(self, shared, tmp_path):
@@ -352,7 +352,7 @@ class TestResumeBitIdentity:
             faults=spec, seed=3, checkpoint_path=path, stop_after_frames=14
         )
         Pipeline(scenario, cfg, trained=trained).run()
-        resumed = resume_run(path)
+        resumed = load_checkpoint(path).resume()
         assert_bit_identical(full, resumed)
 
     def test_periodic_checkpoints_do_not_perturb_the_run(
@@ -367,7 +367,7 @@ class TestResumeBitIdentity:
         # the final periodic snapshot (frame 40) is resumable as a no-op
         ckpt = load_checkpoint(path)
         assert ckpt.next_frame == 40
-        tail = resume_run(path)
+        tail = load_checkpoint(path).resume()
         assert_bit_identical(full, tail)
 
     def test_resume_at_different_cut_points_all_agree(
@@ -381,7 +381,7 @@ class TestResumeBitIdentity:
                 seed=2, checkpoint_path=path, stop_after_frames=stop
             )
             Pipeline(scenario, cfg, trained=trained).run()
-            assert_bit_identical(full, resume_run(path))
+            assert_bit_identical(full, load_checkpoint(path).resume())
 
 
 BURST_POLICIES = (
@@ -422,7 +422,7 @@ class TestEdgesResume:
                 "stop_after_frames": stop,
             })
             assert Pipeline(scenario, cfg, trained=trained).run().n_frames == stop
-            assert_bit_identical(full, resume_run(path))
+            assert_bit_identical(full, load_checkpoint(path).resume())
 
     def test_serving_run_resumes_between_publications(
         self, shared, tmp_path
@@ -437,7 +437,7 @@ class TestEdgesResume:
         # checkpointed snapshot first.
         cfg = small_config(**serve, checkpoint_path=path, stop_after_frames=17)
         Pipeline(scenario, cfg, trained=trained).run()
-        resumed = resume_run(path)
+        resumed = load_checkpoint(path).resume()
         assert_bit_identical(full, resumed)
 
         def serving(result):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import os
 import re
 from types import SimpleNamespace
 
@@ -103,6 +104,62 @@ RUN_SMALL = [
     "--train-duration", "20",
 ]
 
+#: The run of the resume-from-inside-its-directory check.
+RESUME_FROM_INSIDE = [
+    "run",
+    "--scenario", "S2",
+    "--policy", "balb",
+    "--horizon", "5",
+    "--horizons", "4",
+    "--train-duration", "20",
+    "--seed", "0",
+]
+
+
+class TestInputErrors:
+    """Outside input gets a named ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--checkpoint", "nodir/run.ckpt"],
+            ["run", "--trace", "nodir/t.jsonl"],
+            ["trace", "--out", "nodir/t.jsonl"],
+            ["experiments", "--out", "nodir/x.txt"],
+            ["report", "--quick", "--out", "nodir/x.txt"],
+            ["bench", "--quick", "--out", "nodir/b.json"],
+            ["soak", "--out", "nodir/s.txt"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_output_into_a_missing_directory_is_a_parse_error(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: directory 'nodir' does not exist" in err
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            ("not json", "not JSON"),
+            ("{}", "span record has no 'span_id' field"),
+        ],
+    )
+    def test_trace_input_that_is_not_a_span_record(
+        self, line, reason, tmp_path, capsys
+    ):
+        path = tmp_path / "t.jsonl"
+        path.write_text(line + "\n")
+        assert main(["trace", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}, line 1: {reason}")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestFaultSpecErrors:
     def test_bad_faults_spec_names_offending_clause(self, capsys):
@@ -189,6 +246,43 @@ class TestCheckpointCli:
         assert str(exc.value).startswith("error: ")
         assert entry.name in str(exc.value)
         assert capsys.readouterr().out == ""
+
+    def test_checkpoint_into_a_missing_directory_is_refused_before_training(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            "repro.cli.train_models",
+            lambda *a, **k: pytest.fail("trained before refusing the path"),
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(RESUME_FROM_INSIDE + ["--checkpoint", "d/run.ckpt"])
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert re.search(r"^repro run: error: .*'d' does not exist", err, re.M)
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_resume_from_inside_the_checkpoint_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(RESUME_FROM_INSIDE) == 0
+        full_out = capsys.readouterr().out
+        os.mkdir("d")
+        cut = RESUME_FROM_INSIDE + [
+            "--checkpoint", "d/run.ckpt",
+            "--checkpoint-every", "5",
+            "--stop-after", "7",
+        ]
+        assert main(cut) == 0
+        assert "interrupted after 7/20 frames" in capsys.readouterr().out
+        monkeypatch.chdir(tmp_path / "d")
+        assert main(["run", "--resume", "run.ckpt"]) == 0
+        assert capsys.readouterr().out == full_out
+        assert os.listdir(tmp_path) == ["d"]
+        (entry,) = (tmp_path / "d").glob("models-*.pkl")
+        assert sorted(os.listdir(tmp_path / "d")) == [entry.name, "run.ckpt"]
 
 
 class TestEventRuntimeCli:

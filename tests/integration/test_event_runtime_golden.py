@@ -18,9 +18,9 @@ fixture configuration and updating the values below.
 
 import pytest
 
-from repro.obs.export import span_tree_signature
 from repro.runtime.pipeline import PipelineConfig, run_policy, train_models
 from repro.scenarios.aic21 import get_scenario
+from tests.obs.span_tree import span_tree_signature
 
 POLICIES = ("full", "balb-ind", "balb-cen", "balb", "sp")
 INGEST_POLICIES = (

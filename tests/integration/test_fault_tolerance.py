@@ -15,9 +15,9 @@ configuration:
 
 import pytest
 
-from repro.obs.export import span_tree_signature
 from repro.runtime.pipeline import PipelineConfig, run_policy, train_models
 from repro.scenarios.aic21 import get_scenario
+from tests.obs.span_tree import span_tree_signature
 
 CRASH_SPEC = "crash:cam=1,at=12,for=10"
 N_CAMERAS = 5

@@ -14,13 +14,10 @@ import json
 
 import pytest
 
-from repro.obs.export import (
-    read_spans_jsonl,
-    span_tree_signature,
-    write_spans_jsonl,
-)
+from repro.obs.export import read_spans_jsonl, write_spans_jsonl
 from repro.runtime.pipeline import PipelineConfig, run_policy, train_models
 from repro.scenarios.aic21 import get_scenario
+from tests.obs.span_tree import span_tree_signature
 
 POLICIES = ("full", "balb-ind", "balb-cen", "balb", "sp")
 

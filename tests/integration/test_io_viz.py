@@ -99,7 +99,9 @@ class TestAssociationPersistence:
         path = tmp_path / "s2.npz"
         save_association_dataset(ds, path)
         restored = load_association_dataset(path)
-        assert restored.total_samples == ds.total_samples
+        assert {k: p.n_samples for k, p in restored.pairs.items()} == {
+            k: p.n_samples for k, p in ds.pairs.items()
+        }
 
 
 class TestGroundTruthExport:

@@ -8,12 +8,18 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from repro.ml.hungarian import assignment_cost, hungarian
+from repro.ml.hungarian import hungarian
 
 
 def reference_cost(cost):
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].sum())
+
+
+def assignment_cost(cost, pairs):
+    """Total cost of the ``(row, col)`` pairs :func:`hungarian` returns."""
+    cost = np.asarray(cost, dtype=float)
+    return float(sum(cost[r, c] for r, c in pairs))
 
 
 class TestHungarianBasics:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.ml.metrics import (
-    BinaryMetrics,
     binary_metrics,
     mean_absolute_error,
     train_test_split_indices,
@@ -16,7 +15,7 @@ class TestBinaryMetrics:
         y = np.array([1, 0, 1, 0])
         m = binary_metrics(y, y)
         assert m.precision == 1.0 and m.recall == 1.0
-        assert m.f1 == 1.0 and m.accuracy == 1.0
+        assert m.f1 == 1.0
 
     def test_all_wrong(self):
         y = np.array([1, 0, 1, 0])
@@ -39,15 +38,11 @@ class TestBinaryMetrics:
     def test_no_positive_labels(self):
         m = binary_metrics(np.array([0, 0]), np.array([0, 1]))
         assert m.recall == 0.0
-        assert m.accuracy == 0.5
+        assert (m.tp, m.fp, m.fn, m.tn) == (0, 1, 0, 1)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             binary_metrics(np.array([1]), np.array([1, 0]))
-
-    def test_zero_total_accuracy(self):
-        m = BinaryMetrics(tp=0, fp=0, fn=0, tn=0)
-        assert m.accuracy == 0.0
 
 
 class TestMAE:

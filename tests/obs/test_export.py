@@ -1,18 +1,21 @@
 """Exporter tests: JSONL round trip, tree signatures, text summaries."""
 
 import io
+import re
+
+import pytest
 
 from repro.obs.export import (
     format_metrics_table,
     format_span_summary,
     read_spans_jsonl,
-    span_tree_signature,
     spans_to_jsonl,
     summarize_spans,
     write_spans_jsonl,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
+from tests.obs.span_tree import span_tree_signature
 
 
 def _trace():
@@ -47,6 +50,21 @@ class TestJsonlRoundTrip:
         path = tmp_path / "empty.jsonl"
         write_spans_jsonl([], str(path))
         assert read_spans_jsonl(str(path)) == []
+
+    @pytest.mark.parametrize(
+        "bad,reason",
+        [
+            ("{oops", "not JSON"),
+            ('{"name": "x"}', "span record has no 'span_id' field"),
+            ("[1, 2]", "not a span record"),
+        ],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, bad, reason):
+        path = tmp_path / "trace.jsonl"
+        good = spans_to_jsonl(_trace()[:1])
+        path.write_text(good + "\n\n" + bad + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 3: {reason}"):
+            read_spans_jsonl(str(path))
 
     def test_parsed_summary_matches_registry_state(self, tmp_path):
         """JSONL -> parsed summary equals the aggregate of the live trace.

@@ -64,15 +64,6 @@ class TestNesting:
         (record,) = tracer.records
         assert record.tags == {"camera": 3, "frame": 7, "late": "yes"}
 
-    def test_open_depth_tracks_stack(self):
-        tracer = Tracer()
-        assert tracer.open_depth == 0
-        with tracer.span("a"):
-            assert tracer.open_depth == 1
-            with tracer.span("b"):
-                assert tracer.open_depth == 2
-        assert tracer.open_depth == 0
-
     def test_out_of_order_close_raises(self):
         tracer = Tracer()
         a = tracer.span("a")

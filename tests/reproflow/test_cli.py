@@ -152,7 +152,7 @@ class TestListRules:
         out = capsys.readouterr().out
         for code in RULES:
             assert code in out
-        assert len(RULES) == 7
+        assert len(RULES) == 8
 
 
 class TestReproFlowSubcommand:
@@ -171,7 +171,7 @@ class TestReproFlowSubcommand:
 
 
 class TestRepositoryAnalyzesClean:
-    """The meta-test: all four passes on the repo's own tree, in budget."""
+    """The meta-test: every pass on the repo's own tree, in budget."""
 
     def test_module_invocation_exits_0_within_30s(self):
         start = time.monotonic()

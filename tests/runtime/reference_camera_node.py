@@ -54,8 +54,8 @@ def iou_matrix(
 ) -> np.ndarray:
     """Dense IoU matrix between two box lists (rows: a, cols: b).
 
-    Every entry is bit-identical to ``boxes_a[i].iou(boxes_b[j])`` (see
-    ``iou_corners``).
+    Every entry is bit-identical to ``iou(boxes_a[i], boxes_b[j])`` of
+    ``tests/geometry/reference_geometry.py`` (see ``iou_corners``).
     """
     n, m = len(boxes_a), len(boxes_b)
     if n == 0 or m == 0:
@@ -71,7 +71,7 @@ def iou_cost_rows(
     """``1.0 - IoU`` cost matrix as nested lists (rows: a, cols: b).
 
     Above 64 cells the batched ``iou_matrix``, below it the scalar
-    mirror; both are bit-identical to ``1.0 - BBox.iou``.
+    mirror; both are bit-identical to ``1.0 - iou``.
     """
     n, m = len(boxes_a), len(boxes_b)
     if n * m > 64:
@@ -144,9 +144,8 @@ class SimulatedDetector:
             boxes = camera_boxes(self.camera, objects)
         detections: List[Detection] = []
         seen: set[int] = set()
-        # Region corners unpacked once; the inner test walks them with
-        # the same comparisons and short-circuit order as
-        # BBox.contains_point.
+        # Region corners unpacked once; the inner test walks them
+        # edge-inclusive (x1 <= x <= x2 and y1 <= y <= y2).
         rects = [(r.x1, r.y1, r.x2, r.y2) for r in regions]
         multipliers_get = (miss_multipliers or {}).get
         boxes_get = boxes.get
@@ -365,8 +364,7 @@ def find_new_regions(
         boxes = camera_boxes(camera, objects)
     regions: List[BBox] = []
     # Predicted-box corners unpacked once; the coverage test walks them
-    # with the same comparisons and short-circuit order as
-    # BBox.contains_point.
+    # edge-inclusive (x1 <= x <= x2 and y1 <= y <= y2).
     rects = [(p.x1, p.y1, p.x2, p.y2) for p in predicted_boxes]
     boxes_get = boxes.get
     min_speed = noise.min_apparent_speed_px
@@ -838,7 +836,7 @@ class ReferenceCameraNode:
             return [], list(detections)
         tids = sorted(reference_boxes)
         # Cost matrix as nested lists: iou_cost_rows is bit-identical to
-        # the per-pair ``1.0 - BBox.iou`` loop it replaces, and the list
+        # the per-pair ``1.0 - iou`` loop it replaces, and the list
         # form feeds hungarian without an ndarray round-trip.
         cost = iou_cost_rows(
             [reference_boxes[tid] for tid in tids],

@@ -77,13 +77,13 @@ class TestLifecycle:
         # last three) bumped the epoch.
         assert all(t.camera_id == 0 for t in taken)
         assert watchdog.membership_epoch == 3
-        assert watchdog.state_of(0) is HealthState.ACTIVE
+        assert watchdog.states()[0] is HealthState.ACTIVE
 
     def test_quarantine_reacts_within_configured_frames(self):
         watchdog = FleetHealthWatchdog([0])
         deadline = CFG.suspect_after + CFG.quarantine_after + 1
         drive(watchdog, deadline + 1, lambda f: {0: frozen()})
-        assert watchdog.state_of(0) is HealthState.QUARANTINED
+        assert watchdog.states()[0] is HealthState.QUARANTINED
 
     def test_minimum_quarantine_dwell_is_respected(self):
         watchdog = FleetHealthWatchdog([0])
@@ -108,7 +108,7 @@ class TestLifecycle:
         state = {"relapsed": False}
 
         def signals(frame):
-            if watchdog.state_of(0) is HealthState.PROBATION:
+            if watchdog.states()[0] is HealthState.PROBATION:
                 state["relapsed"] = True
                 return {0: frozen(99)}  # one bad frame on the leash
             if state["relapsed"]:
@@ -126,7 +126,7 @@ class TestLifecycle:
             lambda f: {0: HealthSignals(alive=f % 2 == 0,
                                         content_token=f * 31)},
         )
-        assert watchdog.state_of(0) is HealthState.QUARANTINED
+        assert watchdog.states()[0] is HealthState.QUARANTINED
 
     def test_skew_and_quality_signals_quarantine(self):
         for sig in (
@@ -142,12 +142,12 @@ class TestLifecycle:
                     skew_frames=sig.skew_frames, quality=sig.quality,
                 )
                 watchdog.observe(frame, {0: varied})
-            assert watchdog.state_of(0) is HealthState.QUARANTINED
+            assert watchdog.states()[0] is HealthState.QUARANTINED
 
     def test_missing_signals_leave_camera_untouched(self):
         watchdog = FleetHealthWatchdog([0, 1])
         drive(watchdog, 20, lambda f: {1: healthy(f, 1)})
-        assert watchdog.state_of(0) is HealthState.ACTIVE
+        assert watchdog.states()[0] is HealthState.ACTIVE
         assert watchdog.score_of(0) == 1.0
 
     def test_watchdog_requires_cameras(self):

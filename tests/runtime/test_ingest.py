@@ -82,7 +82,7 @@ def drive(policy_name, capacity, cadence, ops, lags):
                 drained = {k for k in queued_keys if k <= upto}
                 queued_keys -= drained
                 polls.append((drained, outcome.capsule))
-        assert queue.occupancy <= queue.capacity
+        assert len(queue) <= queue.capacity
         assert queue.peak_occupancy <= queue.capacity
         assert queue.admitted + queue.rejected == queue.offered
     return queue, evicted, rejected_keys, offered_key_frames, polls
@@ -198,7 +198,7 @@ class TestQueueBasics:
         queue.offer(capsule(3))
         outcome = queue.poll_upto(1)
         assert outcome is not None and outcome.capsule.frame_index == 0
-        assert queue.occupancy == 1  # frame 3 still waiting
+        assert len(queue) == 1  # frame 3 still waiting
 
     def test_staleness_counts_frames_behind_the_dispatch(self):
         queue = BoundedFrameQueue(0, 4, DropOldest())
@@ -250,7 +250,7 @@ class TestIngestEdge:
             views = pass_frames(edge, range(12), lambda f: frozenset())
             assert not any(v.any_active for v in views)
             for queue in edge.queues.values():
-                assert queue.served == 12 and queue.occupancy == 0
+                assert queue.served == 12 and len(queue) == 0
 
     def test_held_frames_are_offered_in_frame_order_before_the_drain(self):
         edge = IngestEdge((0, 1), capacity=8, policy="drop-oldest")

@@ -39,14 +39,6 @@ class TestRecall:
         result.add(record(0, {0: 1.0}, set(), set()))
         assert result.object_recall() == 1.0
 
-    def test_recall_over_time_windows(self):
-        result = RunResult("balb", "S1", horizon=2)
-        result.add(record(0, {}, {1}, {1}))
-        result.add(record(1, {}, {1}, set()))
-        result.add(record(2, {}, {1}, {1}))
-        trace = result.recall_over_time(window=2)
-        assert trace == [pytest.approx(0.5), pytest.approx(1.0)]
-
 
 class TestLatency:
     def test_slowest_camera_per_horizon(self):
@@ -147,14 +139,3 @@ class TestFaultEdgeCases:
         result = RunResult("balb", "S1", horizon=1)
         result.add(self.lossy_record(0, {1, 2, 3}, {1, 2, 3}, {4}))
         assert result.coverage_loss() == pytest.approx(0.25)
-
-    def test_recall_over_time_window_larger_than_run(self):
-        result = RunResult("balb", "S1", horizon=2)
-        result.add(record(0, {}, {1}, {1}))
-        result.add(record(1, {}, {1}, set()))
-        trace = result.recall_over_time(window=100)
-        assert trace == [pytest.approx(0.5)]  # one window covering it all
-
-    def test_recall_over_time_on_empty_run(self):
-        result = RunResult("balb", "S1", horizon=2)
-        assert result.recall_over_time(window=10) == []

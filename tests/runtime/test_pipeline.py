@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultModel, FaultSchedule
-from repro.obs.export import span_tree_signature
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.pipeline import (
     POLICIES,
@@ -14,6 +13,7 @@ from repro.runtime.pipeline import (
     train_models,
 )
 from repro.scenarios.aic21 import scenario_s2
+from tests.obs.span_tree import span_tree_signature
 
 
 def small_config(policy="balb", **kwargs):

@@ -30,44 +30,9 @@ class TestSkewModel:
         lags = model.sample_lags([0, 1], np.random.default_rng(0))
         assert all(lag == 0 for lag in lags.values())
 
-    def test_jitter_stays_nonnegative(self):
-        model = SkewModel(max_lag_frames=1, jitter=True)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert model.jittered_lag(0, rng) >= 0
-
     def test_invalid_lag_raises(self):
         with pytest.raises(ValueError):
             SkewModel(max_lag_frames=-1)
-
-    def test_jittered_lag_passthrough_without_jitter(self):
-        model = SkewModel(max_lag_frames=3, jitter=False)
-        rng = np.random.default_rng(0)
-        # without jitter the base lag comes back untouched, no rng draw
-        for base in (0, 1, 3):
-            assert model.jittered_lag(base, rng) == base
-        # the rng was never consumed
-        assert rng.integers(0, 100) == np.random.default_rng(0).integers(0, 100)
-
-    def test_jittered_lag_moves_at_most_one_frame(self):
-        model = SkewModel(max_lag_frames=3, jitter=True)
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            lag = model.jittered_lag(2, rng)
-            assert 1 <= lag <= 3
-
-    def test_jittered_lag_clamps_at_zero(self):
-        model = SkewModel(max_lag_frames=3, jitter=True)
-        rng = np.random.default_rng(2)
-        draws = [model.jittered_lag(0, rng) for _ in range(100)]
-        assert all(0 <= lag <= 1 for lag in draws)
-        assert 0 in draws  # -1 jitter draws clamp to 0, not -1
-
-    def test_jittered_lag_covers_all_three_offsets(self):
-        model = SkewModel(max_lag_frames=5, jitter=True)
-        rng = np.random.default_rng(3)
-        draws = {model.jittered_lag(2, rng) for _ in range(200)}
-        assert draws == {1, 2, 3}
 
 
 class TestWorldHistory:

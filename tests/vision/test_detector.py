@@ -8,6 +8,7 @@ from repro.cameras.camera import Camera, CameraIntrinsics, CameraPose
 from repro.geometry.box import BBox
 from repro.vision.detector import DetectorErrorModel, SimulatedDetector
 from repro.world.entities import ObjectClass, WorldObject
+from tests.geometry.reference_geometry import iou
 
 
 def make_camera():
@@ -48,7 +49,7 @@ class TestFullFrame:
         found = det.detect_full_frame([obj])
         assert len(found) == 1
         true_box = cam.project_object(obj)
-        assert found[0].bbox.iou(true_box) > 0.99
+        assert iou(found[0].bbox, true_box) > 0.99
 
     def test_miss_probability_applied(self):
         cam = make_camera()

@@ -9,6 +9,7 @@ from repro.geometry.box import BBox
 from repro.vision.flow import FlowNoiseModel, FlowPredictor, find_new_regions, observe
 from repro.vision.tracks import Track
 from repro.world.entities import ObjectClass, WorldObject
+from tests.geometry.reference_geometry import iou
 
 
 def noise_free():
@@ -127,7 +128,7 @@ class TestNewRegions:
         )
         assert len(regions) == 1
         true_box = cam.project_object(self.moving_car())
-        assert regions[0].iou(true_box) > 0.3
+        assert iou(regions[0], true_box) > 0.3
 
     def test_explained_mover_not_reported(self):
         cam = self.make_camera()

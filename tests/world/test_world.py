@@ -38,9 +38,14 @@ class TestWorldStepping:
 
     def test_objects_despawn_at_route_end(self):
         world = make_world(rate=2.0, seed=2, length=30.0)
-        world.run(60.0, 0.1)
-        assert world.departed_objects  # plenty should have crossed 30 m
-        for obj in world.departed_objects:
+        seen = {}
+        for _ in range(600):
+            world.step(0.1)
+            seen.update((obj.object_id, obj) for obj in world.objects)
+        live = {obj.object_id for obj in world.objects}
+        departed = [obj for oid, obj in seen.items() if oid not in live]
+        assert departed  # plenty should have crossed 30 m
+        for obj in departed:
             assert not obj.alive
 
     def test_deterministic_given_seed(self):

@@ -1,9 +1,9 @@
 """Command-line front end: ``python -m tools.reproflow [paths...]``.
 
-Runs all four whole-program passes (parse/RF000, RNG-provenance taint
+Runs all five whole-program passes (parse/RF000, RNG-provenance taint
 RF001/RF002, state-machine model checking RF003/RF004, bidirectional
-obs coverage RF005/RF006) and ratchets the result against the
-checked-in baseline.
+obs coverage RF005/RF006, reachability from the entry points RF007) and
+ratchets the result against the checked-in baseline.
 
 Exit codes: 0 — no *new* error-severity findings vs the baseline;
 1 — at least one new error (or a baseline failure); 2 — bad
@@ -97,6 +97,17 @@ RULES: Dict[str, Dict[str, str]] = {
             "self-contained on partial trees and fixtures."
         ),
     },
+    "RF007": {
+        "summary": "definition under src/ that no entry point reaches",
+        "rationale": (
+            "Code no run, report, example or benchmark executes adds "
+            "nothing to the reproduction, yet every reader audits it. "
+            "Roots: repro.cli:main, every file under examples/, "
+            "benchmarks/, perfbench/ and tools/, module-level code, "
+            "protocol methods (dunders, pickle hooks) and the tooling "
+            "allowlist; tests, re-exports and __all__ are not uses."
+        ),
+    },
 }
 
 DEFAULT_BASELINE = os.path.join("tools", "reproflow", "baseline.json")
@@ -107,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.reproflow",
         description=(
             "Whole-program analyzer: RNG-provenance taint, state-machine "
-            "model checking, bidirectional obs coverage (rules "
-            "RF000-RF006; see docs/static-analysis.md)"
+            "model checking, bidirectional obs coverage, reachability "
+            "(rules RF000-RF007; see docs/static-analysis.md)"
         ),
     )
     parser.add_argument(

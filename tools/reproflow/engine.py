@@ -3,9 +3,10 @@
 Where :mod:`tools.reprolint` looks at one file at a time, reproflow
 parses the *entire* tree once into a :class:`Program` — every module's
 AST, a symbol table of functions/classes/enums, the import aliases that
-connect them, and a best-effort call graph — and hands that to the four
+connect them, and a best-effort call graph — and hands that to the
 analysis passes (:mod:`tools.reproflow.taint`,
-:mod:`tools.reproflow.machines`, :mod:`tools.reproflow.obscov`). The
+:mod:`tools.reproflow.machines`, :mod:`tools.reproflow.obscov`,
+:mod:`tools.reproflow.reach`). The
 program model is deliberately conservative: anything it cannot resolve
 statically is *unknown*, and unknown never produces a finding. Findings
 reuse the reprolint :class:`~tools.reprolint.engine.Finding` shape (with
@@ -17,7 +18,6 @@ idioms; suppressions are the reprolint comment grammar spelled
 from __future__ import annotations
 
 import ast
-import os
 import re
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -404,8 +404,13 @@ def analyze_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Run all four whole-program passes and return sorted findings."""
-    from tools.reproflow import machines, obscov, taint
+    """Run all five whole-program passes and return sorted findings.
+
+    Reachability (RF007) reads its root files from the repository at
+    the working directory, the same root the analyzed paths are
+    relative to.
+    """
+    from tools.reproflow import machines, obscov, reach, taint
     from tools.reproflow.tables import EPOCH_RULES, MACHINE_SPECS, TABLES_PATH
 
     program, findings = build_program(paths)
@@ -414,6 +419,7 @@ def analyze_paths(
         machines.run(program, MACHINE_SPECS, EPOCH_RULES, TABLES_PATH)
     )
     findings.extend(obscov.run(program))
+    findings.extend(reach.run(program, reach.read_roots(program)))
     findings = apply_suppressions(findings, program)
     if select is not None:
         wanted = set(select)
