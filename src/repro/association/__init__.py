@@ -22,7 +22,6 @@ from repro.association.training import (
     box_features,
     box_target,
     collect_association_dataset,
-    target_to_box,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "collect_association_dataset",
     "box_features",
     "box_target",
-    "target_to_box",
     "PairModel",
     "PairwiseAssociator",
     "default_classifier_factory",

@@ -26,8 +26,6 @@ from repro.association.training import (
     AssociationDataset,
     PairDataset,
     PairKey,
-    box_features,
-    target_to_box,
 )
 from repro.geometry.box import BBox, corner_array
 from repro.ml.base import Classifier, Regressor
@@ -62,10 +60,11 @@ NO_BOXES: Prediction = (np.zeros(0, dtype=np.intp), np.zeros((0, 4)))
 def target_corners(targets: np.ndarray) -> np.ndarray:
     """Box corners from regressed ``(cx, cy, w, h)`` rows (last axis).
 
-    Vectorized :func:`target_to_box`: the size clamp and the
-    centre±half-size arithmetic mirror ``target_to_box``/``BBox.from_xywh``
-    exactly (np.maximum is the same selection as max; w >= 2.0 subsumes
-    from_xywh's max(0.0, w)), so each corner is bit-identical.
+    The inverse of :func:`repro.association.training.box_target`, with
+    each size clamped to at least 2.0. The arithmetic mirrors
+    ``BBox.from_xywh`` exactly (np.maximum is the same selection as max;
+    w >= 2.0 subsumes from_xywh's max(0.0, w)), so each corner is
+    bit-identical to the box built one row at a time.
     """
     cx, cy = targets[..., 0], targets[..., 1]
     w = np.maximum(targets[..., 2], 2.0)
@@ -85,30 +84,15 @@ class PairModel:
     feature_scaler: Optional[StandardScaler]
     constant_label: Optional[int] = None  # when training labels are constant
 
-    def predict_visible(self, box: BBox, threshold: float = 0.5) -> bool:
-        """Is a source-camera ``box`` visible on the target camera?"""
-        if self.constant_label is not None:
-            return bool(self.constant_label)
-        if self.classifier is None or self.feature_scaler is None:
-            return False
-        feats = self._scaled_features(box)
-        return bool(self.classifier.predict_proba(feats)[0] >= threshold)
-
-    def predict_box(self, box: BBox) -> Optional[BBox]:
-        """Predicted target-camera box for a source ``box`` (None if no regressor)."""
-        if self.regressor is None or self.feature_scaler is None:
-            return None
-        feats = self._scaled_features(box)
-        return target_to_box(self.regressor.predict(feats)[0])
-
     def predict_visible_batch(
         self, boxes: Sequence[BBox], threshold: float = 0.5
     ) -> np.ndarray:
-        """Vectorized :meth:`predict_visible`: one classifier call for all boxes.
+        """Is each source box visible on the target camera? One classifier call.
 
         Returns a boolean array aligned with ``boxes``. Agrees elementwise
-        with the scalar path: the KNN distance computation is row-wise
-        independent, so batching changes only the BLAS call shape.
+        with asking about one box at a time: the KNN distance computation
+        is row-wise independent, so batching changes only the BLAS call
+        shape.
         """
         n = len(boxes)
         if self.constant_label is not None:
@@ -119,7 +103,7 @@ class PairModel:
         return np.asarray(self.classifier.predict_proba(feats) >= threshold)
 
     def predict_boxes(self, boxes: Sequence[BBox]) -> List[Optional[BBox]]:
-        """Vectorized :meth:`predict_box`: one regressor call for all boxes."""
+        """Predicted target-camera box of each source box: one regressor call."""
         if self.regressor is None or self.feature_scaler is None or not boxes:
             return [None] * len(boxes)
         feats = self._scaled_features_batch(boxes)
@@ -162,11 +146,6 @@ class PairModel:
             cand_feats = feats[idx]
         return idx, target_corners(self.regressor.predict(cand_feats))
 
-    def _scaled_features(self, box: BBox) -> np.ndarray:
-        assert self.feature_scaler is not None
-        raw = np.asarray([box_features(box)], dtype=float)
-        return self.feature_scaler.transform(raw)
-
     def _scaled_features_batch(self, boxes: Sequence[BBox]) -> np.ndarray:
         return self._scaled_corners(corner_array(boxes))
 
@@ -197,13 +176,14 @@ class PairwiseAssociator:
         self.classifier_factory = classifier_factory
         self.regressor_factory = regressor_factory
         self._models: Dict[PairKey, PairModel] = {}
+        # Counts the fits; downstream memos keyed on this instance's
+        # fitted state (e.g. the camera-mask cache) include it.
+        self._fit_token = 0
+        self._sources: Dict[int, SourceIndex] = {}
 
     def fit(self, dataset: AssociationDataset) -> "PairwiseAssociator":
         """Fit one classifier/regressor pair per ordered camera pair."""
-        # Invalidates downstream memos keyed on this instance's fitted
-        # state (e.g. the camera-mask cache); getattr-guarded so models
-        # unpickled from older artifacts start at token 0.
-        self._fit_token = getattr(self, "_fit_token", 0) + 1
+        self._fit_token += 1
         self._models = {
             key: self._fit_pair(pair_ds) for key, pair_ds in dataset.pairs.items()
         }
@@ -231,12 +211,7 @@ class PairwiseAssociator:
         that pass declines, from their own pair model. The outputs are
         the same either way.
         """
-        # Built on first use for associators unpickled from artifacts
-        # older than the index.
-        sources = getattr(self, "_sources", None)
-        if sources is None:
-            sources = self._sources = build_source_indexes(self._models)
-        index = sources.get(source)
+        index = self._sources.get(source)
         readers = (
             [t for t in targets if t in index.column]
             if index is not None and len(corners)
@@ -249,21 +224,11 @@ class PairwiseAssociator:
                 out.append(shared[target])
                 continue
             model = self._models.get((source, target))
-            got = (
+            out.append(
                 NO_BOXES if model is None
                 else model.predict_visible_boxes(corners, threshold)
             )
-            if target in readers:
-                # Declined: its classifier call, and its regressor call
-                # when any box was visible, ran their own searches.
-                index.calls["fallback"] += 1 + (len(got[0]) > 0)
-            out.append(got)
         return out
-
-    def predict_visible(self, source: int, target: int, box: BBox) -> bool:
-        """Visibility of a source-camera box on the target camera."""
-        model = self._models.get((source, target))
-        return model.predict_visible(box) if model else False
 
     def predict_visible_many(
         self, source: int, target: int, boxes: Sequence[BBox]
@@ -273,13 +238,6 @@ class PairwiseAssociator:
         if model is None:
             return np.zeros(len(boxes), dtype=bool)
         return model.predict_visible_batch(boxes)
-
-    def predict_box(self, source: int, target: int, box: BBox) -> Optional[BBox]:
-        """Predicted target box when classified visible, else None."""
-        model = self._models.get((source, target))
-        if model is None or not model.predict_visible(box):
-            return None
-        return model.predict_box(box)
 
     # ------------------------------------------------------------------
     def _fit_pair(self, pair_ds: PairDataset) -> PairModel:
@@ -367,8 +325,7 @@ class SourceIndex:
     row ``mixed`` when its duplicates disagree on some target's label or
     regression target. :meth:`prepare` derives the search arrays from
     those and the models; pickles leave them out, so artifact and
-    checkpoint files grow only by the row map. Pickles also hold the call
-    counters at zero, so a loaded index counts from zero.
+    checkpoint files grow only by the row map.
     """
 
     _DERIVED = ("basis", "norms", "counts", "rows")
@@ -389,11 +346,6 @@ class SourceIndex:
         self.column = {model.pair[1]: 1 + col for col, model in enumerate(models)}
         self.rep = rep.astype(np.int32)
         self.dup = dup.astype(np.int32)
-        # Pair-model calls served by this index's searches: ``certified``
-        # ones used its neighbours, ``fallback`` ones ran their own search
-        # because the certificate declined. Classifier and regressor
-        # calls count separately.
-        self.calls = {"certified": 0, "fallback": 0}
         # Rows of one unique row next to each other, in source-row order.
         order = np.argsort(inverse, kind="stable")
         group = inverse[order]
@@ -417,10 +369,6 @@ class SourceIndex:
         state = self.__dict__.copy()
         for name in self._DERIVED:
             state[name] = None
-        # The counters measure runs, not the models: a pickle (such as a
-        # checkpoint's content-addressed models entry) is the same before
-        # and after any run.
-        state["calls"] = {"certified": 0, "fallback": 0}
         return state
 
     def prepare(self) -> None:
@@ -487,8 +435,6 @@ class SourceIndex:
         ok, near = self._search(feats, cols, k)
         if not ok[0].all():
             return None
-        calls = self.calls
-        calls["certified"] += len(models)
         classifiers = [m.classifier for m in models]
         regressors = [models[pos].regressor for pos in regressed]
         # Unweighted votes are sums of 0/1, exact in any order.
@@ -514,10 +460,8 @@ class SourceIndex:
             if not len(idx):
                 continue
             if ok[1 + i, idx].all():
-                calls["certified"] += 1
                 out[readers[pos]] = idx, boxes[i, idx]
                 continue
-            calls["fallback"] += 1
             cand = feats if len(idx) == len(feats) else feats[idx]
             out[readers[pos]] = idx, target_corners(regressors[i].predict(cand))
         return out

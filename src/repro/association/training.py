@@ -38,12 +38,6 @@ def box_target(box: BBox) -> List[float]:
     return [cx, cy, w, h]
 
 
-def target_to_box(vec: np.ndarray) -> BBox:
-    """Inverse of :func:`box_target`, with sizes clamped positive."""
-    cx, cy, w, h = (float(v) for v in vec)
-    return BBox.from_xywh(cx, cy, max(w, 2.0), max(h, 2.0))
-
-
 @dataclass
 class PairDataset:
     """Training rows for one ordered camera pair."""

@@ -39,8 +39,10 @@ MAGIC = b"repro-cache-v1\n"
 
 #: Bump to invalidate every previously cached artifact after a code
 #: change that alters what :func:`train_models` (or any other cached
-#: producer) computes for identical inputs.
-ARTIFACT_VERSION = 1
+#: producer) computes for identical inputs. Version 2: the models read
+#: their fit-time KNN caches, fit token and source indexes unguarded, so
+#: entries pickled before those fields existed must miss.
+ARTIFACT_VERSION = 2
 
 
 def default_cache_root() -> str:

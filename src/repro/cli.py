@@ -475,20 +475,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the hot-path microbenchmarks (see ``repro.bench``)."""
-    from repro.bench import main as bench_main
-
-    argv = ["--out", args.out, "--max-regression", str(args.max_regression)]
-    if args.quick:
-        argv.append("--quick")
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.profile:
-        argv += ["--profile", args.profile]
-    return bench_main(argv)
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the repo's determinism & invariant linter (``reprolint``).
 
@@ -714,31 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache root (default: REPRO_CACHE_DIR or ~/.cache/repro)",
     )
     cache_parser.set_defaults(func=cmd_cache)
-
-    bench_parser = sub.add_parser(
-        "bench", help="run hot-path microbenchmarks (perf-regression gate)"
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true", help="fewer rounds (CI smoke mode)"
-    )
-    bench_parser.add_argument(
-        "--out", default="BENCH_micro.json", type=_output_path,
-        help="output JSON path"
-    )
-    bench_parser.add_argument(
-        "--baseline", default=None,
-        help="baseline JSON to gate against (exit 1 on regression)",
-    )
-    bench_parser.add_argument(
-        "--max-regression", type=float, default=2.0,
-        help="fail when median exceeds baseline by this ratio (default 2.0)",
-    )
-    bench_parser.add_argument(
-        "--profile", default=None, metavar="NAME",
-        help="profile one named benchmark under cProfile and print the "
-        "top-20 cumulative functions instead of running the suite",
-    )
-    bench_parser.set_defaults(func=cmd_bench)
 
     soak_parser = sub.add_parser(
         "soak",

@@ -34,22 +34,6 @@ class BALBResult:
     camera_latencies: Dict[int, float]
     priority_order: Tuple[int, ...]  # camera ids, increasing assigned latency
 
-    def __post_init__(self) -> None:
-        # priority_of is on the distributed-stage hot path (every cell of
-        # every mask per key frame); an O(n) tuple.index there is real cost.
-        self._rank: Dict[int, int] = {
-            cam: rank for rank, cam in enumerate(self.priority_order)
-        }
-
-    def priority_of(self, camera_id: int) -> int:
-        """Rank of a camera in the priority order (0 = highest priority)."""
-        try:
-            return self._rank[camera_id]
-        except KeyError:
-            raise ValueError(
-                f"camera {camera_id} is not in the priority order"
-            ) from None
-
 
 @dataclass
 class _BatchTracker:

@@ -80,7 +80,7 @@ def build_camera_masks(
     while the CameraMask values are shared read-only.
     """
     key = (
-        getattr(associator, "_fit_token", 0),
+        associator._fit_token,
         tuple(grid),
         tuple(sorted(frame_sizes.items())),
         tuple(sorted(typical_box_sizes.items())),

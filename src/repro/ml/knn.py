@@ -8,8 +8,6 @@ generate the prediction" (Section II-C).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.ml.base import (
@@ -22,39 +20,30 @@ from repro.ml.base import (
 
 
 def _k_nearest(
-    train: np.ndarray,
+    train_norms: np.ndarray,
+    train_neg2: np.ndarray,
     queries: np.ndarray,
     k: int,
-    train_norms: Optional[np.ndarray] = None,
-    train_neg2: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Indices (n_queries, k) of the k nearest training rows per query.
 
     Brute-force Euclidean search; the association training sets are a few
-    thousand rows, so this is both simple and fast enough.
-    ``train_norms`` optionally carries the precomputed per-row squared
-    norms of ``train`` (fit-time cache) — recomputing them per query was
-    most of the batch-query cost. ``train_neg2`` optionally carries
-    ``train * -2.0`` (same cache): scaling by a power of two is exact and
-    distributes over addition without rounding, and the pre-scaled array
-    has the same layout as ``train`` so the gemm kernel choice is
-    unchanged — the product is bit-identical to scaling afterwards.
+    thousand rows, so this is both simple and fast enough. The training
+    rows come as the fit-time cache of their squared norms and of
+    ``train * -2.0``: recomputing the norms per query was most of the
+    batch-query cost, and scaling by a power of two is exact and
+    distributes over addition without rounding, so the product with the
+    pre-scaled array is bit-identical to scaling afterwards.
     """
-    if train_norms is None:
-        train_norms = np.sum(train**2, axis=1)
     # (q, t) squared distances via the expansion |a-b|^2 = |a|^2 - 2ab + |b|^2,
-    # built in place: gemm once, then scale-and-shift without temporaries.
+    # built in place: gemm once, then shift without temporaries.
     # Bit-identical to the one-expression chain — float addition is
     # commutative and the grouping ((-2g) + |a|^2) + |b|^2 matches the
     # left-to-right evaluation of |a|^2 - 2g + |b|^2 exactly.
-    if train_neg2 is not None:
-        d2 = queries @ train_neg2.T
-    else:
-        d2 = queries @ train.T
-        d2 *= -2.0
+    d2 = queries @ train_neg2.T
     d2 += np.sum(queries**2, axis=1)[:, None]
     d2 += train_norms[None, :]
-    k = min(k, len(train))
+    k = min(k, len(train_neg2))
     idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
     # Sort the selected k by distance so weighting is stable.
     rows = _row_index(len(queries))
@@ -108,16 +97,8 @@ class _KNNModel:
 
         ``x`` holds validated query features (see ``check_features``).
         """
-        assert self._x is not None
-        # The caches are getattr-guarded so models unpickled from older
-        # artifacts still work.
-        return _k_nearest(
-            self._x,
-            x,
-            self.k,
-            getattr(self, "_x_norms", None),
-            getattr(self, "_x_neg2", None),
-        )
+        assert self._x_norms is not None and self._x_neg2 is not None
+        return _k_nearest(self._x_norms, self._x_neg2, x, self.k)
 
     def _weights(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         assert self._x is not None

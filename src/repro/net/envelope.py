@@ -29,7 +29,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from typing import Set
+from typing import TYPE_CHECKING, Optional, Set
+
+if TYPE_CHECKING:
+    from repro.net.link import TransferOutcome
 
 #: Admission verdicts a :class:`ChannelGuard` can return.
 ADMIT_OK = "ok"
@@ -197,6 +200,28 @@ class ChannelGuard:
             self._trim()
         self.reordered += 1
         return Admission(False, ADMIT_REORDERED)
+
+    def replay(
+        self, env: Envelope, outcome: Optional[TransferOutcome]
+    ) -> Admission:
+        """Receive ``env`` as the wire delivered it, per ``outcome``.
+
+        Each corrupt attempt bounces off the checksum first. A reordered
+        delivery is then held (:meth:`hold_reordered`); otherwise the
+        envelope is admitted, and a duplicated final copy is admitted
+        again, which the guard drops. Returns the verdict on the final
+        copy. ``outcome=None`` is a clean delivery.
+        """
+        if outcome is None:
+            return self.admit(env)
+        for _ in range(outcome.corrupt_attempts):
+            self.admit(env.corrupted())
+        if outcome.reordered:
+            return self.hold_reordered(env)
+        admission = self.admit(env)
+        if outcome.duplicated:
+            self.admit(env)
+        return admission
 
     def _trim(self) -> None:
         """Forget sequence numbers that fell out of the reorder window."""

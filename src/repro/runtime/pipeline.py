@@ -1468,22 +1468,20 @@ class Pipeline:
                 str(t) for t in decision.assigned.get(cam_id, ())
             ),
         )
-        guard = node.guard
+        admission = node.guard.replay(env, outcome)
         if outcome is not None:
             for _ in range(outcome.corrupt_attempts):
-                guard.admit(env.corrupted())
                 with tracer.span("wire.corrupt", camera=cam_id):
                     pass
             if outcome.reordered:
-                guard.hold_reordered(env)
+                # A held reorder is never booked as fenced, whatever
+                # the guard's verdict on its epoch.
                 with tracer.span("wire.reorder", camera=cam_id):
                     pass
                 return False
-        admission = guard.admit(env)
-        if outcome is not None and outcome.duplicated:
-            guard.admit(env)
-            with tracer.span("wire.duplicate", camera=cam_id):
-                pass
+            if outcome.duplicated:
+                with tracer.span("wire.duplicate", camera=cam_id):
+                    pass
         if admission.accepted:
             return True
         if admission.reason == DROP_STALE_EPOCH:

@@ -408,14 +408,7 @@ class CentralScheduler:
             0,
             ",".join(str(t) for t in report.track_ids),
         )
-        for _ in range(outcome.corrupt_attempts):
-            guard.admit(env.corrupted())
-        if outcome.reordered:
-            return guard.hold_reordered(env).accepted
-        admission = guard.admit(env)
-        if outcome.duplicated:
-            guard.admit(env)
-        return admission.accepted
+        return guard.replay(env, outcome).accepted
 
     def _report_message(
         self, cam: int, entries: List[ReportEntry], frame_index: int

@@ -59,7 +59,6 @@ class World:
         self._route_end = {
             rid: r.length - 1e-6 for rid, r in self._routes_by_id.items()
         }
-        self._departed: List[WorldObject] = []
 
     # ------------------------------------------------------------------
     @property
@@ -151,9 +150,7 @@ class World:
             if obj.route_progress >= route_end[obj.route_id]
         ]
         for oid in finished:
-            obj = self._objects.pop(oid)
-            obj.alive = False
-            self._departed.append(obj)
+            self._objects.pop(oid).alive = False
 
     def _entrance_blocked(self, route: Route, clearance: float) -> bool:
         for obj in self._objects.values():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.association.pairwise import (
+    NO_BOXES,
     PairwiseAssociator,
     default_classifier_factory,
     default_regressor_factory,
 )
 from repro.association.training import AssociationDataset
-from repro.geometry.box import BBox
+from repro.geometry.box import BBox, corner_array
+from tests.association.reference_pair import predict_box, predict_visible
 
 
 def synthetic_dataset(n=1500, seed=0):
@@ -32,18 +34,28 @@ def synthetic_dataset(n=1500, seed=0):
     return ds
 
 
+def predicted_box(assoc, source, target, box):
+    """``box``'s predicted box on ``target``, or None when it is not visible."""
+    model = assoc.model(source, target)
+    idx, corners = (
+        NO_BOXES if model is None
+        else model.predict_visible_boxes(corner_array([box]))
+    )
+    return BBox(*corners[0].tolist()) if len(idx) else None
+
+
 class TestPairwiseAssociator:
     def test_visibility_prediction(self):
         assoc = PairwiseAssociator().fit(synthetic_dataset())
         visible = BBox.from_xywh(200, 300, 50, 35)
         hidden = BBox.from_xywh(800, 300, 50, 35)
-        assert assoc.predict_visible(0, 1, visible)
-        assert not assoc.predict_visible(0, 1, hidden)
+        assert predicted_box(assoc, 0, 1, visible) is not None
+        assert predicted_box(assoc, 0, 1, hidden) is None
 
     def test_location_prediction(self):
         assoc = PairwiseAssociator().fit(synthetic_dataset())
         src = BBox.from_xywh(200, 300, 50, 35)
-        pred = assoc.predict_box(0, 1, src)
+        pred = predicted_box(assoc, 0, 1, src)
         assert pred is not None
         assert pred.center[0] == pytest.approx(400, abs=30)
         assert pred.center[1] == pytest.approx(250, abs=30)
@@ -51,11 +63,11 @@ class TestPairwiseAssociator:
     def test_predict_box_none_when_classified_invisible(self):
         assoc = PairwiseAssociator().fit(synthetic_dataset())
         hidden = BBox.from_xywh(900, 300, 50, 35)
-        assert assoc.predict_box(0, 1, hidden) is None
+        assert predicted_box(assoc, 0, 1, hidden) is None
 
     def test_unknown_pair_predicts_invisible(self):
         assoc = PairwiseAssociator().fit(synthetic_dataset())
-        assert not assoc.predict_visible(5, 6, BBox.from_xywh(0, 0, 10, 10))
+        assert predicted_box(assoc, 5, 6, BBox.from_xywh(0, 0, 10, 10)) is None
         assert assoc.model(5, 6) is None
 
     def test_constant_negative_labels(self):
@@ -64,7 +76,7 @@ class TestPairwiseAssociator:
         for i in range(20):
             pair.add(BBox.from_xywh(i * 10, 100, 30, 20), None)
         assoc = PairwiseAssociator().fit(ds)
-        assert not assoc.predict_visible(0, 1, BBox.from_xywh(50, 100, 30, 20))
+        assert predicted_box(assoc, 0, 1, BBox.from_xywh(50, 100, 30, 20)) is None
 
     def test_constant_positive_labels(self):
         ds = AssociationDataset()
@@ -73,9 +85,9 @@ class TestPairwiseAssociator:
             src = BBox.from_xywh(100 + i * 10, 100, 30, 20)
             pair.add(src, src.translate(50, 0))
         assoc = PairwiseAssociator().fit(ds)
-        assert assoc.predict_visible(0, 1, BBox.from_xywh(150, 100, 30, 20))
-        pred = assoc.predict_box(0, 1, BBox.from_xywh(150, 100, 30, 20))
-        assert pred is not None
+        box = BBox.from_xywh(150, 100, 30, 20)
+        assert predict_visible(assoc.model(0, 1), box)
+        assert predicted_box(assoc, 0, 1, box) is not None
 
     def test_custom_factories_used(self):
         calls = []
@@ -95,11 +107,11 @@ class TestPairwiseAssociator:
         ds = AssociationDataset()
         ds.pair(0, 1)  # created but never populated
         assoc = PairwiseAssociator().fit(ds)
-        assert not assoc.predict_visible(0, 1, BBox.from_xywh(0, 0, 10, 10))
+        assert predicted_box(assoc, 0, 1, BBox.from_xywh(0, 0, 10, 10)) is None
 
 
 class TestBatchEquivalence:
-    """The vectorized batch APIs must agree with the per-box loops."""
+    """The vectorized batch APIs must agree with the per-box reference loops."""
 
     def probes(self, n=64, seed=7):
         rng = np.random.default_rng(seed)
@@ -115,7 +127,7 @@ class TestBatchEquivalence:
         model = assoc.model(0, 1)
         probes = self.probes()
         batch = model.predict_visible_batch(probes)
-        loop = [model.predict_visible(b) for b in probes]
+        loop = [predict_visible(model, b) for b in probes]
         assert batch.dtype == bool
         assert list(batch) == loop
 
@@ -124,21 +136,17 @@ class TestBatchEquivalence:
         model = assoc.model(0, 1)
         probes = self.probes()
         batch = model.predict_boxes(probes)
-        loop = [model.predict_box(b) for b in probes]
+        loop = [predict_box(model, b) for b in probes]
         assert len(batch) == len(loop)
         for got, want in zip(batch, loop):
-            if want is None:
-                # predict_box gates on visibility; predict_boxes does not,
-                # so it may still return a regressed box here.
-                continue
-            assert got is not None
+            assert got is not None and want is not None
             assert got.as_tuple() == pytest.approx(want.as_tuple())
 
     def test_predict_visible_many_matches_loop(self):
         assoc = PairwiseAssociator().fit(synthetic_dataset())
         probes = self.probes()
         batch = assoc.predict_visible_many(0, 1, probes)
-        loop = [assoc.predict_visible(0, 1, b) for b in probes]
+        loop = [predict_visible(assoc.model(0, 1), b) for b in probes]
         assert list(batch) == loop
 
     def test_predict_visible_many_unknown_pair_all_false(self):

@@ -9,10 +9,10 @@ from repro.association.training import (
     box_features,
     box_target,
     collect_association_dataset,
-    target_to_box,
 )
 from repro.geometry.box import BBox
 from repro.scenarios.aic21 import scenario_s2
+from tests.association.reference_pair import target_to_box
 
 
 class TestFeatureEncoding:

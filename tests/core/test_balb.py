@@ -147,8 +147,6 @@ class TestBALBCentral:
         inst = MVSInstance(profiles=profiles, objects=())
         result = balb_central(inst)
         assert result.priority_order == (0, 2, 1)
-        assert result.priority_of(0) == 0
-        assert result.priority_of(1) == 2
 
     def test_empty_object_set(self):
         inst = MVSInstance(profiles={0: profile()}, objects=())
@@ -168,34 +166,3 @@ class TestBALBCentral:
         balb_lat = system_latency(inst, result.assignment)
         dump_lat = system_latency(inst, {j: 0 for j in range(10)})
         assert balb_lat <= dump_lat + 1e-9
-
-
-class TestPriorityOfLookup:
-    """`priority_of` is rank-dict backed; it must keep tuple.index semantics."""
-
-    def result_with_order(self, order):
-        from repro.core.balb import BALBResult
-
-        return BALBResult(
-            assignment={},
-            camera_latencies={cam: float(cam) for cam in order},
-            priority_order=tuple(order),
-        )
-
-    def test_matches_tuple_index_for_every_camera(self):
-        order = (7, 3, 11, 0, 5)
-        result = self.result_with_order(order)
-        for cam in order:
-            assert result.priority_of(cam) == order.index(cam)
-
-    def test_unknown_camera_raises_value_error(self):
-        result = self.result_with_order((0, 1, 2))
-        with pytest.raises(ValueError):
-            result.priority_of(99)
-
-    def test_survives_pickle_roundtrip(self):
-        import pickle
-
-        result = self.result_with_order((4, 2, 9))
-        clone = pickle.loads(pickle.dumps(result))
-        assert [clone.priority_of(c) for c in (4, 2, 9)] == [0, 1, 2]

@@ -92,6 +92,9 @@ class TestOwnerRules:
 class TestBuildMasks:
     def visible_associator(self):
         """Associator trained so camera 0's left half maps to camera 1."""
+        return PairwiseAssociator().fit(self.visible_associator_dataset())
+
+    def visible_associator_dataset(self):
         rng = np.random.default_rng(0)
         ds = AssociationDataset()
         fwd = ds.pair(0, 1)
@@ -106,7 +109,7 @@ class TestBuildMasks:
                 back.add(dst, src)
             else:
                 back.add(BBox.from_xywh(cx, cy, 40, 28), None)
-        return PairwiseAssociator().fit(ds)
+        return ds
 
     def test_masks_built_for_all_cameras(self):
         assoc = self.visible_associator()
@@ -127,6 +130,31 @@ class TestBuildMasks:
             for row in mask.coverage:
                 for cell in row:
                     assert mask.camera_id in cell
+
+    def test_one_classifier_sweep_per_ordered_pair_then_memoized(self, monkeypatch):
+        """An uncached build asks each ordered camera pair once, in one call;
+        a build the memo holds asks none, until a re-fit."""
+        assoc = self.visible_associator()
+        asked = []
+        original = PairwiseAssociator.predict_visible_many
+
+        def counting(self, source, target, boxes):
+            asked.append((source, target))
+            return original(self, source, target, boxes)
+
+        monkeypatch.setattr(PairwiseAssociator, "predict_visible_many", counting)
+        sizes = {0: (400, 300), 1: (400, 300), 2: (400, 300)}
+        typical = {0: 40.0, 1: 40.0, 2: 40.0}
+        first = build_camera_masks(sizes, assoc, typical, grid=(8, 6))
+        pairs = [(a, b) for a in sizes for b in sizes if a != b]
+        assert sorted(asked) == pairs
+        asked.clear()
+        again = build_camera_masks(sizes, assoc, typical, grid=(8, 6))
+        assert asked == []
+        assert again == first
+        assoc.fit(self.visible_associator_dataset())
+        build_camera_masks(sizes, assoc, typical, grid=(8, 6))
+        assert sorted(asked) == pairs
 
     def test_covisible_region_detected(self):
         assoc = self.visible_associator()

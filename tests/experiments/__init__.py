@@ -1,1 +1,1 @@
-"""Tests for the experiment harness (runner, parallel fan-out, bench)."""
+"""Tests for the experiment harness (runner, parallel fan-out)."""

@@ -17,7 +17,7 @@ from repro.checkpoint import (
     save_checkpoint,
 )
 from repro.framed import read_framed, write_framed
-from repro.geometry.box import BBox
+from repro.geometry.box import BBox, corner_array
 from repro.runtime.pipeline import (
     Pipeline,
     PipelineConfig,
@@ -25,7 +25,7 @@ from repro.runtime.pipeline import (
     train_models,
 )
 from repro.scenarios.aic21 import scenario_s1
-from tests.association.search_counts import shared_calls
+from tests.association.search_counts import count_shared_calls, shared_calls
 
 
 def small_config(**kwargs):
@@ -287,20 +287,27 @@ class TestModelsEntry:
         associator = PairwiseAssociator().fit(shifted_dataset(40.0))
         trained = TrainedModels(associator, {0: 60.0, 1: 60.0}, {})
         path = str(tmp_path / "run.ckpt")
-        box = BBox.from_xywh(200.0, 100.0, 40.0, 30.0)
+        corners = corner_array([BBox.from_xywh(200.0, 100.0, 40.0, 30.0)])
+
+        def predicted(assoc):
+            idx, boxes = assoc.model(0, 1).predict_visible_boxes(corners)
+            return idx.tolist(), boxes.tolist()
+
         save_checkpoint(path, RunCheckpoint("s", "c", trained, "state"))
-        first = load_checkpoint(path).trained.associator.predict_box(0, 1, box)
+        first = predicted(load_checkpoint(path).trained.associator)
         associator.fit(shifted_dataset(90.0))
         save_checkpoint(path, RunCheckpoint("s", "c", trained, "state"))
         assert len(entries(tmp_path)) == 2
-        refit = load_checkpoint(path).trained.associator.predict_box(0, 1, box)
-        assert refit == associator.predict_box(0, 1, box) != first
+        refit = predicted(load_checkpoint(path).trained.associator)
+        assert first[0] == refit[0] == [0]
+        assert refit == predicted(associator) != first
 
 
 class TestModelsDoNotChangeWhileTheyRun:
-    def test_pickle_is_equal_before_and_after_runs(self, shared):
+    def test_pickle_is_equal_before_and_after_runs(self, shared, monkeypatch):
         """A content-addressed entry needs models that runs leave alone."""
         scenario, trained = shared
+        count_shared_calls(monkeypatch)
         before = pickle.dumps(trained, protocol=pickle.HIGHEST_PROTOCOL)
         Pipeline(scenario, small_config(), trained=trained).run()
         after_run = pickle.dumps(trained, protocol=pickle.HIGHEST_PROTOCOL)

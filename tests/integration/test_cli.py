@@ -127,7 +127,6 @@ class TestInputErrors:
             ["trace", "--out", "nodir/t.jsonl"],
             ["experiments", "--out", "nodir/x.txt"],
             ["report", "--quick", "--out", "nodir/x.txt"],
-            ["bench", "--quick", "--out", "nodir/b.json"],
             ["soak", "--out", "nodir/s.txt"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}",
@@ -141,6 +140,13 @@ class TestInputErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument {argv[-2]}: directory 'nodir' does not exist" in err
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        """Benchmarks run through perfbench: the ``bench`` subcommand is gone."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench", "--quick"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line,reason",

@@ -12,7 +12,7 @@ from repro.association.training import (
 )
 from repro.devices.profiler import profile_device
 from repro.devices.profiles import JETSON_NANO, JETSON_TX2, latency_model_for
-from repro.geometry.box import BBox
+from repro.geometry.box import BBox, corner_array
 from repro.io import (
     export_ground_truth_csv,
     load_association_dataset,
@@ -89,7 +89,8 @@ class TestAssociationPersistence:
         restored = load_association_dataset(path)
         assoc = PairwiseAssociator().fit(restored)
         visible = BBox.from_xywh(200, 300, 50, 35)
-        assert assoc.predict_visible(0, 1, visible)
+        idx, _ = assoc.model(0, 1).predict_visible_boxes(corner_array([visible]))
+        assert idx.tolist() == [0]
 
     def test_scenario_dataset_roundtrip(self, tmp_path):
         scenario = scenario_s2(seed=1)

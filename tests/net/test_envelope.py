@@ -15,6 +15,7 @@ from repro.net.envelope import (
     ChannelGuard,
     Envelope,
 )
+from repro.net.link import TransferOutcome
 
 
 def seal(seq=0, epoch=0, channel="assign:0", payload="1,2,3"):
@@ -130,6 +131,36 @@ class TestChannelGuard:
         assert guard.hold_reordered(seal(seq=1).corrupted()).reason == (
             DROP_CORRUPT
         )
+
+    def test_replay_corrupt_duplicate_delivery(self):
+        guard = ChannelGuard()
+        outcome = TransferOutcome(
+            delivered=True, elapsed_ms=1.0, attempts=3, corrupt_attempts=2,
+            duplicated=True,
+        )
+        verdict = guard.replay(seal(seq=4), outcome)
+        assert verdict.accepted and verdict.reason == ADMIT_OK
+        assert (guard.corrupt, guard.admitted, guard.duplicates) == (2, 1, 1)
+
+    def test_replay_holds_a_reordered_delivery(self):
+        guard = ChannelGuard()
+        guard.admit(seal(seq=0, epoch=3))
+        outcome = TransferOutcome(
+            delivered=True, elapsed_ms=1.0, attempts=1, reordered=True,
+            duplicated=True,
+        )
+        held = guard.replay(seal(seq=1, epoch=3), outcome)
+        assert not held.accepted and held.reason == ADMIT_REORDERED
+        # A held delivery is not admitted again as a duplicate ...
+        assert (guard.reordered, guard.duplicates) == (1, 0)
+        # ... and a stale one keeps the guard's fencing verdict.
+        stale = guard.replay(seal(seq=2, epoch=1), outcome)
+        assert stale.reason == DROP_STALE_EPOCH
+
+    def test_replay_of_a_clean_delivery_is_one_admit(self):
+        guard = ChannelGuard()
+        assert guard.replay(seal(seq=0), None).reason == ADMIT_OK
+        assert guard.admitted == 1
 
     def test_window_trim_bounds_seen_set(self):
         guard = ChannelGuard(window=8)

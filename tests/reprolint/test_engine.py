@@ -1,5 +1,6 @@
 """Engine-level tests: suppressions, severity, name-set loading, walking."""
 
+from dataclasses import fields
 from pathlib import Path
 
 from tools.reprolint import Config, NameSets, lint_paths, lint_source
@@ -98,6 +99,24 @@ class TestScopesAndWalking:
         assert in_scope("src/repro/cli.py", ("src/repro",))
         assert in_scope("src/repro", ("src/repro",))
         assert not in_scope("src/reprolike/x.py", ("src/repro",))
+
+    def test_default_paths_name_existing_files(self):
+        """A scope or allowlist entry for a deleted path would be inherited
+        silently by a new file created at that path."""
+        config = Config()
+        named = [
+            (field.name, path)
+            for field in fields(config)
+            if field.name.endswith(("_scope", "_allow", "_modules", "_module"))
+            for path in (
+                [getattr(config, field.name)]
+                if isinstance(getattr(config, field.name), str)
+                else getattr(config, field.name)
+            )
+        ]
+        assert len(named) >= 12
+        missing = [(name, path) for name, path in named if not (REPO_ROOT / path).exists()]
+        assert missing == []
 
     def test_fixture_dir_excluded_from_walks(self):
         files = iter_python_files(

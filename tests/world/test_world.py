@@ -1,7 +1,12 @@
 """Tests for the stepping world simulation."""
 
+import io
+import pickle
+
 import pytest
 
+from repro.scenarios.aic21 import get_scenario
+from repro.world.entities import WorldObject
 from repro.world.motion import Route, TrafficLight
 from repro.world.spawn import SpawnSpec
 from repro.world.world import World, WorldConfig
@@ -47,6 +52,23 @@ class TestWorldStepping:
         assert departed  # plenty should have crossed 30 m
         for obj in departed:
             assert not obj.alive
+
+    def test_pickle_holds_only_live_objects(self):
+        """Checkpoints pickle the world: departed objects must not ride along."""
+        world, _ = get_scenario("S1", seed=0).build()
+        world.run(300.0, 0.1)
+        live = {id(obj) for obj in world.objects}
+        pickled = []
+
+        class Recorder(pickle.Pickler):
+            def persistent_id(self, obj):
+                if isinstance(obj, WorldObject):
+                    pickled.append(obj)
+                return None
+
+        Recorder(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(world)
+        assert pickled
+        assert all(id(obj) in live for obj in pickled)
 
     def test_deterministic_given_seed(self):
         w1 = make_world(rate=1.0, seed=42)

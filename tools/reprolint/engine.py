@@ -76,7 +76,6 @@ class Config:
     rl002_wallclock_allow: Tuple[str, ...] = (
         "src/repro/obs/trace.py",
         "src/repro/experiments/parallel.py",
-        "src/repro/bench.py",
     )
 
     #: RL003 — modules whose dataclasses must all be ``frozen=True``.
