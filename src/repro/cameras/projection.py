@@ -6,11 +6,13 @@ view of the same objects. The cache projects every camera of the rig in
 one :func:`project_objects_multi` call per distinct object snapshot and
 hands the resulting ``{object_id: BBox}`` tables to every consumer.
 
-A cache instance lives for exactly one frame. Tables are keyed by the
-*identity* of the object list (per-camera lag means different cameras
-can observe different snapshots of the world); the cache keeps a strong
-reference to each keyed list so an ``id()`` can never be recycled
-within the frame.
+A cache instance belongs to one frame of a world trajectory (see
+:mod:`repro.runtime.trajectory`) or to one frozen view, and serves every
+run that reads it; its tables are read-only. Tables are keyed by the
+*identity* of the object list; the cache keeps a strong reference to
+each keyed list so an ``id()`` can never be recycled while it lives.
+A pickled cache carries its cameras only: a restored one projects again
+on demand, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ class FrameProjectionCache:
         self._tables: Dict[Tuple[int, int], Dict[int, BBox]] = {}
         # id(list) -> {object_id: [covering cam ids]}.
         self._coverage: Dict[int, Dict[int, List[int]]] = {}
+
+    def __getstate__(self) -> Tuple[Camera, ...]:
+        return tuple(self._cameras)
+
+    def __setstate__(self, cameras: Tuple[Camera, ...]) -> None:
+        self.__init__(cameras)  # type: ignore[misc]
 
     def arrays(self, objects: Sequence[WorldObject]) -> FrameArrays:
         """The SoA snapshot for this object list (built once per list)."""

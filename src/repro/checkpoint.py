@@ -48,7 +48,10 @@ if TYPE_CHECKING:
 #: place of three dicts; a v2 node would unpickle without it.
 #: v4: the trained models live in a models entry the state refers to; a
 #: v3 state holds them inline.
-MAGIC = b"repro-checkpoint-v4\n"
+#: v5: the run state reads its frames from a world trajectory (the world
+#: plus the frames its lagging cameras can reach); a v4 state holds the
+#: world and a separate snapshot history.
+MAGIC = b"repro-checkpoint-v5\n"
 ENTRY_MAGIC = b"repro-models-v1\n"
 
 

@@ -34,6 +34,7 @@ from repro.runtime.pipeline import (
     run_policy,
     train_models,
 )
+from repro.runtime.trajectory import share_worlds
 from repro.scenarios.aic21 import ALL_SCENARIOS, get_scenario
 
 
@@ -372,8 +373,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print("Training shared models...")
     trained = train_models(scenario, config)
     runs = {}
-    for policy in args.policies:
-        runs[policy] = run_policy(scenario, policy, config, trained)
+    # Every policy runs over the same world: step and project it once.
+    with share_worlds():
+        for policy in args.policies:
+            runs[policy] = run_policy(scenario, policy, config, trained)
     baseline = runs.get("full") or next(iter(runs.values()))
     print(
         format_table(

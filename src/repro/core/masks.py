@@ -85,19 +85,14 @@ def build_camera_masks(
         tuple(sorted(frame_sizes.items())),
         tuple(sorted(typical_box_sizes.items())),
     )
-    try:
-        per_assoc = _MASK_MEMO.setdefault(associator, {})
-    except TypeError:  # test doubles that aren't weak-referenceable
-        per_assoc = None
-    if per_assoc is not None:
-        cached = per_assoc.get(key)
-        if cached is not None:
-            return dict(cached)
+    per_assoc = _MASK_MEMO.setdefault(associator, {})
+    cached = per_assoc.get(key)
+    if cached is not None:
+        return dict(cached)
     masks = _build_camera_masks_uncached(
         frame_sizes, associator, typical_box_sizes, grid
     )
-    if per_assoc is not None:
-        per_assoc[key] = masks
+    per_assoc[key] = masks
     return dict(masks)
 
 

@@ -8,6 +8,7 @@ tests on the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import pickle
 from typing import Dict
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.association.training import (
     collect_association_dataset,
 )
 from repro.ml.metrics import train_test_split_indices
+from repro.runtime.trajectory import shared
 from repro.scenarios.builder import Scenario
 
 
@@ -43,12 +45,26 @@ def collect_and_split(
     seed: int = 0,
     train_fraction: float = 0.5,
 ) -> Dict[PairKey, PairSplit]:
-    """Build per-pair chronological splits for a scenario."""
-    world, rig = scenario.build(seed=seed)
-    dt = scenario.frame_interval
-    world.run(warmup_s, dt)
-    dataset = collect_association_dataset(world, rig, duration_s, dt=dt)
-    return split_dataset(dataset, train_fraction)
+    """Build per-pair chronological splits for a scenario.
+
+    Inside a sharing scope (:func:`repro.runtime.trajectory.share_worlds`)
+    the splits are built once per scenario (by value), duration, warm-up,
+    seed and fraction, and every caller receives the same read-only
+    splits: FIG10 and FIG11 evaluate one dataset.
+    """
+
+    def build() -> Dict[PairKey, PairSplit]:
+        world, rig = scenario.build(seed=seed)
+        dt = scenario.frame_interval
+        world.run(warmup_s, dt)
+        dataset = collect_association_dataset(world, rig, duration_s, dt=dt)
+        return split_dataset(dataset, train_fraction)
+
+    key = (
+        "association-splits", pickle.dumps(scenario, protocol=4),
+        duration_s, warmup_s, seed, train_fraction,
+    )
+    return shared(key, build)
 
 
 def split_dataset(

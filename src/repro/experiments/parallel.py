@@ -21,6 +21,13 @@ Three properties make that hold:
   section jobs run, so pool workers load from the cache instead of
   refitting.
 
+Each process also simulates each world at most once: every job runs
+inside the process's sharing scope (:mod:`repro.runtime.trajectory`),
+so the pipeline runs of one world replay one recorded trajectory and
+FIG10 and FIG11 share one association dataset. A recorded frame holds
+the values a run on its own world would have stepped, so sharing moves
+no byte either.
+
 :class:`ReportProfile` carries every knob of every section.
 ``FULL_PROFILE`` is the paper-scale report; ``QUICK_PROFILE`` shrinks
 each sweep for smoke tests and CI.
@@ -80,6 +87,7 @@ from repro.runtime.pipeline import (
     run_policy,
     train_models,
 )
+from repro.runtime.trajectory import SharedWorlds, share_worlds
 from repro.scenarios.aic21 import get_scenario
 from repro.scenarios.builder import Scenario
 from repro.scenarios.bursts import burst_sweep_specs
@@ -269,14 +277,15 @@ def _execute_job(job: Job, cache_root: Optional[str]) -> JobResult:
     """Run one job (in a worker process) under its own cache + registry."""
     registry = MetricsRegistry()
     start = time.perf_counter()
-    if cache_root is None:
-        value = job.fn(*job.args)
-        hits = misses = 0
-    else:
-        cache = ArtifactCache(cache_root, registry=registry)
-        with use_cache(cache):
+    with share_worlds(_WORLDS):
+        if cache_root is None:
             value = job.fn(*job.args)
-        hits, misses = cache.hits, cache.misses
+            hits = misses = 0
+        else:
+            cache = ArtifactCache(cache_root, registry=registry)
+            with use_cache(cache):
+                value = job.fn(*job.args)
+            hits, misses = cache.hits, cache.misses
     elapsed = time.perf_counter() - start
     return JobResult(
         section=job.section, key=job.key, value=value, elapsed_s=elapsed,
@@ -291,8 +300,9 @@ def _run_waves(
 ) -> List[List[JobResult]]:
     """Run each wave's jobs to completion, in order, before the next.
 
-    Inline runs share this process's trained-model memo and clear it at
-    the end; pool workers keep theirs until the pool shuts down.
+    Inline runs share this process's trained-model memo and simulated
+    worlds and clear both at the end; pool workers keep theirs until the
+    pool shuts down.
     """
     if workers <= 1:
         try:
@@ -302,6 +312,7 @@ def _run_waves(
             ]
         finally:
             _TRAINED.clear()
+            _WORLDS.clear()
     ctx = get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         results = []
@@ -330,6 +341,12 @@ def _fingerprint(job: Job) -> bytes:
 #: because a pool worker must keep it across the jobs it runs; inline
 #: runs clear it when they finish (see ``_run_waves``).
 _TRAINED: Dict[Tuple[str, int, float, float], Tuple[Scenario, TrainedModels]] = {}
+
+#: Per-process sharing scope of every job: what this process simulated
+#: (recorded world trajectories, association datasets), kept and cleared
+#: with ``_TRAINED``. Trajectories are keyed by scenario identity, so the
+#: runs that share a ``_TRAINED`` scenario share its worlds.
+_WORLDS = SharedWorlds()
 
 
 def _trained(

@@ -27,7 +27,7 @@ from repro.runtime.policies import (
     TrackView,
 )
 from repro.runtime.scheduler_node import CentralScheduler, ScheduleDecision
-from repro.runtime.synchronization import SkewModel, WorldHistory
+from repro.runtime.synchronization import SkewModel
 
 __all__ = [
     "SpanRecord",
@@ -58,5 +58,4 @@ __all__ = [
     "CentralScheduler",
     "ScheduleDecision",
     "SkewModel",
-    "WorldHistory",
 ]

@@ -13,12 +13,10 @@ Policies: ``full``, ``balb``, ``balb-cen``, ``balb-ind``, ``sp``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 import math
 from numbers import Integral
-import pickle
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -67,48 +65,15 @@ from repro.runtime.policies import (
 from repro.runtime.scheduler_node import CentralScheduler, ScheduleDecision
 from repro.runtime.synchronization import (
     SkewModel,
-    WorldHistory,
     drifted_lag,
     snapshot_objects,
 )
+from repro.runtime.trajectory import Frame, Trajectory, world_trajectory
 from repro.scenarios.builder import Scenario
 from repro.serving.edge import ServingEdge
-from repro.world.world import World
 
 POLICIES = ("full", "balb", "balb-cen", "balb-ind", "sp")
 _CENTRALIZED = ("balb", "balb-cen", "sp")
-
-
-#: Post-warmup world snapshots, keyed by (scenario identity, seed,
-#: warmup_s, dt). Warming a world replays a few hundred identical
-#: simulation steps before every run; the pickle round-trip restores
-#: float64 coordinates and Generator state exactly, so a restored world
-#: is interchangeable with a freshly warmed one. Every caller — the
-#: first included — receives the round-tripped object, keeping run
-#: provenance uniform. Bounded LRU so long test sessions with many
-#: throwaway scenarios cannot accumulate snapshots.
-_WARM_WORLD_CAP = 8
-_WARM_WORLD_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
-
-
-def _warmed_world(
-    scenario: Scenario, seed: int, warmup_s: float, dt: float
-) -> World:
-    """A freshly restored copy of the scenario's post-warmup world."""
-    key = (id(scenario), seed, warmup_s, dt)
-    entry = _WARM_WORLD_MEMO.get(key)
-    # The held scenario reference pins its id; an identity mismatch means
-    # the id was recycled after an eviction, so rebuild.
-    if entry is None or entry[0] is not scenario:
-        world = World(scenario.world_factory(seed))
-        world.run(warmup_s, dt)
-        entry = (scenario, pickle.dumps(world, pickle.HIGHEST_PROTOCOL))
-        _WARM_WORLD_MEMO[key] = entry
-        while len(_WARM_WORLD_MEMO) > _WARM_WORLD_CAP:
-            _WARM_WORLD_MEMO.popitem(last=False)
-    else:
-        _WARM_WORLD_MEMO.move_to_end(key)
-    return pickle.loads(entry[1])
 
 
 def _split_coverage(objects, down, coverage_fn) -> Tuple[frozenset, frozenset]:
@@ -272,7 +237,10 @@ class _RunState:
     next_frame: int
     total_frames: int
     dt: float
-    world: object
+    #: Where every frame the run's cameras see comes from; a lagging
+    #: camera reads frame ``max(k - lag, 0)`` of it, with ``lag``
+    #: clamped by :func:`drifted_lag` to ``lag_depth``.
+    trajectory: Trajectory
     rig: CameraRig
     nodes: Dict[int, CameraNode]
     scheduler: Optional[CentralScheduler]
@@ -285,18 +253,18 @@ class _RunState:
     stale_horizons: Dict[int, int]
     central_amortized: float
     occlusion: Optional[OcclusionModel]
-    history: Optional[WorldHistory]
+    lag_depth: int
     camera_lags: Dict[int, int]
     failover: Optional[FailoverManager]
     invariants: InvariantMonitor
     ingest: IngestEdge
     serving: Optional[ServingEdge] = None
     #: Fleet health (armed only under degraded-sensor faults): the
-    #: watchdog, the captured snapshot each frozen camera keeps seeing,
+    #: watchdog, the captured frame each frozen camera keeps seeing,
     #: and whether a membership change last frame wants an early key
     #: frame to re-run the central stage over the new membership.
     health: Optional[FleetHealthWatchdog] = None
-    frozen_views: Dict[int, List[object]] = field(default_factory=dict)
+    frozen_views: Dict[int, Frame] = field(default_factory=dict)
     health_forced_key: bool = False
 
 
@@ -468,13 +436,8 @@ class Pipeline:
         scenario = self.scenario
         dt = scenario.frame_interval
 
-        # Fresh test world, decorrelated from the training segment. The
-        # post-warmup state comes from the snapshot memo; the rig is
-        # rebuilt directly so its cameras stay the scenario's own
-        # (static) camera objects, exactly as scenario.build does.
-        world = _warmed_world(
-            scenario, config.seed + 10_000, config.warmup_s, dt
-        )
+        # The rig is rebuilt directly so its cameras stay the scenario's
+        # own (static) camera objects, exactly as scenario.build does.
         rig = CameraRig(scenario.cameras)
 
         nodes = self._build_nodes(rig, dt)
@@ -500,7 +463,6 @@ class Pipeline:
         stale_horizons: Dict[int, int] = {cam: 0 for cam in camera_ids}
 
         occlusion = OcclusionModel() if config.occlusion else None
-        history: Optional[WorldHistory] = None
         camera_lags: Dict[int, int] = {cam.camera_id: 0 for cam in rig}
         if config.max_camera_lag_frames > 0:
             skew = SkewModel(max_lag_frames=config.max_camera_lag_frames)
@@ -508,14 +470,21 @@ class Pipeline:
             camera_lags = skew.sample_lags(
                 [cam.camera_id for cam in rig], lag_rng
             )
-            history = WorldHistory(depth=config.max_camera_lag_frames + 1)
-        # Clock drift generalizes the static skew: size the history for
-        # the worst static + drifted lag any camera can reach this run.
-        max_drift = faults.max_drift_lag(total_frames)
-        if max_drift > 0:
-            history = WorldHistory(
-                depth=config.max_camera_lag_frames + max_drift + 1
-            )
+        # Clock drift generalizes the static skew: a camera can fall
+        # behind by its static lag plus the worst drift this run reaches.
+        lag_depth = (
+            config.max_camera_lag_frames
+            + faults.max_drift_lag(total_frames)
+            + 1
+        )
+        # Fresh test world, decorrelated from the training segment. Inside
+        # a sharing scope every run of this world replays one recorded
+        # trajectory; a checkpointing run keeps its own, which pickles
+        # with its state.
+        trajectory = world_trajectory(
+            scenario, config.seed + 10_000, config.warmup_s, lag_depth,
+            private=config.checkpoint_path is not None,
+        )
 
         # The fleet health watchdog is armed only when the fault plan can
         # actually degrade a sensor: it exports health gauges and can
@@ -547,7 +516,7 @@ class Pipeline:
             next_frame=0,
             total_frames=total_frames,
             dt=dt,
-            world=world,
+            trajectory=trajectory,
             rig=rig,
             nodes=nodes,
             scheduler=scheduler,
@@ -560,7 +529,7 @@ class Pipeline:
             stale_horizons=stale_horizons,
             central_amortized=0.0,
             occlusion=occlusion,
-            history=history,
+            lag_depth=lag_depth,
             camera_lags=camera_lags,
             failover=failover,
             invariants=InvariantMonitor(),
@@ -736,8 +705,6 @@ class Pipeline:
         counter or RNG draw.
         """
         config = self.config
-        dt = state.dt
-        world = state.world
         rig = state.rig
         nodes = state.nodes
         scheduler = state.scheduler
@@ -748,7 +715,6 @@ class Pipeline:
         faults = state.faults
         stale_horizons = state.stale_horizons
         occlusion = state.occlusion
-        history = state.history
         camera_lags = state.camera_lags
         failover = state.failover
         invariants = state.invariants
@@ -844,33 +810,26 @@ class Pipeline:
             if ingest.any_active:
                 self._record_ingest(tracer, registry, ingest)
             with tracer.span("sim.advance"):
-                world.step(dt)
-                objects = world.objects
-                if history is not None:
-                    history.push(objects)
+                # The frame and each camera's view of it come from the
+                # run's trajectory; a lagging camera sees an older frame.
+                # Every frame carries its projection cache, which every
+                # consumer below (occlusion, coverage, detection, new
+                # regions, health) shares instead of re-projecting.
+                trajectory = state.trajectory
+                objects, cache = trajectory.frame(frame_idx)
                 drift_lags = frame_faults.drift_lags
-                lagged_objects = {
-                    cam_id: (
-                        history.view(
-                            drifted_lag(
-                                lag,
-                                drift_lags.get(cam_id, 0),
-                                history.depth,
-                            )
-                            if drift_lags
-                            else lag
+                views: Dict[int, Frame] = {
+                    cam_id: trajectory.view(
+                        frame_idx,
+                        drifted_lag(
+                            lag, drift_lags.get(cam_id, 0), state.lag_depth
                         )
-                        if history is not None
-                        else objects
+                        if drift_lags
+                        else lag,
                     )
                     for cam_id, lag in camera_lags.items()
                 }
-                self._apply_frozen_views(state, frame_faults, lagged_objects)
-                # One projection cache per frame: every consumer below
-                # (occlusion, coverage, detection, new regions, health)
-                # shares each camera's batched projection table instead
-                # of re-projecting the same objects.
-                cache = FrameProjectionCache(rig.cameras)
+                self._apply_frozen_views(state, frame_faults, views)
                 multipliers: Dict[int, Dict[int, float]] = {}
                 if occlusion is not None:
                     fractions_by_cam = {
@@ -932,15 +891,14 @@ class Pipeline:
                     for cam_id, node in nodes.items():
                         if cam_id in effective_down:
                             continue
+                        view, view_cache = views[cam_id]
                         with tracer.span(
                             "camera.key_frame", camera=cam_id
                         ):
                             outcome = node.process_key_frame(
-                                lagged_objects[cam_id],
+                                view,
                                 multipliers.get(cam_id),
-                                boxes=cache.boxes(
-                                    node.camera, lagged_objects[cam_id]
-                                ),
+                                boxes=view_cache.boxes(node.camera, view),
                             )
                         inference[cam_id] = outcome.inference_ms
                         detected.update(
@@ -1113,16 +1071,15 @@ class Pipeline:
                     for cam_id, node in nodes.items():
                         if cam_id in effective_down:
                             continue
+                        view, view_cache = views[cam_id]
                         with tracer.span(
                             "camera.regular_frame", camera=cam_id
                         ):
                             outcome = node.process_regular_frame(
-                                lagged_objects[cam_id],
+                                view,
                                 policies[cam_id],
                                 multipliers.get(cam_id),
-                                boxes=cache.boxes(
-                                    node.camera, lagged_objects[cam_id]
-                                ),
+                                boxes=view_cache.boxes(node.camera, view),
                             )
                         inference[cam_id] = outcome.inference_ms
                         detected.update(
@@ -1153,7 +1110,7 @@ class Pipeline:
                     tracer,
                     frame_idx,
                     frame_faults,
-                    lagged_objects,
+                    views,
                     objects,
                     is_key,
                     key_detected,
@@ -1196,26 +1153,28 @@ class Pipeline:
         self,
         state: _RunState,
         frame_faults: FrameFaults,
-        lagged_objects: Dict[int, List],
+        views: Dict[int, Frame],
     ) -> None:
         """Serve each frozen camera the snapshot it froze on, bit-exact.
 
-        On the first frame of a ``sensor_freeze`` window the camera's
-        current (lagged) view is captured; for the rest of the window the
-        camera detects against that captured list, so its frame-content
-        token repeats — the signature the watchdog keys on. When the
-        freeze lifts, the capture is dropped and the live view resumes.
+        On the first frame of a ``sensor_freeze`` window a copy of the
+        camera's current (lagged) view is captured, with a projection
+        cache of its own; for the rest of the window the camera detects
+        against that captured frame, so its frame-content token repeats —
+        the signature the watchdog keys on. When the freeze lifts, the
+        capture is dropped and the live view resumes.
         """
         frozen = frame_faults.frozen
         if not frozen and not state.frozen_views:
             return
-        for cam_id in sorted(lagged_objects):
+        for cam_id in sorted(views):
             if cam_id in frozen:
                 if cam_id not in state.frozen_views:
-                    state.frozen_views[cam_id] = snapshot_objects(
-                        lagged_objects[cam_id]
+                    state.frozen_views[cam_id] = (
+                        snapshot_objects(views[cam_id][0]),
+                        FrameProjectionCache(state.rig.cameras),
                     )
-                lagged_objects[cam_id] = state.frozen_views[cam_id]
+                views[cam_id] = state.frozen_views[cam_id]
             else:
                 state.frozen_views.pop(cam_id, None)
 
@@ -1225,7 +1184,7 @@ class Pipeline:
         tracer,
         frame_idx: int,
         frame_faults: FrameFaults,
-        lagged_objects: Dict[int, List],
+        views: Dict[int, Frame],
         objects,
         is_key: bool,
         key_detected: Dict[int, int],
@@ -1255,13 +1214,19 @@ class Pipeline:
                 for cam in covered:
                     visible[cam] = visible.get(cam, 0) + 1
         signals: Dict[int, HealthSignals] = {}
+        # Cameras that see the same frame share one view list: hash each
+        # distinct view once (the views dict keeps their ids live).
+        tokens: Dict[int, int] = {}
         for cam in state.camera_ids:
             alive = cam not in frame_faults.down
-            view = lagged_objects[cam]
-            # An empty view carries no content to hash; feeding a
-            # frame-unique token (negative, outside crc32's range) keeps
-            # an empty scene from reading as a frozen sensor.
-            token = content_token(view) if view else -frame_idx - 1
+            view = views[cam][0]
+            token = tokens.get(id(view))
+            if token is None:
+                # An empty view carries no content to hash; feeding a
+                # frame-unique token (negative, outside crc32's range)
+                # keeps an empty scene from reading as a frozen sensor.
+                token = content_token(view) if view else -frame_idx - 1
+                tokens[id(view)] = token
             quality: Optional[float] = None
             if is_key and cam in key_detected:
                 quality = min(

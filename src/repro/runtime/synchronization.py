@@ -4,18 +4,17 @@
 while some cameras are processing the 'current' scene, others might still
 be working on older versions of the scene." This module models that
 effect: each camera observes the world with a per-camera *lag* of whole
-frames, drawn from a configurable skew model. The pipeline keeps a short
-history of world snapshots so a lagging camera detects against the state
-several frames old — which is exactly how handover anomalies arise (one
-camera believes an object left while the lagging camera has not seen it
-arrive yet).
+frames, drawn from a configurable skew model. A lagging camera detects
+against an older frame of the run's world trajectory
+(:mod:`repro.runtime.trajectory`) — which is exactly how handover
+anomalies arise (one camera believes an object left while the lagging
+camera has not seen it arrive yet).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -52,10 +51,8 @@ def drifted_lag(static_lag: int, drift_lag: int, depth: int) -> int:
 
     Generalizes the static :class:`SkewModel` lag to a time-varying one:
     the ``clock_drift`` fault adds ``drift_lag`` frames on top of the
-    camera's fixed skew, clamped to what a history buffer of ``depth``
-    snapshots can serve (``view`` clamps too, but clamping here keeps
-    the effective lag — which the health watchdog reads as the
-    timestamp-skew signal — honest about what the camera actually saw).
+    camera's fixed skew, clamped to ``depth - 1``: the deepest lag the
+    run sized its kept frames for.
     """
     if static_lag < 0 or drift_lag < 0:
         raise ValueError("lags must be non-negative")
@@ -64,47 +61,12 @@ def drifted_lag(static_lag: int, drift_lag: int, depth: int) -> int:
     return min(static_lag + drift_lag, depth - 1)
 
 
-class WorldHistory:
-    """A rolling buffer of world snapshots for lagged observation.
-
-    Snapshots are deep-enough copies of the object list (positions and
-    kinematics), so later world mutation does not alter history.
-    """
-
-    def __init__(self, depth: int) -> None:
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        self.depth = depth
-        self._buffer: Deque[List[WorldObject]] = deque(maxlen=depth)
-
-    def push(self, objects: Sequence[WorldObject]) -> None:
-        """Record the current object list as the newest snapshot."""
-        self._buffer.append([_copy_object(o) for o in objects])
-
-    def view(self, lag_frames: int) -> List[WorldObject]:
-        """The object list ``lag_frames`` ago (clamped to buffer depth).
-
-        ``lag_frames = 0`` is the most recent snapshot. Before the buffer
-        fills, the oldest available snapshot is returned.
-        """
-        if lag_frames < 0:
-            raise ValueError("lag_frames must be non-negative")
-        if not self._buffer:
-            return []
-        index = len(self._buffer) - 1 - lag_frames
-        index = max(0, index)
-        return self._buffer[index]
-
-    def __len__(self) -> int:
-        return len(self._buffer)
-
-
 def snapshot_objects(objects: Sequence[WorldObject]) -> List[WorldObject]:
-    """Deep-enough copies of ``objects`` (what the history buffer keeps).
+    """Deep-enough copies of ``objects``: positions and kinematics.
 
-    The ``sensor_freeze`` fault uses this to capture the frame a frozen
-    camera keeps repeating: later world mutation must not leak into the
-    frozen view, or the freeze would not actually repeat content.
+    A kept trajectory frame is one, and the ``sensor_freeze`` fault uses
+    one to capture the frame a frozen camera keeps repeating: later world
+    mutation must not leak into a kept frame or a frozen view.
     """
     return [_copy_object(o) for o in objects]
 

@@ -24,6 +24,7 @@ from repro.runtime.pipeline import (
     TrainedModels,
     train_models,
 )
+from repro.runtime.trajectory import share_worlds
 from repro.scenarios.aic21 import scenario_s1
 from tests.association.search_counts import count_shared_calls, shared_calls
 
@@ -139,7 +140,7 @@ class TestCheckpointFile:
             fh.write(b"repro-checkpoint-v2\n" + digest + b"\n" + payload)
         with pytest.raises(
             CheckpointError,
-            match=r"v2\.ckpt.*repro-checkpoint-v2.*repro-checkpoint-v4 only",
+            match=r"v2\.ckpt.*repro-checkpoint-v2.*repro-checkpoint-v5 only",
         ):
             load_checkpoint(path)
 
@@ -155,7 +156,23 @@ class TestCheckpointFile:
             fh.write(b"repro-checkpoint-v3\n" + digest + b"\n" + payload)
         with pytest.raises(
             CheckpointError,
-            match=r"v3\.ckpt.*repro-checkpoint-v3.*repro-checkpoint-v4 only",
+            match=r"v3\.ckpt.*repro-checkpoint-v3.*repro-checkpoint-v5 only",
+        ):
+            load_checkpoint(path)
+
+    def test_v4_world_history_refused_naming_the_file(self, tmp_path):
+        """A v4 file is refused: its run state holds the world and a
+        snapshot history, where a v5 state holds a world trajectory."""
+        import hashlib
+
+        path = str(tmp_path / "v4.ckpt")
+        payload = pickle.dumps(RunCheckpoint("s", "c", "t", "state"))
+        digest = hashlib.sha256(payload).hexdigest().encode()
+        with open(path, "wb") as fh:
+            fh.write(b"repro-checkpoint-v4\n" + digest + b"\n" + payload)
+        with pytest.raises(
+            CheckpointError,
+            match=r"v4\.ckpt.*repro-checkpoint-v4.*repro-checkpoint-v5 only",
         ):
             load_checkpoint(path)
 
@@ -361,6 +378,39 @@ class TestResumeBitIdentity:
         Pipeline(scenario, cfg, trained=trained).run()
         resumed = load_checkpoint(path).resume()
         assert_bit_identical(full, resumed)
+
+    def test_lagged_run_resumes_inside_drift_and_freeze(
+        self, shared, tmp_path
+    ):
+        # Cut while cameras read older frames and one camera is frozen:
+        # the kept frames and the frozen capture must survive the pickle.
+        scenario, trained = shared
+        knobs = dict(
+            max_camera_lag_frames=2,
+            occlusion=True,
+            faults="freeze:cam=1,at=10,for=8;drift:cam=2,rate=0.5,at=5,for=20",
+        )
+        full = Pipeline(
+            scenario, small_config(**knobs), trained=trained
+        ).run()
+        path = str(tmp_path / "run.ckpt")
+        cfg = small_config(
+            checkpoint_path=path, stop_after_frames=14, **knobs
+        )
+        Pipeline(scenario, cfg, trained=trained).run()
+        assert_bit_identical(full, load_checkpoint(path).resume())
+
+    def test_checkpointing_run_in_a_sharing_scope_keeps_its_own_world(
+        self, shared, tmp_path
+    ):
+        scenario, trained = shared
+        full = Pipeline(scenario, small_config(), trained=trained).run()
+        path = str(tmp_path / "run.ckpt")
+        cfg = small_config(checkpoint_path=path, stop_after_frames=17)
+        with share_worlds():
+            Pipeline(scenario, small_config(), trained=trained).run()
+            Pipeline(scenario, cfg, trained=trained).run()
+        assert_bit_identical(full, load_checkpoint(path).resume())
 
     def test_periodic_checkpoints_do_not_perturb_the_run(
         self, shared, tmp_path

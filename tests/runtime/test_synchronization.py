@@ -6,12 +6,12 @@ import pytest
 from repro.runtime.pipeline import PipelineConfig, run_policy, train_models
 from repro.runtime.synchronization import (
     SkewModel,
-    WorldHistory,
     drifted_lag,
     snapshot_objects,
 )
 from repro.scenarios.aic21 import scenario_s2
 from repro.world.entities import ObjectClass, WorldObject
+from tests.runtime.reference_history import WorldHistory
 
 
 def obj(oid, x):
@@ -36,6 +36,8 @@ class TestSkewModel:
 
 
 class TestWorldHistory:
+    """The lag oracle itself (``tests/runtime/reference_history.py``)."""
+
     def test_view_zero_is_latest(self):
         history = WorldHistory(depth=3)
         history.push([obj(0, 10.0)])
