@@ -4,11 +4,11 @@ Usage::
 
     python -m repro.cli run --scenario S1 --policy balb --horizons 30
     python -m repro.cli compare --scenario S2
-    python -m repro.cli experiments --only FIG13 --out report.txt
+    python -m repro.cli report --sections FIG13 --out report.txt
     python -m repro.cli scenarios
 
-Every subcommand prints plain-text tables; ``experiments`` can also write
-the combined report to a file.
+Every subcommand prints plain-text tables; ``report`` can also write the
+combined report to a file.
 """
 
 from __future__ import annotations
@@ -403,38 +403,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_experiments(args: argparse.Namespace) -> int:
-    """Regenerate the paper's figures/tables (all, or one via --only)."""
-    # Imported lazily: pulls in every harness.
-    from repro.experiments import parallel
-    from repro.experiments.runner import run_all
-
-    if args.only:
-        key = args.only.upper()
-        if key not in parallel.SECTIONS:
-            print(f"unknown experiment {args.only!r}; options: "
-                  f"{', '.join(parallel.SECTION_ORDER)}", file=sys.stderr)
-            return 2
-        body = parallel.run_report_sections(
-            [key], args.seed, workers=1
-        ).bodies[key]
-        print(body)
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(body + "\n")
-        return 0
-
-    report = run_all(seed=args.seed, out_path=args.out)
-    print(report)
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    """Regenerate the full report, optionally in parallel and cached."""
+    """Regenerate the report (all sections, or a named subset)."""
     # Imported lazily: pulls in every harness.
-    from repro.experiments.parallel import FULL_PROFILE, QUICK_PROFILE
+    from repro.experiments.parallel import FULL_PROFILE, QUICK_PROFILE, SECTION_ORDER
     from repro.experiments.runner import run_all
 
+    sections = [s.upper() for s in args.sections] if args.sections else None
+    unknown = [s for s in sections or () if s not in SECTION_ORDER]
+    if unknown:
+        print(f"error: unknown report sections: {unknown}; options: "
+              f"{', '.join(SECTION_ORDER)}", file=sys.stderr)
+        return 2
     profile = QUICK_PROFILE if args.quick else FULL_PROFILE
     try:
         report = run_all(
@@ -443,7 +423,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache=args.cache_dir,
             profile=profile,
-            sections=[s.upper() for s in args.sections] if args.sections else None,
+            sections=sections,
             timings=not args.no_timings,
         )
     except ValueError as exc:
@@ -651,21 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare_parser.set_defaults(func=cmd_compare)
 
-    exp_parser = sub.add_parser(
-        "experiments", help="regenerate the paper's figures/tables"
-    )
-    exp_parser.add_argument("--only", default=None,
-                            help="one of FIG2/FIG10/.../TAB2/ABLATIONS/"
-                                 "EXTENSIONS/FAULTS/INGEST")
-    exp_parser.add_argument(
-        "--out", default=None, type=_output_path, help="also write to file"
-    )
-    exp_parser.add_argument("--seed", type=int, default=0)
-    exp_parser.set_defaults(func=cmd_experiments)
-
     report_parser = sub.add_parser(
         "report",
-        help="regenerate the full report (parallel, cached, profiled)",
+        help="regenerate the paper's figures/tables (parallel, cached)",
     )
     report_parser.add_argument("--seed", type=int, default=0)
     report_parser.add_argument(

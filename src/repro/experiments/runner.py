@@ -1,8 +1,8 @@
 """Run every experiment and emit a single report.
 
-``python -m repro.experiments.runner`` regenerates all of the paper's
-figures/tables (plus the ablations) as text and prints them; pass a path
-to also write the report to a file.
+``python -m repro report`` calls :func:`run_all`, which regenerates the
+paper's figures/tables (plus the ablations and the fault and ingest
+studies) as text.
 
 The heavy lifting lives in :mod:`repro.experiments.parallel`: each
 section is registered there as a job grid and a deterministic merge.
@@ -15,7 +15,6 @@ reports skip model training entirely.
 
 from __future__ import annotations
 
-import sys
 from typing import List, Optional, Sequence, Union
 
 from repro.cache import ArtifactCache, default_cache_root
@@ -27,7 +26,7 @@ from repro.experiments.parallel import (
 )
 from repro.obs import MetricsRegistry, format_metrics_table
 
-__all__ = ["run_all", "main"]
+__all__ = ["run_all"]
 
 
 def _fmt_elapsed(seconds: float) -> str:
@@ -121,15 +120,3 @@ def run_all(
         with open(out_path, "w") as f:
             f.write(report + "\n")
     return report
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Module entry point: run all experiments, optionally write a file."""
-    argv = sys.argv[1:] if argv is None else argv
-    out_path = argv[0] if argv else None
-    print(run_all(out_path=out_path))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

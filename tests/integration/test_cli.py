@@ -2,13 +2,12 @@
 
 import os
 import re
-from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import parallel
-from repro.experiments.parallel import SECTION_ORDER
+from repro.experiments import runner
+from repro.experiments.parallel import SECTION_ORDER, ReportSections
 
 
 class TestParser:
@@ -28,12 +27,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--policy", "magic"])
 
-    def test_experiments_options(self):
+    def test_report_sections_options(self):
         args = build_parser().parse_args(
-            ["experiments", "--only", "FIG13", "--out", "x.txt"]
+            ["report", "--sections", "FIG13", "TAB2", "--out", "x.txt"]
         )
-        assert args.only == "FIG13"
+        assert args.sections == ["FIG13", "TAB2"]
         assert args.out == "x.txt"
+
+    def test_experiments_is_not_a_subcommand(self, capsys):
+        """``report --sections NAME`` is the one way to run one section."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["experiments", "--only", "FIG13"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'experiments'" in capsys.readouterr().err
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
@@ -64,10 +70,10 @@ class TestCommands:
         assert "jetson-nano" in out
 
     def test_unknown_experiment_errors(self, capsys):
-        code = main(["experiments", "--only", "FIG99"])
+        code = main(["report", "--sections", "FIG13", "fig99"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "unknown experiment" in err
+        assert "error: unknown report sections: ['FIG99']" in err
         assert ", ".join(SECTION_ORDER) in err
 
     @pytest.mark.parametrize("name", SECTION_ORDER)
@@ -79,21 +85,30 @@ class TestCommands:
         def fake_sections(names, seed, profile=None, workers=2,
                           cache_root=None):
             ran.append((list(names), seed, workers))
-            return SimpleNamespace(bodies={n: f"body of {n}" for n in names})
+            return ReportSections(
+                bodies={n: f"body of {n}" for n in names},
+                elapsed_s={n: 0.0 for n in names},
+                warm_elapsed_s=0.0, cache_hits=0, cache_misses=0,
+            )
 
-        monkeypatch.setattr(parallel, "run_report_sections", fake_sections)
-        assert main(["experiments", "--only", name.lower(), "--seed", "3"]) == 0
+        monkeypatch.setattr(runner, "run_report_sections", fake_sections)
+        argv = ["report", "--sections", name.lower(), "--seed", "3",
+                "--no-timings"]
+        assert main(argv) == 0
         assert ran == [([name], 3, 1)]
-        assert capsys.readouterr().out == f"body of {name}\n"
+        assert capsys.readouterr().out == f"== {name} ==\nbody of {name}\n"
 
     def test_experiment_written_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "ablations.txt"
         code = main(
-            ["experiments", "--only", "ABLATIONS", "--out", str(out_file)]
+            ["report", "--sections", "ABLATIONS", "--no-timings",
+             "--out", str(out_file)]
         )
         assert code == 0
         content = out_file.read_text()
+        assert content.startswith("== ABLATIONS ==\n")
         assert "batch-awareness" in content
+        assert content == capsys.readouterr().out
 
 
 RUN_SMALL = [
@@ -125,7 +140,6 @@ class TestInputErrors:
             ["run", "--checkpoint", "nodir/run.ckpt"],
             ["run", "--trace", "nodir/t.jsonl"],
             ["trace", "--out", "nodir/t.jsonl"],
-            ["experiments", "--out", "nodir/x.txt"],
             ["report", "--quick", "--out", "nodir/x.txt"],
             ["soak", "--out", "nodir/s.txt"],
         ],

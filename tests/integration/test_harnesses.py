@@ -4,7 +4,7 @@ Every report section is a grid of cells plus a merge that renders the
 table (:mod:`repro.experiments.parallel`). These run the FIG12, FIG13,
 FIG14 and TAB2 cells on small runs, check that their rows are well
 formed and internally consistent, and that the merges render them; the
-full-scale shape assertions live in ``benchmarks/``.
+paper-shape assertions read the full report golden in ``tests/paper/``.
 """
 
 import dataclasses

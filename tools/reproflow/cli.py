@@ -103,7 +103,7 @@ RULES: Dict[str, Dict[str, str]] = {
             "Code no run, report, example or benchmark executes adds "
             "nothing to the reproduction, yet every reader audits it. "
             "Roots: repro.cli:main, every file under examples/, "
-            "benchmarks/, perfbench/ and tools/, module-level code, "
+            "perfbench/ and tools/, module-level code, "
             "protocol methods (dunders, pickle hooks) and the tooling "
             "allowlist; tests, re-exports and __all__ are not uses."
         ),

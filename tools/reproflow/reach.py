@@ -4,9 +4,9 @@ A function, method or class under ``src/`` that nothing the repository
 runs can reach is a finding. The roots are:
 
 * ``repro.cli.main``, and through it every subcommand it dispatches;
-* every file under ``examples/``, ``benchmarks/``, ``perfbench/`` and
-  ``tools/`` (read from the repository, never added to the program the
-  other passes analyze);
+* every file under ``examples/``, ``perfbench/`` and ``tools/`` (read
+  from the repository, never added to the program the other passes
+  analyze);
 * module-level code of every ``src/`` module, which runs on import
   (``if __name__ == "__main__"`` blocks included), minus import
   statements and ``__all__``;
@@ -51,7 +51,7 @@ from tools.reprolint.engine import (
 ENTRY = "repro.cli.main"
 
 #: Repository directories whose every file is a root.
-ROOT_DIRS = ("examples", "benchmarks", "perfbench", "tools")
+ROOT_DIRS = ("examples", "perfbench", "tools")
 
 #: Tooling packages kept without a caller (ROADMAP, Deferred).
 ALLOWLIST = ("repro.io", "repro.analysis", "repro.viz")
