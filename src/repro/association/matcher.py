@@ -7,18 +7,33 @@ physical target. For every ordered camera pair ``(i, i')`` with
 classifier, (2) regresses their expected location on ``i'``, (3) runs the
 Hungarian algorithm on IoU proximity against ``i'``'s detections, and
 (4) merges accepted matches with union-find.
+
+A key frame does steps 1 and 2 for every pair in one pass
+(:meth:`PairwiseAssociator.predict_pairs`) and scores every pair's step 3
+costs in one array; a pair whose assignment the Hungarian solver's seed
+decides takes it from that array, and only the others are solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.association.pairwise import PairwiseAssociator
-from repro.geometry.box import BBox, corner_array, iou_cost_blocks
-from repro.ml.hungarian import hungarian
+from repro.geometry.box import (
+    BBox,
+    corner_array,
+    iou_cost_stack,
+    scalar_iou_cost_rows,
+)
+from repro.ml.hungarian import hungarian, seeded_assignments
+
+#: With at most this many cost cells in a key frame, the scalar mirror of
+#: the batched IoU chain is faster than paying numpy's fixed per-call
+#: overhead.
+_IOU_SCALAR_MAX_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -123,40 +138,87 @@ class CrossCameraMatcher:
     ) -> None:
         """Match every pair ``(a, b)``, ``b > a``, and merge accepted matches.
 
-        All boxes become one ``(n, 4)`` corner array, sliced per camera.
-        Each source camera's pairs are predicted in one
-        :meth:`PairwiseAssociator.predict_source` call, and every pair's
-        ``1.0 - IoU`` cost comes from one :func:`iou_cost_blocks` call.
+        All boxes become one ``(n, 4)`` corner array, sliced per camera,
+        and one :meth:`PairwiseAssociator.predict_pairs` call predicts
+        every pair. With more than ``_IOU_SCALAR_MAX_CELLS`` cost cells in
+        all, one :func:`iou_cost_stack` call gives every pair's ``1.0 -
+        IoU`` block and :func:`seeded_assignments` reads off each block
+        that ``hungarian``'s seed decides; only the other blocks become
+        nested lists for ``hungarian``. With fewer cells,
+        :func:`scalar_iou_cost_rows` scores each pair, as numpy's per-call
+        overhead would cost more than the cells.
         """
         boxes = corner_array(
             [obs.bbox for cam in camera_ids for obs in observations[cam]]
         )
-        corners = [
-            boxes[offset[cam] : offset[cam] + len(observations[cam])]
+        corners = {
+            cam: boxes[offset[cam] : offset[cam] + len(observations[cam])]
             for cam in camera_ids
+        }
+        pairs = [
+            (cam_a, cam_b)
+            for pos, cam_a in enumerate(camera_ids)
+            if len(corners[cam_a])
+            for cam_b in camera_ids[pos + 1 :]
+            if len(corners[cam_b])
         ]
         # Per pair with candidates: the source's and the target's first
         # union-find id, the candidate rows, and the candidates' predicted
         # and the target's observed corners.
-        pairs: List[Tuple[int, int, List[int], np.ndarray, np.ndarray]] = []
-        for pos, cam_a in enumerate(camera_ids):
-            if not len(corners[pos]):
-                continue
-            targets = [p for p in range(pos + 1, len(camera_ids)) if len(corners[p])]
-            if not targets:
-                continue
-            predictions = self.associator.predict_source(
-                cam_a, corners[pos], [camera_ids[p] for p in targets]
+        blocks = [
+            (offset[a], offset[b], idx, predicted, corners[b])
+            for (a, b), (idx, predicted) in zip(
+                pairs, self.associator.predict_pairs(corners, pairs)
             )
-            for target, (idx, predicted) in zip(targets, predictions):
-                if len(idx):
-                    pairs.append((
-                        offset[cam_a], offset[camera_ids[target]], idx.tolist(),
-                        predicted, corners[target],
-                    ))
-        costs = iou_cost_blocks([(p[3], p[4]) for p in pairs])
+            if len(idx)
+        ]
         limit = 1.0 - self.iou_threshold
-        for (base_a, base_b, idx, _, _), cost in zip(pairs, costs):
-            for row, col in hungarian(cost):
-                if cost[row][col] <= limit:
-                    uf.union(base_a + idx[row], base_b + col)
+        if sum(len(b[3]) * len(b[4]) for b in blocks) <= _IOU_SCALAR_MAX_CELLS:
+            for base_a, base_b, idx, predicted, target in blocks:
+                cost = scalar_iou_cost_rows(predicted.tolist(), target.tolist())
+                _solve(uf, cost, limit, base_a, idx.tolist(), base_b)
+            return
+        # Block i's candidates are rows first_a[i] .. + n[i] of the
+        # stacked predictions, its observations rows first_b[i] .. + m[i]
+        # of ``boxes``.
+        n = np.array([len(b[2]) for b in blocks])
+        m = np.array([len(b[4]) for b in blocks])
+        first_a = np.cumsum(n) - n
+        first_b = np.array([b[1] for b in blocks])
+        predicted = np.concatenate([b[3] for b in blocks])
+        cost = iou_cost_stack(
+            _padded(predicted, first_a, n.max()), _padded(boxes, first_b, m.max()), n, m
+        )
+        decided, block, row, col = seeded_assignments(cost, n, m)
+        keep = cost[block, row, col] <= limit
+        block, row, col = block[keep], row[keep], col[keep]
+        ids_a = np.concatenate([b[0] + b[2] for b in blocks])[first_a[block] + row]
+        for id_a, id_b in zip(ids_a.tolist(), (first_b[block] + col).tolist()):
+            uf.union(id_a, id_b)
+        for i in np.flatnonzero(~decided).tolist():
+            base_a, base_b, idx, _, _ = blocks[i]
+            block_cost = cost[i, : n[i], : m[i]].tolist()
+            _solve(uf, block_cost, limit, base_a, idx.tolist(), base_b)
+
+
+def _solve(
+    uf: _UnionFind,
+    cost: List[List[float]],
+    limit: float,
+    base_a: int,
+    rows: List[int],
+    base_b: int,
+) -> None:
+    """Merge the matches of one pair's cost block within ``limit``."""
+    for row, col in hungarian(cost):
+        if cost[row][col] <= limit:
+            uf.union(base_a + rows[row], base_b + col)
+
+
+def _padded(rows: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
+    """``rows[first[i] : first[i] + width]`` for each block ``i``, stacked.
+
+    Past the end of ``rows`` the last row repeats: a block's rows past
+    its own length are padding, whatever they hold.
+    """
+    return rows[np.minimum(first[:, None] + np.arange(width), len(rows) - 1)]

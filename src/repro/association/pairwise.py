@@ -8,17 +8,21 @@ the same machinery.
 
 The matcher asks every ordered pair ``(i, i')`` about the same boxes of
 camera ``i``, and all of ``i``'s pair classifiers hold the same training
-rows. :class:`SourceIndex` exploits that: one pass per source camera per
-call (:meth:`PairwiseAssociator.predict_source`) serves every pair with
-one neighbour search, one vote and one regression, and a floating-point
-certificate proves each pair's derived neighbours equal its own
-brute-force search, or sends that pair down the brute-force path.
+rows. :class:`SourceIndex` keeps what those pairs share, and
+:class:`SourceStack` pads every source's index to one shape, so one pass
+per key frame (:meth:`PairwiseAssociator.predict_pairs`) serves every
+pair of every source camera with one neighbour search, one vote and one
+regression. A floating-point certificate proves each pair's derived
+neighbours equal its own brute-force search, or sends that pair down the
+brute-force path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -66,12 +70,12 @@ def target_corners(targets: np.ndarray) -> np.ndarray:
     w >= 2.0 subsumes from_xywh's max(0.0, w)), so each corner is
     bit-identical to the box built one row at a time.
     """
-    cx, cy = targets[..., 0], targets[..., 1]
-    w = np.maximum(targets[..., 2], 2.0)
-    h = np.maximum(targets[..., 3], 2.0)
-    return np.stack(
-        (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0), axis=-1
-    )
+    centre = targets[..., :2]
+    half = np.maximum(targets[..., 2:4], 2.0) / 2.0
+    corners = np.empty(targets.shape[:-1] + (4,))
+    np.subtract(centre, half, out=corners[..., :2])
+    np.add(centre, half, out=corners[..., 2:])
+    return corners
 
 
 @dataclass
@@ -124,8 +128,8 @@ class PairModel:
         bit-identical to the two separate calls this replaces.
 
         This is the per-pair path: each model runs its own brute-force
-        search. It is also the oracle of
-        :meth:`PairwiseAssociator.predict_source`'s shared pass.
+        search. It is also the oracle of the key-frame pass,
+        :meth:`SourceStack.predict`.
         """
         n = len(corners)
         feats: Optional[np.ndarray] = None
@@ -151,18 +155,21 @@ class PairModel:
 
     def _scaled_corners(self, corners: np.ndarray) -> np.ndarray:
         assert self.feature_scaler is not None
-        # Vectorized box_features of an (n, 4) corner array. Every
-        # expression mirrors box_features/as_xywh exactly (np.maximum is
-        # the same exact selection as max), so rows are bit-identical.
-        raw = np.empty((len(corners), 5), dtype=float)
-        raw[:, 0] = (corners[:, 0] + corners[:, 2]) / 2.0  # cx
-        raw[:, 1] = (corners[:, 1] + corners[:, 3]) / 2.0  # cy
-        w = corners[:, 2] - corners[:, 0]
-        h = corners[:, 3] - corners[:, 1]
-        raw[:, 2] = w
-        raw[:, 3] = h
-        raw[:, 4] = w / np.maximum(h, 1e-6)
-        return self.feature_scaler.transform(raw)
+        return self.feature_scaler.transform(_feature_rows(corners))
+
+
+def _feature_rows(corners: np.ndarray) -> np.ndarray:
+    """Unscaled ``box_features`` of an ``(n, 4)`` corner array.
+
+    Every expression mirrors box_features/as_xywh exactly (np.maximum is
+    the same exact selection as max), so rows are bit-identical.
+    """
+    raw = np.empty((len(corners), 5), dtype=float)
+    np.add(corners[:, :2], corners[:, 2:], out=raw[:, :2])
+    raw[:, :2] /= 2.0  # cx, cy
+    np.subtract(corners[:, 2:], corners[:, :2], out=raw[:, 2:4])  # w, h
+    np.divide(raw[:, 2], np.maximum(raw[:, 3], 1e-6), out=raw[:, 4])
+    return raw
 
 
 class PairwiseAssociator:
@@ -180,6 +187,17 @@ class PairwiseAssociator:
         # fitted state (e.g. the camera-mask cache) include it.
         self._fit_token = 0
         self._sources: Dict[int, SourceIndex] = {}
+        # Derived from ``_sources`` on first use; pickles leave it out.
+        self._stack: Optional[SourceStack] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_stack", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._stack = None
 
     def fit(self, dataset: AssociationDataset) -> "PairwiseAssociator":
         """Fit one classifier/regressor pair per ordered camera pair."""
@@ -188,46 +206,50 @@ class PairwiseAssociator:
             key: self._fit_pair(pair_ds) for key, pair_ds in dataset.pairs.items()
         }
         self._sources = build_source_indexes(self._models)
+        self._stack = None
         return self
 
     def model(self, source: int, target: int) -> Optional[PairModel]:
         """The fitted model for the ordered pair, or None if untrained."""
         return self._models.get((source, target))
 
-    def predict_source(
+    def predict_pairs(
         self,
-        source: int,
-        corners: np.ndarray,
-        targets: Sequence[int],
+        corners: Mapping[int, np.ndarray],
+        pairs: Sequence[PairKey],
         threshold: float = 0.5,
     ) -> List[Prediction]:
-        """Every target's :meth:`PairModel.predict_visible_boxes` for one source.
+        """Every pair's :meth:`PairModel.predict_visible_boxes`, in one pass.
 
-        ``corners`` holds the ``source`` camera's boxes as an ``(n, 4)``
-        array. Returns one ``(idx, boxes)`` per target, in order; an
-        untrained pair predicts none. The targets whose pair models are in
-        the source's :class:`SourceIndex` get theirs from one shared pass
-        (:meth:`SourceIndex.predict`); the others, and all of them when
-        that pass declines, from their own pair model. The outputs are
-        the same either way.
+        ``corners`` maps each camera to its boxes as an ``(n, 4)`` array.
+        Returns one ``(idx, boxes)`` per ``(source, target)`` pair, in
+        order, for the source's boxes; an untrained pair predicts none.
+        The pairs whose models are in their source's :class:`SourceIndex`
+        get theirs from one :meth:`SourceStack.predict` over all their
+        sources; the others, and the readers of a source that pass
+        declines, from their own pair model. The outputs are the same
+        either way.
         """
-        index = self._sources.get(source)
-        readers = (
-            [t for t in targets if t in index.column]
-            if index is not None and len(corners)
-            else []
-        )
-        shared = index.predict(corners, readers, threshold) if readers else None
+        readers: Dict[int, List[int]] = {}
+        for source, target in pairs:
+            index = self._sources.get(source)
+            if index is not None and target in index.column and len(corners[source]):
+                readers.setdefault(source, []).append(target)
+        shared: Dict[PairKey, Prediction] = {}
+        if readers:
+            if self._stack is None:
+                self._stack = SourceStack(list(self._sources.values()))
+            shared = self._stack.predict(corners, readers, threshold)
         out = []
-        for target in targets:
-            if shared is not None and target in shared:
-                out.append(shared[target])
-                continue
-            model = self._models.get((source, target))
-            out.append(
-                NO_BOXES if model is None
-                else model.predict_visible_boxes(corners, threshold)
-            )
+        for pair in pairs:
+            prediction = shared.get(pair)
+            if prediction is None:
+                model = self._models.get(pair)
+                prediction = (
+                    NO_BOXES if model is None
+                    else model.predict_visible_boxes(corners[pair[0]], threshold)
+                )
+            out.append(prediction)
         return out
 
     def predict_visible_many(
@@ -274,7 +296,7 @@ class PairwiseAssociator:
 
 
 # ----------------------------------------------------------------------
-# Shared per-source neighbour search
+# Shared neighbour search
 
 #: Unique training rows the shared search lists per query, nearest
 #: first; the last one only bounds the rows past the list. The
@@ -287,7 +309,9 @@ SHARED_DEPTH = 24
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def distance_tolerance(feats: np.ndarray, max_sq_norm: float) -> np.ndarray:
+def distance_tolerance(
+    feats: np.ndarray, max_sq_norm: Union[float, np.ndarray]
+) -> np.ndarray:
     """Per query row: distance gaps above this order rows alike in any search.
 
     :func:`repro.ml.knn._k_nearest` computes the squared distance of a
@@ -303,7 +327,8 @@ def distance_tolerance(feats: np.ndarray, max_sq_norm: float) -> np.ndarray:
     ``(d + 2)·u·M``; with ``M <= 2(|q|² + max|t|²)``, a shared-search gap
     above the returned ``8(d + 3)·u·(|q|² + max|t|²)`` means the exact
     and the brute-force gaps have the same sign. ``2⁻¹⁰⁰⁰`` covers
-    gradual underflow.
+    gradual underflow. ``max_sq_norm`` is ``max|t|²`` over the rows
+    searched, one for every query or one per query row.
     """
     d = feats.shape[1]
     q_sq = np.einsum("ij,ij->i", feats, feats)
@@ -311,7 +336,7 @@ def distance_tolerance(feats: np.ndarray, max_sq_norm: float) -> np.ndarray:
 
 
 class SourceIndex:
-    """The pair models of one source camera, indexed for a shared search.
+    """The pair models of one source camera that can share a search.
 
     Holds only pairs whose classifier is an unweighted
     :class:`KNNClassifier` and whose regressor, if any, is a weighted
@@ -323,12 +348,9 @@ class SourceIndex:
     Fitting finds the unique training rows (``rep``: the first source
     row of each; ``dup``: how many rows it stands for) and marks a unique
     row ``mixed`` when its duplicates disagree on some target's label or
-    regression target. :meth:`prepare` derives the search arrays from
-    those and the models; pickles leave them out, so artifact and
-    checkpoint files grow only by the row map.
+    regression target. That is all a pickle holds besides the models:
+    :class:`SourceStack` derives the search arrays from it.
     """
-
-    _DERIVED = ("basis", "norms", "counts", "rows")
 
     def __init__(self, source: int, models: Sequence[PairModel]) -> None:
         ref = models[0].classifier
@@ -362,150 +384,304 @@ class SourceIndex:
                 key = key.ravel()[order]
                 differs |= key[1:] != key[:-1]
         mixed = group[1:][(group[1:] == group[:-1]) & differs]
-        self.mixed = np.append(np.bincount(mixed, minlength=len(rep)) > 0, False)
-        self.prepare()
+        self.mixed = np.bincount(mixed, minlength=len(rep)) > 0
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        for name in self._DERIVED:
-            state[name] = None
-        return state
 
-    def prepare(self) -> None:
-        """Derive the search arrays: after fit, and on first use after a load.
+class SourceStack:
+    """Every source index's search arrays, padded to one shape.
 
-        ``basis``/``norms`` give every unique row's search distance, plus
-        one more row at infinite distance that ends every search list.
-        Per search model, ``counts`` holds how many of its training rows
-        each unique row stands for (none when a regressor's target does
-        not see it), ``rows`` the model's row for it, and ``k`` the
-        model's neighbour count. ``rows[0]`` is the source row, so a
-        gather from the classifiers' ``_x`` gives any model's features.
-        """
-        models = list(self.models.values())
-        ref = models[0].classifier
-        assert isinstance(ref, KNNClassifier) and ref._x is not None
-        unique = ref._x[self.rep]
-        m, d = unique.shape
-        norms = np.sum(unique**2, axis=1)
-        self.max_sq_norm = float(norms.max())
-        self.big = len(ref._x) + 1  # more rows than any k
-        self.basis = np.zeros((d, m + 1))
-        self.basis[:, :m] = unique.T * -2.0
-        self.norms = np.append(norms, np.inf)
-        self.counts = np.zeros((1 + len(models), m + 1), dtype=np.int32)
-        self.rows = np.zeros((1 + len(models), m + 1), dtype=np.int32)
-        self.k = np.zeros(1 + len(models), dtype=np.int64)
-        self.counts[0, :m] = self.dup
-        self.rows[0, :m] = self.rep
-        self.k[0] = min(ref.k, len(ref._x))
-        for col, model in enumerate(models, start=1):
-            reg = model.regressor
-            if reg is None:
-                continue
-            assert model.classifier is not None and reg._y is not None
-            visible = model.classifier._y == 1.0
-            self.counts[col, :m] = np.where(visible[self.rep], self.dup, 0)
-            self.rows[col, :m] = (np.cumsum(visible) - 1)[self.rep]
-            self.k[col] = min(reg.k, len(reg._y))
+    Slot ``s`` holds ``indexes[s]``. Its ``m`` unique rows fill columns
+    ``0 .. m - 1`` of every array. The columns from ``m`` on, at least
+    one, lie at infinite distance and may not be selected, so a source
+    with fewer rows than the widest searches as if it were alone.
+
+    Per slot, ``basis`` and ``norms`` give every unique row's search
+    distance, ``unique`` its features, ``mean``/``scale`` the source's
+    feature scaler and ``max_sq_norm`` its largest squared row norm. Row
+    ``s * n_models + c`` of ``counts``, ``labels`` and ``targets`` is the
+    slot's search model ``c`` (0: the classifiers; ``1 + i``: the
+    ``i``-th pair's regressor, as in :attr:`SourceIndex.column`).
+    ``counts`` holds how many of the model's training rows each unique
+    row stands for (none when a regressor's target does not see it), or
+    ``big``, more than any ``k``, for a row that may not be selected: a
+    padding or ``mixed`` row. ``labels`` and ``targets`` hold each unique
+    row's label and regression target on the model's target camera.
+    ``readers[s]`` maps each target of the slot to its model row, its
+    regressor and that regressor's ``k``, and ``k_cls[s]`` is the
+    classifiers' ``k``.
+
+    Built from the indexes on first use; pickles leave it out.
+    """
+
+    def __init__(self, indexes: Sequence[SourceIndex]) -> None:
+        self.indexes = list(indexes)
+        self.slot = {index.source: s for s, index in enumerate(self.indexes)}
+        refs = [_reference(index) for index in self.indexes]
+        n_slots, d = len(refs), refs[0]._x.shape[1]
+        width = max(len(index.rep) for index in self.indexes) + 1
+        n_models = 1 + max(len(index.models) for index in self.indexes)
+        self.big = max(len(ref._x) for ref in refs) + 1
+        self.mean = np.zeros((n_slots, d))
+        self.scale = np.ones((n_slots, d))
+        self.max_sq_norm = np.zeros(n_slots)
+        self.basis = np.zeros((n_slots, d, width))
+        self.norms = np.full((n_slots, width), np.inf)
+        self.unique = np.zeros((n_slots, width, d))
+        counts = np.zeros((n_slots, n_models, width), dtype=np.int32)
+        labels = np.zeros((n_slots, n_models, width))
+        targets = np.zeros((n_slots, n_models, width, 4))
+        self.readers: List[Dict[int, Tuple[int, Optional[Regressor], int]]] = []
+        self.k_cls: List[int] = []
+        for s, (index, ref) in enumerate(zip(self.indexes, refs)):
+            m = len(index.rep)
+            scaler = next(iter(index.models.values())).feature_scaler
+            assert scaler is not None
+            self.mean[s], self.scale[s] = scaler.mean_, scaler.scale_
+            unique = ref._x[index.rep]
+            norms = np.sum(unique**2, axis=1)
+            self.max_sq_norm[s] = norms.max()
+            self.basis[s, :, :m] = unique.T * -2.0
+            self.norms[s, :m] = norms
+            self.unique[s, :m] = unique
+            counts[s, 0, :m] = index.dup
+            self.k_cls.append(min(ref.k, len(ref._x)))
+            slot_readers = {}
+            for target, col in index.column.items():
+                model = index.models[target]
+                assert model.classifier is not None
+                visible = model.classifier._y == 1.0
+                labels[s, col, :m] = model.classifier._y[index.rep]
+                reg = model.regressor
+                slot_readers[target] = (s * n_models + col, reg, 0)
+                if reg is None:
+                    continue
+                assert reg._y is not None
+                seen = visible[index.rep]
+                counts[s, col, :m] = np.where(seen, index.dup, 0)
+                own = (np.cumsum(visible) - 1)[index.rep]
+                targets[s, col, :m][seen] = reg._y[own[seen]]
+                slot_readers[target] = (s * n_models + col, reg, min(reg.k, len(reg._y)))
+            self.readers.append(slot_readers)
+            # Indexes pickled with a flag for their infinite row carry
+            # one more than ``m``.
+            counts[s, :, :m][:, index.mixed[:m]] = self.big
+            counts[s, :, m:] = self.big
+        self.n_models = n_models
+        self.counts = counts.reshape(n_slots * n_models, width)
+        # Only a source with fewer unique rows than a list can list a row
+        # at infinite distance before the list's last.
+        self.short = min(len(index.rep) for index in self.indexes) < SHARED_DEPTH
+        self.labels = labels.reshape(n_slots * n_models, width)
+        self.targets = targets.reshape(n_slots * n_models, width, 4)
 
     def predict(
-        self, corners: np.ndarray, readers: Sequence[int], threshold: float
-    ) -> Optional[Dict[int, Prediction]]:
-        """The ``readers`` targets' predictions from one shared pass.
+        self,
+        corners: Mapping[int, np.ndarray],
+        readers: Mapping[int, Sequence[int]],
+        threshold: float,
+    ) -> Dict[PairKey, Prediction]:
+        """Every reader's prediction from one pass over all their sources.
 
-        One neighbour search serves every reader; one vote gives every
-        reader's visibility and one distance-weighted regression every
-        regressor's targets, each stacked over the readers. A reader whose
-        visible rows are not all certified regresses them with its own
-        search. Returns ``{target: (idx, boxes)}`` as
-        :meth:`PairModel.predict_visible_boxes` would, or None when the
-        classifier lists are not all certified or the regressors' ``k``
-        differ: then every reader takes its per-pair path.
+        ``readers`` maps each source camera with boxes (``corners[source]``,
+        an ``(n, 4)`` array) to the targets that read its index. One
+        neighbour search lists the nearest unique rows of every query of
+        every source, one vote gives every reader's visibility, and one
+        distance-weighted regression the boxes of every row a reader
+        classified visible. Returns ``{(source, target): (idx, boxes)}``
+        as :meth:`PairModel.predict_visible_boxes` would, for the readers
+        of every source that answers. A source joins the pass when its
+        classifiers' ``k`` and its readers' regressors' ``k`` equal those
+        of the first source that joined, and answers when every
+        classifier list of its queries is certified; the readers of any
+        other source take their per-pair path. A reader whose visible
+        rows are not all certified for its regressor regresses them with
+        its own search.
         """
-        if self.basis is None:
-            self.prepare()
-        models = [self.models[t] for t in readers]
-        regressed = [pos for pos, m in enumerate(models) if m.regressor is not None]
-        cols = np.asarray([0] + [self.column[readers[pos]] for pos in regressed])
-        k = self.k[cols]
-        if len(set(k[1:].tolist())) > 1:
-            return None
-        feats = models[0]._scaled_corners(corners)
-        ok, near = self._search(feats, cols, k)
-        if not ok[0].all():
-            return None
-        classifiers = [m.classifier for m in models]
-        regressors = [models[pos].regressor for pos in regressed]
-        # Unweighted votes are sums of 0/1, exact in any order.
-        src = self.rows[0][near[0, :, : k[0]]]
-        votes = np.stack([clf._y[src] for clf in classifiers])
-        visible = votes.mean(axis=2) >= threshold
-        out = dict.fromkeys(readers, NO_BOXES)
-        if not regressed:
-            return out
-        # KNNRegressor.regress over a (regressors, queries, k, .) gather,
-        # with its expression grouping. Its sums run over axes shorter
-        # than 8, which numpy adds in order, so every row is bit-identical.
-        near = near[1:, :, : k[1]]
-        own = self.rows[cols[1:, None, None], near]
-        x = classifiers[0]._x[self.rows[0][near]]
-        y = np.stack([reg._y[own[i]] for i, reg in enumerate(regressors)])
-        weights = 1.0 / (np.linalg.norm(feats[:, None, :] - x, axis=3) + 1e-9)
-        boxes = target_corners(
-            (y * weights[..., None]).sum(axis=2) / weights.sum(axis=2)[..., None]
+        # Query rows run source by source. An item is a (query row, search
+        # model) whose neighbours are selected: first every regressor's
+        # items, then one classifier item per query row. A vote is a
+        # (query row, reader), with the reader's model row and its
+        # regressor's item, or -1.
+        plan = []  # per reader: source, target, first query row, first vote, regressor
+        spans: List[Tuple[int, range, int]] = []  # per source: slot, query rows, source
+        item_q: List[int] = []
+        item_row: List[int] = []
+        vote_q: List[int] = []
+        vote_row: List[int] = []
+        vote_item: List[int] = []
+        vote_first: List[int] = []
+        k_cls = k_reg = 0
+        for source, targets in readers.items():
+            slot = self.slot[source]
+            entries = [self.readers[slot][t] for t in targets]
+            ks = {k for _, reg, k in entries if reg is not None}
+            if len(ks) > 1 or (k_cls and self.k_cls[slot] != k_cls):
+                continue
+            if ks and k_reg and ks != {k_reg}:
+                continue
+            k_cls = self.k_cls[slot]
+            k_reg = ks.pop() if ks else k_reg
+            start = spans[-1][1].stop if spans else 0
+            rows = range(start, start + len(corners[source]))
+            spans.append((slot, rows, source))
+            for target, (row, regressor, _) in zip(targets, entries):
+                plan.append((source, target, start, len(vote_q), regressor))
+                vote_first.extend([len(vote_q)] * len(rows))
+                vote_q.extend(rows)
+                vote_row.extend([row] * len(rows))
+                if regressor is None:
+                    vote_item.extend([-1] * len(rows))
+                    continue
+                vote_item.extend(range(len(item_q), len(item_q) + len(rows)))
+                item_q.extend(rows)
+                item_row.extend([row] * len(rows))
+        if not plan:
+            return {}
+        n_reg = len(item_q)
+        n_queries = spans[-1][1].stop
+        qslot = np.repeat([slot for slot, _, _ in spans], [len(r) for _, r, _ in spans])
+        raw = _feature_rows(np.concatenate([corners[src] for _, _, src in spans]))
+        feats = (raw - self.mean[qslot]) / self.scale[qslot]
+        near, certified = self._search(feats, qslot, spans)
+        iq = np.asarray(item_q + list(range(n_queries)), dtype=np.intp)
+        irow = np.concatenate(
+            (np.asarray(item_row, dtype=np.intp), qslot * self.n_models)
         )
-        for i, pos in enumerate(regressed):
-            idx = np.flatnonzero(visible[pos])
-            if not len(idx):
+        ok, chosen = self._select(
+            near[iq], certified[iq], irow,
+            np.repeat([k_reg, k_cls], [n_reg, n_queries])[:, None],
+            max(k_cls, k_reg),
+        )
+        classified = ok[n_reg:]
+        declined = set() if classified.all() else set(qslot[~classified].tolist())
+        vq = np.asarray(vote_q, dtype=np.intp) + n_reg
+        labels = self.labels[
+            np.asarray(vote_row, dtype=np.intp)[:, None], chosen[vq, :k_cls]
+        ]
+        visible = labels.mean(axis=1) >= threshold
+        vote_items = np.asarray(vote_item, dtype=np.intp)
+        items = vote_items[visible & (vote_items >= 0)]
+        boxes = self._regress(
+            feats[iq[items]], irow[items], qslot[iq[items]], chosen[items, :k_reg]
+        )
+        items_ok = ok[items].tolist()
+        # Each reader's visible query rows, as views of one array.
+        hits = np.flatnonzero(visible)
+        firsts = [first for _, _, _, first, _ in plan] + [len(visible)]
+        bounds = np.searchsorted(hits, firsts).tolist()
+        hits -= np.asarray(vote_first, dtype=np.intp)[hits]
+        out: Dict[PairKey, Prediction] = {}
+        done = 0  # regressed rows of the readers before this one
+        for r, (source, target, start, _, regressor) in enumerate(plan):
+            idx = hits[bounds[r] : bounds[r + 1]]
+            rows = done, done + (len(idx) if regressor is not None else 0)
+            done = rows[1]
+            if self.slot[source] in declined:
                 continue
-            if ok[1 + i, idx].all():
-                out[readers[pos]] = idx, boxes[i, idx]
-                continue
-            cand = feats if len(idx) == len(feats) else feats[idx]
-            out[readers[pos]] = idx, target_corners(regressors[i].predict(cand))
+            if not len(idx) or regressor is None:
+                out[source, target] = NO_BOXES
+            elif all(items_ok[rows[0] : rows[1]]):
+                out[source, target] = idx, boxes[rows[0] : rows[1]]
+            else:
+                cand = feats[start : start + len(corners[source])][idx]
+                out[source, target] = idx, target_corners(regressor.predict(cand))
         return out
 
     def _search(
-        self, feats: np.ndarray, cols: np.ndarray, k: np.ndarray
+        self, feats: np.ndarray, qslot: np.ndarray, spans: Sequence[tuple]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One neighbour search for the search models ``cols``.
+        """One neighbour search for every query row of every source.
 
-        A single product and ``argpartition`` list each query's
-        ``SHARED_DEPTH`` nearest unique rows, nearest first. The last
-        listed row stands for every row past the list, as does a
-        ``mixed`` row: neither may be selected. A model's neighbours are
-        then the first ``k`` of its training rows in the list, counted
-        with multiplicity: the same list for every classifier, and for a
-        regressor only the rows visible on its target. A query's list is
-        certified for a model when every gap between consecutive listed
-        distances exceeds :func:`distance_tolerance` and the model's
-        ``k`` rows come before the first row that may not be selected:
-        its own brute-force search then selects rows of the same values
-        in the same order, and which duplicates it takes does not matter.
+        One product per source, then a single ``argpartition`` and sort,
+        list each query's ``SHARED_DEPTH`` nearest unique rows of its
+        source, nearest first. The last listed row stands for every row
+        past the list, so it may not be selected, nor may a ``mixed`` row.
+        A model's neighbours are then the first ``k`` of its training
+        rows in the list, counted with multiplicity: the same list for
+        every classifier, and for a regressor only the rows visible on
+        its target. A query's list is certified when every gap between
+        consecutive listed distances exceeds :func:`distance_tolerance`,
+        the rows at infinite distance aside: for a model whose ``k`` rows
+        come before the first row that may not be selected, its own
+        brute-force search then selects rows of the same values in the
+        same order, and which duplicates it takes does not matter.
 
-        Returns ``ok`` (models, queries), whether each list is certified,
-        and ``near`` (models, queries, max k), the unique rows selected.
+        Returns the listed rows ``(queries, depth)`` and whether each
+        list is certified.
         """
+        dist = np.empty((len(feats), self.norms.shape[1]))
+        for slot, rows, _ in spans:
+            part = dist[rows.start : rows.stop]
+            np.matmul(feats[rows.start : rows.stop], self.basis[slot], out=part)
+            part += self.norms[slot]
         rows = _row_index(len(feats))
-        dist = feats @ self.basis
-        dist += self.norms
         depth = min(SHARED_DEPTH, dist.shape[1])
         near = np.argpartition(dist, depth - 1, axis=1)[:, :depth]
         near_dist = dist[rows, near]
         order = np.argsort(near_dist, axis=1)
         near = near[rows, order]
         near_dist = near_dist[rows, order]
-        tol = distance_tolerance(feats, self.max_sq_norm)[:, None]
-        certified = (near_dist[:, 1:] - near_dist[:, :-1] > tol).all(axis=1)
-        stop = self.mixed[near]
-        stop[:, -1] = True
-        counts = np.where(stop, self.big, self.counts[cols[:, None, None], near])
-        cum = np.cumsum(counts, axis=2)
-        last = (cum >= k[:, None, None]).argmax(axis=2)
-        ok = certified & (last < stop.argmax(axis=1))
-        slot_pos = (cum[:, :, None, :] > np.arange(k.max())[:, None]).argmax(axis=3)
-        return ok, near[rows, slot_pos]
+        tol = distance_tolerance(feats, self.max_sq_norm[qslot])[:, None]
+        with np.errstate(invalid="ignore"):  # inf - inf past a short source
+            apart = near_dist[:, 1:] - near_dist[:, :-1] > tol
+        if self.short:
+            apart |= near_dist[:, :-1] == np.inf
+        return near, apart.all(axis=1)
+
+    def _select(
+        self,
+        listed: np.ndarray,
+        certified: np.ndarray,
+        model_rows: np.ndarray,
+        k: np.ndarray,
+        k_max: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each item's neighbours: the first ``k`` of its model's training
+        rows in its ``listed`` rows, counted with multiplicity.
+
+        A list's last row stands for every row past it, so it may not be
+        selected, nor may a row that counts ``big``. Returns whether each
+        item's ``k`` rows are certified, and its first ``k_max`` rows.
+        """
+        counts = self.counts[model_rows[:, None], listed]
+        counts[:, -1] = self.big
+        cum = np.cumsum(counts, axis=1)
+        ok = certified & ((cum >= k) & (cum < self.big)).any(axis=1)
+        # Slot j is the listed row whose count first takes the item past
+        # j; the capped steps of every item add up to k_max.
+        reach = np.minimum(cum, k_max)
+        steps = np.empty_like(reach)
+        steps[:, 0] = reach[:, 0]
+        np.subtract(reach[:, 1:], reach[:, :-1], out=steps[:, 1:])
+        return ok, np.repeat(listed.ravel(), steps.ravel()).reshape(len(listed), k_max)
+
+    def _regress(
+        self,
+        feats: np.ndarray,
+        model_rows: np.ndarray,
+        slots: np.ndarray,
+        near: np.ndarray,
+    ) -> np.ndarray:
+        """Boxes of regressor items from their query features and neighbours.
+
+        ``KNNRegressor.regress`` over a ``(items, k, .)`` gather of the
+        unique rows' features and each model's targets, with its
+        expression grouping and axis layout: every row is bit-identical
+        to the regressor's own.
+        """
+        x = self.unique[slots[:, None], near]
+        y = self.targets[model_rows[:, None], near]
+        weights = 1.0 / (np.linalg.norm(feats[:, None, :] - x, axis=2) + 1e-9)
+        return target_corners(
+            (y * weights[:, :, None]).sum(axis=1) / weights.sum(axis=1)[:, None]
+        )
+
+
+def _reference(index: SourceIndex) -> KNNClassifier:
+    """The classifier whose training rows every member of ``index`` shares."""
+    ref = next(iter(index.models.values())).classifier
+    assert isinstance(ref, KNNClassifier) and ref._x is not None
+    return ref
 
 
 def _shares_rows(ref: PairModel, model: PairModel) -> bool:

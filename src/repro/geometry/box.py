@@ -217,11 +217,6 @@ def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where((inter == 0.0) | (union <= 0.0), 0.0, inter / union)
 
 
-#: Below this many cells, the scalar mirror of the batched IoU chain is
-#: faster than paying numpy's fixed per-call overhead.
-_IOU_SCALAR_MAX_CELLS = 64
-
-
 def scalar_iou_cost_rows(
     corners_a: Sequence[Sequence[float]], corners_b: Sequence[Sequence[float]]
 ) -> List[List[float]]:
@@ -251,29 +246,19 @@ def scalar_iou_cost_rows(
     return rows
 
 
-def iou_cost_blocks(
-    pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
-) -> List[List[List[float]]]:
-    """``1.0 - IoU`` of each ``(a, b)`` pair of corner arrays, as nested lists.
+def iou_cost_stack(
+    a: np.ndarray, b: np.ndarray, n: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """``1.0 - IoU`` of stacked blocks of corner rows, ``+inf`` outside them.
 
-    Every block is bit-identical to :func:`scalar_iou_cost_rows` of the
-    same boxes. With more than ``_IOU_SCALAR_MAX_CELLS`` cells in all, one
-    broadcast :func:`iou_corners` call scores every row of every ``a``
-    against its ``b`` padded to the widest, and slicing off the padding
-    columns leaves each block; with fewer, :func:`scalar_iou_cost_rows`
-    scores each pair, faster than numpy's per-call overhead.
+    ``a`` is ``(blocks, rows, 4)`` and ``b`` ``(blocks, cols, 4)``; block
+    ``i`` pairs ``a[i, :n[i]]`` with ``b[i, :m[i]]``. One broadcast
+    :func:`iou_corners` call scores every block, each cell bit-identical
+    to :func:`scalar_iou_cost_rows` of the same boxes, and every cell
+    outside the blocks is ``+inf``, whatever ``a`` and ``b`` hold there.
     """
-    if sum(len(a) * len(b) for a, b in pairs) <= _IOU_SCALAR_MAX_CELLS:
-        return [scalar_iou_cost_rows(a.tolist(), b.tolist()) for a, b in pairs]
-    padded = np.zeros((len(pairs), max(len(b) for _, b in pairs), 4))
-    for i, (_, b) in enumerate(pairs):
-        padded[i, : len(b)] = b
-    which = np.repeat(np.arange(len(pairs)), [len(a) for a, _ in pairs])
-    rows = np.concatenate([a for a, _ in pairs])[:, None, :]
-    cost = (1.0 - iou_corners(rows, padded[which])).tolist()
-    blocks = []
-    start = 0
-    for a, b in pairs:
-        blocks.append([row[: len(b)] for row in cost[start : start + len(a)]])
-        start += len(a)
-    return blocks
+    cost = 1.0 - iou_corners(a[:, :, None], b[:, None])
+    rows = np.arange(a.shape[1]) >= n[:, None]
+    cols = np.arange(b.shape[1]) >= m[:, None]
+    cost[rows[:, :, None] | cols[:, None, :]] = np.inf
+    return cost

@@ -4,6 +4,8 @@ The association matcher (Section II-C, step 3) runs the Hungarian algorithm
 to pair predicted box locations with detected boxes by IoU proximity. This
 is a from-scratch O(n^2 m) implementation of the shortest-augmenting-path
 formulation with dual potentials, supporting rectangular cost matrices.
+:func:`seeded_assignments` reads its result off a stack of cost blocks
+wherever its exact seed decides it, so only the other blocks are solved.
 """
 
 from __future__ import annotations
@@ -166,3 +168,47 @@ def hungarian(
             pairs.append((col, row) if transposed else (row, col))
     pairs.sort()
     return pairs
+
+
+def seeded_assignments(
+    cost: np.ndarray, n: np.ndarray, m: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`hungarian`'s pairs on every block that its seed decides.
+
+    ``cost`` stacks blocks of finite costs: block ``i`` is ``cost[i,
+    :n[i], :m[i]]`` with ``n[i], m[i] >= 1``, and every cell outside it
+    is ``+inf``. ``hungarian`` seeds the shorter side of a block (the
+    rows, unless it has more rows than columns and is transposed): each
+    of its lines in order takes its first-minimum line across while that
+    one is free. When those first minima are all distinct, the seed
+    matches every line and ``hungarian`` returns exactly the seeded
+    pairs; ``numpy.argmin`` picks the same first minimum as the seed's
+    ``row.index(min(row))``. Such a block is decided here; a block with a
+    first-minimum conflict is left to the solver.
+
+    Returns ``decided`` (one flag per block) and the decided blocks'
+    pairs as three flat arrays: ``block``, ``row`` and ``col``.
+    """
+    _, n_rows, n_cols = cost.shape
+    wide = n <= m
+    row_first = cost.argmin(axis=2)
+    col_first = cost.argmin(axis=1)
+    rows = np.arange(n_rows) < n[:, None]
+    cols = np.arange(n_cols) < m[:, None]
+    # Lines past a block's end stand in with values no line takes, so
+    # a repeat among the sorted first minima is a conflict.
+    by_row = np.sort(np.where(rows, row_first, n_cols + np.arange(n_rows)), axis=1)
+    by_col = np.sort(np.where(cols, col_first, n_rows + np.arange(n_cols)), axis=1)
+    decided = np.where(
+        wide,
+        (by_row[:, 1:] != by_row[:, :-1]).all(axis=1),
+        (by_col[:, 1:] != by_col[:, :-1]).all(axis=1),
+    )
+    row_block, row = np.nonzero(rows & (decided & wide)[:, None])
+    col_block, col = np.nonzero(cols & (decided & ~wide)[:, None])
+    return (
+        decided,
+        np.concatenate((row_block, col_block)),
+        np.concatenate((row, col_first[col_block, col])),
+        np.concatenate((row_first[row_block, row], col)),
+    )

@@ -70,10 +70,15 @@ class _KNNModel:
     k nearest training rows, and the subclass's voting or regression
     turns those rows into outputs. The second step depends only on the
     values of the selected rows, in order, so a caller that knows the
-    same rows by other means can replay it: the per-source association
+    same rows by other means can replay it: the key-frame association
     pass in :mod:`repro.association.pairwise` mirrors it, stacked over
-    several models, on its shared neighbours.
+    every source camera and model, on its shared neighbours.
     """
+
+    #: Fit-time caches of the training rows' squared norms and of
+    #: ``x * -2.0``. Pickles leave them out, and loading rebuilds them
+    #: from ``_x`` with the expressions of the fit.
+    _CACHES = ("_x_norms", "_x_neg2")
 
     def __init__(self, k: int, weighted: bool) -> None:
         if k < 1:
@@ -82,15 +87,29 @@ class _KNNModel:
         self.weighted = weighted
         self._x: np.ndarray | None = None
         self._y: np.ndarray | None = None
-        # Fit-time cache of per-row squared norms and of ``x * -2.0``.
         self._x_norms: np.ndarray | None = None
         self._x_neg2: np.ndarray | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._CACHES:
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles that still carry the caches load too; they are rebuilt.
+        self.__dict__.update(state)
+        self._cache_rows()
 
     def _store(self, x: np.ndarray, y: np.ndarray) -> None:
         self._x = x
         self._y = y
-        self._x_norms = np.sum(x**2, axis=1)
-        self._x_neg2 = x * -2.0
+        self._cache_rows()
+
+    def _cache_rows(self) -> None:
+        x = self._x
+        self._x_norms = None if x is None else np.sum(x**2, axis=1)
+        self._x_neg2 = None if x is None else x * -2.0
 
     def neighbours(self, x: np.ndarray) -> np.ndarray:
         """Indices (n, k) of each row's nearest training rows, nearest first.

@@ -356,14 +356,21 @@ class CentralScheduler:
     def _build_instance(
         self, global_objects: Sequence[GlobalObject]
     ) -> MVSInstance:
+        """The MVS instance of the associated objects.
+
+        A member's target size is ``quantize_size(bbox.expand(8.0).long_side)``,
+        computed from the box's corners with the float expressions of
+        ``expand``, ``width``/``height`` and ``long_side``'s ``max``, so no
+        expanded box is built.
+        """
         objects = []
         for obj in global_objects:
-            target_sizes = {
-                cam: quantize_size(
-                    obs.bbox.expand(8.0).long_side, self.size_set
-                )
-                for cam, obs in obj.members.items()
-            }
+            target_sizes = {}
+            for cam, obs in obj.members.items():
+                box = obs.bbox
+                w = (box.x2 + 8.0) - (box.x1 - 8.0)
+                h = (box.y2 + 8.0) - (box.y1 - 8.0)
+                target_sizes[cam] = quantize_size(h if h > w else w, self.size_set)
             objects.append(SchedObject(key=obj.global_id, target_sizes=target_sizes))
         return MVSInstance(profiles=self.profiles, objects=tuple(objects))
 

@@ -1,13 +1,14 @@
 """Unit tests for bounding boxes, IoU and size quantization."""
 
 
+import numpy as np
 import pytest
 
 from repro.geometry.box import (
     DEFAULT_SIZE_SET,
     BBox,
     corner_array,
-    iou_cost_blocks,
+    iou_cost_stack,
     quantize_size,
 )
 from tests.geometry.reference_geometry import iou
@@ -137,12 +138,17 @@ class TestPairwiseIoU:
 
     def test_matrix_shape_and_values(self):
         a = [BBox(0, 0, 10, 10), BBox(20, 20, 30, 30)]
-        b = [BBox(0, 0, 10, 10)]
-        (costs,) = iou_cost_blocks([(corner_array(a), corner_array(b))])
-        assert len(costs) == 2 and len(costs[0]) == 1
-        assert costs[0][0] == pytest.approx(0.0)
-        assert costs[1][0] == 1.0
+        b = [BBox(0, 0, 10, 10), BBox(5, 5, 15, 15)]
+        stacked = np.stack((corner_array(a), corner_array(a)))
+        pair_b = np.stack((corner_array(b),) * 2)
+        cost = iou_cost_stack(stacked, pair_b, np.array([2, 1]), np.array([1, 2]))
+        assert cost.shape == (2, 2, 2)
+        assert cost[0, 0, 0] == pytest.approx(0.0)
+        assert cost[0, 1, 0] == 1.0
+        assert cost[1, 0].tolist() == [pytest.approx(0.0), pytest.approx(1.0 - 25 / 175)]
+        # Cells outside each block are +inf, whatever the padding holds.
+        assert np.isinf(cost[0, :, 1]).all() and np.isinf(cost[1, 1]).all()
 
     def test_empty_inputs(self):
-        empty = corner_array([])
-        assert iou_cost_blocks([(empty, empty)]) == [[]]
+        empty = np.zeros((1, 0, 4))
+        assert iou_cost_stack(empty, empty, np.array([0]), np.array([0])).shape == (1, 0, 0)

@@ -1,6 +1,7 @@
 """Property-based tests for the geometry substrate."""
 
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,7 @@ from repro.geometry.box import (
     DEFAULT_SIZE_SET,
     BBox,
     corner_array,
-    iou_cost_blocks,
+    iou_cost_stack,
     quantize_size,
     scalar_iou_cost_rows,
 )
@@ -37,14 +38,27 @@ _grid_boxes = st.builds(
 _box_lists = st.lists(st.one_of(boxes(), _grid_boxes), min_size=1, max_size=12)
 
 
+def _padded(blocks, width):
+    out = np.zeros((len(blocks), width, 4))
+    for i, block in enumerate(blocks):
+        out[i, : len(block)] = corner_array(block)
+        out[i, len(block) :] = 1.0e3  # padding: any boxes at all
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_box_lists, _box_lists), min_size=1, max_size=4))
-def test_iou_cost_blocks_equal_the_scalar_iou(pairs):
-    """Both branches (few cells: scalar; many: one broadcast) equal 1 - iou."""
-    blocks = iou_cost_blocks([(corner_array(a), corner_array(b)) for a, b in pairs])
-    for (a, b), block in zip(pairs, blocks):
+def test_iou_cost_stack_equals_the_scalar_iou(pairs):
+    """The stacked broadcast and the scalar mirror both equal 1 - iou."""
+    n = np.array([len(a) for a, _ in pairs])
+    m = np.array([len(b) for _, b in pairs])
+    cost = iou_cost_stack(
+        _padded([a for a, _ in pairs], n.max()), _padded([b for _, b in pairs], m.max()), n, m
+    )
+    for i, (a, b) in enumerate(pairs):
         want = [[1.0 - iou(x, y) for y in b] for x in a]
-        assert block == want
+        assert cost[i, : len(a), : len(b)].tolist() == want
+        assert np.isinf(cost[i, len(a) :]).all() and np.isinf(cost[i, :, len(b) :]).all()
         assert scalar_iou_cost_rows(
             [x.as_tuple() for x in a], [y.as_tuple() for y in b]
         ) == want

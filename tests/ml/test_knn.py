@@ -1,10 +1,12 @@
 """Tests for KNN classification and regression."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.ml.base import NotFittedError
-from repro.ml.knn import KNNClassifier, KNNRegressor
+from repro.ml.knn import KNNClassifier, KNNRegressor, _KNNModel
 
 
 def two_blobs(rng, n=60, sep=6.0):
@@ -112,3 +114,42 @@ class TestKNNRegressor:
     def test_nan_input_raises(self):
         with pytest.raises(ValueError):
             KNNRegressor().fit(np.array([[np.nan]]), np.array([[1.0]]))
+
+
+class TestPickles:
+    """The fit-time row caches stay out of pickles and are rebuilt on load."""
+
+    def _fitted(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(0.0, 3.0, (50, 5))
+        return [
+            KNNClassifier(k=7).fit(x, (x[:, 0] > 0).astype(float)),
+            KNNRegressor(k=5).fit(x, x[:, :4] * 2.0),
+        ]
+
+    def test_round_trip_rebuilds_the_caches(self):
+        for model in self._fitted():
+            payload = pickle.dumps(model)
+            assert b"_x_norms" not in payload and b"_x_neg2" not in payload
+            loaded = pickle.loads(payload)
+            for name in ("_x_norms", "_x_neg2"):
+                assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+            queries = np.random.default_rng(5).normal(0.0, 3.0, (9, 5))
+            assert loaded.neighbours(queries).tolist() == model.neighbours(queries).tolist()
+
+    def test_pickles_that_carry_the_caches_still_load(self, monkeypatch):
+        models = self._fitted()
+        # Pickled with the whole instance dict, as models entries and
+        # cache artifacts were written before the caches left them.
+        monkeypatch.delattr(_KNNModel, "__getstate__")
+        payloads = [pickle.dumps(model) for model in models]
+        monkeypatch.undo()
+        for model, payload in zip(models, payloads):
+            assert b"_x_norms" in payload
+            loaded = pickle.loads(payload)
+            for name in ("_x", "_y", "_x_norms", "_x_neg2"):
+                assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+
+    def test_unfitted_model_round_trips(self):
+        loaded = pickle.loads(pickle.dumps(KNNRegressor(k=3)))
+        assert loaded._x is None and loaded._x_norms is None and loaded.k == 3
