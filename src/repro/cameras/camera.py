@@ -84,7 +84,6 @@ class Camera:
         self.min_box_pixels = min_box_pixels
         self.name = name or f"cam{camera_id}"
         self._rotation = _rotation_matrix(pose.yaw, pose.pitch_down)
-        self._position = np.array([pose.x, pose.y, pose.z])
         # Flattened pose/rotation/intrinsics for the scalar path and its
         # batched mirror (identical expression grouping keeps the two
         # bit-for-bit equal; see project_objects_multi).

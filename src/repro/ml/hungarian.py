@@ -11,21 +11,19 @@ wherever its exact seed decides it, so only the other blocks are solved.
 from __future__ import annotations
 
 from math import isfinite
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
 
-def hungarian(
-    cost: Union[np.ndarray, List[List[float]]]
-) -> List[Tuple[int, int]]:
+def hungarian(cost: List[List[float]]) -> List[Tuple[int, int]]:
     """Solve min-cost assignment on an ``(n, m)`` cost matrix.
 
     Returns a list of ``(row, col)`` pairs of length ``min(n, m)``, sorted
-    by row. Costs must be finite. For rectangular matrices the smaller side
-    is fully matched. ``cost`` may be an ndarray or a rectangular nested
-    list; the list form skips the ndarray round-trip, which dominates the
-    runtime on the tiny matrices the matchers produce.
+    by row. ``cost`` is a non-empty rectangular nested list of finite
+    floats, the form both matchers build: plain lists skip the ndarray
+    round-trip, which dominates the runtime on their tiny matrices. For
+    rectangular matrices the smaller side is fully matched.
 
     The leading rows are seeded without the augmenting machinery, and the
     seed is exact. Each row's phase starts with ``u[i] = 0``, and until
@@ -39,61 +37,38 @@ def hungarian(
     the loop starts at the first row whose column is taken, from the
     same state it would have reached on its own.
     """
-    if (
+    if not (
         isinstance(cost, list)
         and cost
         and isinstance(cost[0], list)
         and cost[0]
         and all(len(r) == len(cost[0]) for r in cost)
     ):
-        for r in cost:
-            for val in r:
-                if not isfinite(val):
-                    raise ValueError(
-                        "cost matrix contains non-finite entries"
-                    )
-        if len(cost) == 1:
-            # Single row: the augmenting-path machinery reduces to
-            # "first minimum wins", the same strict-< scan it performs.
-            row = cost[0]
-            best, best_val = 0, row[0]
-            for j in range(1, len(row)):
-                if row[j] < best_val:
-                    best, best_val = j, row[j]
-            return [(0, best)]
-        if len(cost[0]) == 1:
-            best, best_val = 0, cost[0][0]
-            for i in range(1, len(cost)):
-                if cost[i][0] < best_val:
-                    best, best_val = i, cost[i][0]
-            return [(best, 0)]
-        transposed = len(cost) > len(cost[0])
-        # The solver never mutates the rows, so the caller's lists are
-        # used as-is when no transpose is needed.
-        rows = (
-            [list(col) for col in zip(*cost)] if transposed else cost
-        )
-        n, m = len(rows), len(rows[0])
-    else:
-        cost = np.asarray(cost, dtype=float)
-        if cost.ndim != 2:
-            raise ValueError("cost must be a 2-D matrix")
-        if cost.size == 0:
-            return []
-        if not np.all(np.isfinite(cost)):
-            raise ValueError("cost matrix contains non-finite entries")
-
-        transposed = cost.shape[0] > cost.shape[1]
-        if transposed:
-            cost = cost.T
-        n, m = cost.shape  # n <= m
-
-        # The matrices here are tiny (detections per camera), where
-        # indexing an ndarray element-by-element dominates the runtime;
-        # plain Python lists are several times faster and tolist()
-        # round-trips float64 exactly, so the arithmetic — and the
-        # assignment — is unchanged.
-        rows = cost.tolist()
+        raise ValueError("cost must be a non-empty rectangular nested list")
+    for r in cost:
+        for val in r:
+            if not isfinite(val):
+                raise ValueError("cost matrix contains non-finite entries")
+    if len(cost) == 1:
+        # Single row: the augmenting-path machinery reduces to
+        # "first minimum wins", the same strict-< scan it performs.
+        row = cost[0]
+        best, best_val = 0, row[0]
+        for j in range(1, len(row)):
+            if row[j] < best_val:
+                best, best_val = j, row[j]
+        return [(0, best)]
+    if len(cost[0]) == 1:
+        best, best_val = 0, cost[0][0]
+        for i in range(1, len(cost)):
+            if cost[i][0] < best_val:
+                best, best_val = i, cost[i][0]
+        return [(best, 0)]
+    transposed = len(cost) > len(cost[0])
+    # The solver never mutates the rows, so the caller's lists are
+    # used as-is when no transpose is needed.
+    rows = [list(col) for col in zip(*cost)] if transposed else cost
+    n, m = len(rows), len(rows[0])
     inf = float("inf")
 
     # 1-based arrays; match[j] is the row assigned to column j (0 = free).

@@ -34,7 +34,6 @@ class RANSACRegressor(Regressor):
         self.residual_threshold = residual_threshold
         self.seed = seed
         self.model_: Regressor | None = None
-        self.inlier_mask_: np.ndarray | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RANSACRegressor":
         x, y = check_xy(x, y, allow_vector_target=True)
@@ -43,7 +42,6 @@ class RANSACRegressor(Regressor):
         if n < min_samples:
             # Too few points for consensus; fall back to a plain fit.
             self.model_ = self.base_factory().fit(x, y)
-            self.inlier_mask_ = np.ones(n, dtype=bool)
             return self
 
         threshold = self.residual_threshold
@@ -72,7 +70,6 @@ class RANSACRegressor(Regressor):
             # No consensus found; use everything.
             best_mask = np.ones(n, dtype=bool)
         self.model_ = self.base_factory().fit(x[best_mask], y[best_mask])
-        self.inlier_mask_ = best_mask
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:

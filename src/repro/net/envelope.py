@@ -140,7 +140,6 @@ class ChannelGuard:
         self._seen: Set[int] = set()
         self.admitted = 0
         self.corrupt = 0
-        self.fenced = 0
         self.duplicates = 0
         self.reordered = 0
         self.window_exceeded = 0
@@ -151,7 +150,6 @@ class ChannelGuard:
             self.corrupt += 1
             return Admission(False, DROP_CORRUPT)
         if env.epoch < self.epoch:
-            self.fenced += 1
             return Admission(False, DROP_STALE_EPOCH)
         if env.epoch > self.epoch:
             self.epoch = env.epoch
@@ -188,7 +186,6 @@ class ChannelGuard:
             self.corrupt += 1
             return Admission(False, DROP_CORRUPT)
         if env.epoch < self.epoch:
-            self.fenced += 1
             return Admission(False, DROP_STALE_EPOCH)
         if env.epoch > self.epoch:
             self.epoch = env.epoch

@@ -146,11 +146,8 @@ class Link:
             )
         self.spec = spec
         self._rng = rng
-        self.bytes_sent = 0
-        self.messages_sent = 0
         self.bytes_dropped = 0
         self.messages_dropped = 0
-        self.bytes_corrupted = 0
         self.messages_corrupted = 0
         #: Transfers that exhausted every retry (hard failures), kept
         #: separate from per-attempt drops so recovered-after-retry and
@@ -167,12 +164,10 @@ class Link:
             jitter = abs(self._rng.normal(0.0, self.spec.jitter_ms_std))
         else:
             jitter = 0.0
-        self.bytes_sent += payload_bytes
-        self.messages_sent += 1
         return self.spec.propagation_ms + serialization + jitter
 
     def record_drop(self, payload_bytes: int) -> None:
-        """Account one lost message (never mixed into the sent counters)."""
+        """Account one lost message."""
         if payload_bytes < 0:
             raise ValueError("payload_bytes must be non-negative")
         self.bytes_dropped += payload_bytes
@@ -182,7 +177,6 @@ class Link:
         """Account one message the receiver's checksum rejected."""
         if payload_bytes < 0:
             raise ValueError("payload_bytes must be non-negative")
-        self.bytes_corrupted += payload_bytes
         self.messages_corrupted += 1
 
     def reliable_transfer(

@@ -18,7 +18,6 @@ import numpy as np
 from repro.cameras.camera import Camera
 from repro.devices.gpu import GPUExecutor, greedy_plan
 from repro.devices.latency import LatencyModel
-from repro.devices.profiler import DeviceProfile
 from repro.geometry.box import BBox, quantize_size, scalar_iou_cost_rows
 from repro.ml.hungarian import hungarian
 from repro.net.envelope import ChannelGuard
@@ -62,7 +61,6 @@ class CameraNode:
         self,
         camera: Camera,
         latency_model: LatencyModel,
-        profile: DeviceProfile,
         seed: int = 0,
         detector_errors: Optional[DetectorErrorModel] = None,
         flow_noise: Optional[FlowNoiseModel] = None,
@@ -74,7 +72,6 @@ class CameraNode:
     ) -> None:
         self.camera = camera
         self.latency_model = latency_model
-        self.profile = profile
         self._rng = np.random.default_rng(seed)
         self.detector = SimulatedDetector(
             camera, detector_errors, np.random.default_rng(seed + 1)

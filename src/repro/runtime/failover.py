@@ -110,8 +110,6 @@ class FailoverManager:
         self.crash_frame: Optional[int] = None
         self.monitor = HeartbeatMonitor(self.lease)
         self.replica: Optional[SchedulerCheckpoint] = None
-        self.replications = 0
-        self.stale_replications = 0
         #: Epoch fencing: the current acting-leader term. With
         #: ``fencing=False`` (legacy protocol) every transition keeps
         #: epoch 0 — the split-brain-prone behaviour under partitions.
@@ -154,12 +152,13 @@ class FailoverManager:
     def record_replication(
         self, checkpoint: SchedulerCheckpoint, delivered: bool
     ) -> None:
-        """Account one piggybacked checkpoint transfer."""
+        """Account one piggybacked checkpoint transfer.
+
+        Only a delivered replica replaces the standby's; a lost one
+        leaves it a horizon (or more) stale.
+        """
         if delivered:
             self.replica = checkpoint
-            self.replications += 1
-        else:
-            self.stale_replications += 1
 
     # ------------------------------------------------------------------
     def step(

@@ -182,14 +182,10 @@ class FleetHealthWatchdog:
     sequences yield identical transitions and scores.
     """
 
-    def __init__(
-        self,
-        camera_ids: Sequence[int],
-        config: Optional[HealthConfig] = None,
-    ) -> None:
+    def __init__(self, camera_ids: Sequence[int]) -> None:
         if not camera_ids:
             raise ValueError("watchdog needs at least one camera")
-        self.config = config or HealthConfig()
+        self.config = HealthConfig()
         self._records: Dict[int, _CameraHealth] = {
             cam: _CameraHealth() for cam in sorted(camera_ids)
         }

@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 import math
 from numbers import Integral
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -74,27 +74,6 @@ from repro.serving.edge import ServingEdge
 
 POLICIES = ("full", "balb", "balb-cen", "balb-ind", "sp")
 _CENTRALIZED = ("balb", "balb-cen", "sp")
-
-
-def _split_coverage(objects, down, coverage_fn) -> Tuple[frozenset, frozenset]:
-    """Split observable objects into (visible_gt, coverage_lost).
-
-    ``coverage_fn(obj)`` yields the cameras that could observe ``obj``
-    this frame. Objects whose entire coverage set is down are coverage
-    loss — no scheduling decision can recover them — and are kept out of
-    the recall denominator.
-    """
-    visible = set()
-    lost = set()
-    for o in objects:
-        covered = coverage_fn(o)
-        if not covered:
-            continue
-        if down and all(c in down for c in covered):
-            lost.add(o.object_id)
-        else:
-            visible.add(o.object_id)
-    return frozenset(visible), frozenset(lost)
 
 
 @dataclass
@@ -266,6 +245,40 @@ class _RunState:
     health: Optional[FleetHealthWatchdog] = None
     frozen_views: Dict[int, Frame] = field(default_factory=dict)
     health_forced_key: bool = False
+
+
+class _Control(NamedTuple):
+    """One frame's control-plane decisions (``Pipeline._control_plane``)."""
+
+    is_key: bool
+    forced_key: bool
+    quarantined: frozenset
+    probation: frozenset
+    #: Cameras that process nothing: down, stalled or quarantined.
+    effective_down: frozenset
+    authorities: Tuple[Authority, ...]
+    transitions: Tuple[FailoverTransition, ...]
+
+
+class _Sensed(NamedTuple):
+    """What one frame shows (``Pipeline._sense``)."""
+
+    objects: list
+    cache: FrameProjectionCache
+    views: Dict[int, Frame]
+    multipliers: Dict[int, Dict[int, float]]
+    visible_gt: frozenset
+    coverage_lost: frozenset
+
+
+class _CameraPass(NamedTuple):
+    """The live cameras' outcomes (``Pipeline._camera_pass``)."""
+
+    inference: Dict[int, float]
+    detected: set
+    key_detected: Dict[int, int]
+    reports: Dict[int, list]
+    n_slices: Dict[int, int]
 
 
 def trained_models_key(
@@ -582,10 +595,7 @@ class Pipeline:
                 ingest = state.ingest.pass_frame(
                     frame_idx,
                     frame_idx * state.dt,
-                    is_key=(
-                        config.policy == "full"
-                        or frame_idx % config.horizon == 0
-                    ),
+                    is_key=self._scheduled_key(frame_idx),
                     bursting=frame_faults.bursting,
                 )
                 self._process_frame(
@@ -690,49 +700,112 @@ class Pipeline:
             state.serving.export_metrics(registry)
 
     def _process_frame(
-        self,
-        state: _RunState,
-        tracer,
-        frame_idx: int,
-        frame_faults: FrameFaults,
-        ingest: FrameIngest,
+        self, state: _RunState, tracer, frame_idx: int,
+        frame_faults: FrameFaults, ingest: FrameIngest,
     ) -> None:
         """Process one frame and fold the results back into ``state``.
 
         ``frame_faults`` is the frame's resolved fault state (empty on a
         fault-free frame) and ``ingest`` the ingest edge's view of the
         frame; a burst-free frame's view is empty and touches no span,
-        counter or RNG draw.
+        counter or RNG draw. The frame runs in named stages, each of
+        which reads and writes ``state`` in place: the control plane
+        decides the frame's kind, the world is sensed, every live camera
+        runs the frame, and a key frame ends in the central stage.
         """
-        config = self.config
-        rig = state.rig
-        nodes = state.nodes
-        scheduler = state.scheduler
-        policies = state.policies
-        result = state.result
         registry = state.registry
-        camera_ids = state.camera_ids
-        faults = state.faults
-        stale_horizons = state.stale_horizons
-        occlusion = state.occlusion
-        camera_lags = state.camera_lags
-        failover = state.failover
-        invariants = state.invariants
-        central_amortized = state.central_amortized
-        health = state.health
+        control = self._control_plane(state, frame_idx, frame_faults, ingest)
+        is_key = control.is_key
+        frame_start = self.clock.now()
 
+        frame_tags = {"frame": frame_idx, "key": is_key}
+        if state.faults:
+            frame_tags["forced"] = control.forced_key
+        with tracer.span("frame", **frame_tags):
+            self._apply_frame_faults(
+                tracer, registry, frame_faults, state.nodes, control.forced_key
+            )
+            for transition in control.transitions:
+                self._record_transition(tracer, registry, transition)
+            if ingest.any_active:
+                self._record_ingest(tracer, registry, ingest)
+            sensed = self._sense(state, tracer, frame_idx, frame_faults, control)
+            overheads: Dict[str, float] = {}
+            if control.transitions:
+                # Restore/sync/claim-broadcast time of the leadership
+                # change, modeled through the link and overhead models,
+                # lands on this frame.
+                overheads["failover"] = sum(t.cost_ms for t in control.transitions)
+            with tracer.span("central_stage" if is_key else "distributed_stage"):
+                cams = self._camera_pass(state, tracer, control, sensed, ingest, overheads)
+                if is_key:
+                    self._central_stage(state, tracer, frame_idx, frame_faults, control, cams)
+                    registry.counter("key_frames_total").inc()
+                else:
+                    registry.counter("regular_frames_total").inc()
+                    registry.counter("slices_total").inc(sum(cams.n_slices.values()))
+            overheads["central"] = state.central_amortized
+            if state.health is not None:
+                self._observe_fleet_health(
+                    state, tracer, frame_idx, frame_faults, sensed, cams, overheads
+                )
+
+        registry.counter("frames_total").inc()
+        registry.histogram("frame_wall_ms").observe(
+            (self.clock.now() - frame_start) * 1e3
+        )
+        for cam_id, ms in cams.inference.items():
+            registry.histogram("inference_ms", camera=cam_id).observe(ms)
+        coverage_lost = sensed.coverage_lost
+        if state.faults and coverage_lost:
+            registry.counter(
+                "coverage_lost_object_frames_total"
+            ).inc(len(coverage_lost))
+        record = FrameRecord(
+            frame_index=frame_idx,
+            is_key_frame=is_key,
+            inference_ms=cams.inference,
+            visible_gt=sensed.visible_gt,
+            detected_gt=frozenset(cams.detected),
+            overheads_ms=overheads,
+            n_slices=cams.n_slices,
+            coverage_lost=coverage_lost,
+        )
+        state.invariants.observe_frame(
+            frame_idx, sensed.visible_gt, coverage_lost
+        )
+        state.result.add(record)
+        if state.serving is not None:
+            state.serving.on_frame(record)
+        # Between two frames the run is crash-consistent.
+        state.next_frame = frame_idx + 1
+
+    def _scheduled_key(self, frame_idx: int) -> bool:
+        """Is ``frame_idx`` a key frame by the horizon schedule alone?
+
+        The control plane may add a forced key frame or skip this one.
+        """
+        return self.config.policy == "full" or frame_idx % self.config.horizon == 0
+
+    def _control_plane(
+        self, state: _RunState, frame_idx: int, frame_faults: FrameFaults,
+        ingest: FrameIngest,
+    ) -> _Control:
+        """Membership, failover and the frame's kind, before the frame span.
+
+        Advances the failover protocol one frame, collects the reasons
+        to re-run the central stage early, decides whether this is a key
+        frame, and books a key frame that lands in a scheduler outage.
+        """
         # Membership view of this frame: transitions the watchdog took at
         # the end of frame N take effect on frame N+1, and the invariant
         # monitor sees the same view the frame is processed under (R5/R6).
         quarantined = probation = frozenset()
+        health = state.health
         if health is not None:
             quarantined = health.quarantined()
             probation = health.in_probation()
-            invariants.observe_membership(
-                frame_idx, quarantined, health.membership_epoch
-            )
-
-        in_horizon = frame_idx % config.horizon
+            state.invariants.observe_membership(frame_idx, quarantined, health.membership_epoch)
         down = frame_faults.down
         # Cameras whose frame is stuck behind a burst process nothing this
         # tick, but they are *not* down: they still heartbeat and their
@@ -749,7 +822,8 @@ class Pipeline:
         # distributed-only on last-known masks. Each acting authority
         # schedules its own reachable side of any cut; without failover
         # the primary is the one authority over every live camera.
-        live = [c for c in camera_ids if c not in down]
+        live = [c for c in state.camera_ids if c not in down]
+        failover = state.failover
         transitions: Tuple[FailoverTransition, ...] = ()
         central_ok = True
         if failover is None:
@@ -781,373 +855,253 @@ class Pipeline:
         )
         state.prev_down = visible_down
         state.health_forced_key = False
-        forced_key = resync and scheduler is not None and in_horizon != 0
-        is_key = config.policy == "full" or (
-            (in_horizon == 0 or forced_key) and central_ok
-        )
-        if not central_ok and (in_horizon == 0 or forced_key):
-            # A scheduled (or forced) key frame lands in the
-            # outage window: skip it, everyone's decision goes
-            # one horizon staler.
-            registry.counter("skipped_key_frames_total").inc()
+        scheduled = self._scheduled_key(frame_idx)
+        forced_key = resync and state.scheduler is not None and not scheduled
+        key_due = scheduled or forced_key
+        if key_due and not central_ok:
+            # A scheduled (or forced) key frame lands in the outage
+            # window: skip it, everyone's decision goes one horizon
+            # staler.
+            state.registry.counter("skipped_key_frames_total").inc()
             for cam_id in live:
-                stale_horizons[cam_id] += 1
-                registry.gauge(
-                    "assignment_staleness_horizons",
-                    camera=cam_id,
-                ).set(stale_horizons[cam_id])
-        frame_start = self.clock.now()
+                self._set_staleness(state, cam_id, state.stale_horizons[cam_id] + 1)
+        return _Control(
+            key_due and central_ok, forced_key, quarantined, probation,
+            effective_down, authorities, transitions,
+        )
 
-        frame_tags = {"frame": frame_idx, "key": is_key}
-        if faults:
-            frame_tags["forced"] = forced_key
-        with tracer.span("frame", **frame_tags):
-            self._apply_frame_faults(
-                tracer, registry, frame_faults, nodes, forced_key
-            )
-            for transition in transitions:
-                self._record_transition(tracer, registry, transition)
-            if ingest.any_active:
-                self._record_ingest(tracer, registry, ingest)
-            with tracer.span("sim.advance"):
-                # The frame and each camera's view of it come from the
-                # run's trajectory; a lagging camera sees an older frame.
-                # Every frame carries its projection cache, which every
-                # consumer below (occlusion, coverage, detection, new
-                # regions, health) shares instead of re-projecting.
-                trajectory = state.trajectory
-                objects, cache = trajectory.frame(frame_idx)
-                drift_lags = frame_faults.drift_lags
-                views: Dict[int, Frame] = {
-                    cam_id: trajectory.view(
-                        frame_idx,
-                        drifted_lag(
-                            lag, drift_lags.get(cam_id, 0), state.lag_depth
-                        )
-                        if drift_lags
-                        else lag,
-                    )
-                    for cam_id, lag in camera_lags.items()
-                }
-                self._apply_frozen_views(state, frame_faults, views)
-                multipliers: Dict[int, Dict[int, float]] = {}
-                if occlusion is not None:
-                    fractions_by_cam = {
-                        cam.camera_id: visible_fractions(
-                            cam, objects, boxes=cache.boxes(cam, objects)
-                        )
-                        for cam in rig
-                    }
-                    multipliers = {
-                        cam_id: {
-                            oid: occlusion.miss_multiplier(frac)
-                            for oid, frac in fractions.items()
-                        }
-                        for cam_id, fractions in fractions_by_cam.items()
-                    }
-                    visible_gt, coverage_lost = _split_coverage(
-                        objects,
-                        effective_down,
-                        lambda o: [
-                            c
-                            for c in fractions_by_cam
-                            if occlusion.effectively_visible(
-                                fractions_by_cam[c].get(
-                                    o.object_id, 0.0
-                                )
-                            )
-                        ],
-                    )
-                else:
-                    # Whole-frame coverage in one table pull; its keys
-                    # are exactly the ids some camera can observe, so
-                    # the fault-free split needs no per-object calls.
-                    table = cache.coverage_table(objects)
-                    if effective_down:
-                        visible_gt, coverage_lost = _split_coverage(
-                            objects,
-                            effective_down,
-                            lambda o: table.get(o.object_id, ()),
-                        )
-                    else:
-                        visible_gt = frozenset(table)
-                        coverage_lost = frozenset()
+    def _sense(
+        self, state: _RunState, tracer, frame_idx: int,
+        frame_faults: FrameFaults, control: _Control,
+    ) -> _Sensed:
+        """The frame, each camera's view of it, and the recall ledger.
 
-            inference: Dict[int, float] = {}
-            detected: set = set()
-            overheads: Dict[str, float] = {}
-            n_slices: Dict[int, int] = {}
-            key_detected: Dict[int, int] = {}
-            if transitions:
-                # Restore/sync/claim-broadcast time of the
-                # leadership change, modeled through the link and
-                # overhead models, lands on this frame.
-                overheads["failover"] = sum(t.cost_ms for t in transitions)
-
-            if is_key:
-                reports = {}
-                tracking = []
-                with tracer.span("central_stage"):
-                    for cam_id, node in nodes.items():
-                        if cam_id in effective_down:
-                            continue
-                        view, view_cache = views[cam_id]
-                        with tracer.span(
-                            "camera.key_frame", camera=cam_id
-                        ):
-                            outcome = node.process_key_frame(
-                                view,
-                                multipliers.get(cam_id),
-                                boxes=view_cache.boxes(node.camera, view),
-                            )
-                        inference[cam_id] = outcome.inference_ms
-                        detected.update(
-                            d.gt_object_id
-                            for d in outcome.detections
-                            if d.gt_object_id >= 0
-                        )
-                        if health is not None:
-                            # Report quality signal for the watchdog:
-                            # distinct ground-truth objects this camera
-                            # actually saw on its key frame.
-                            key_detected[cam_id] = len(
-                                {
-                                    d.gt_object_id
-                                    for d in outcome.detections
-                                    if d.gt_object_id >= 0
-                                }
-                            )
-                        if cam_id in ingest.degraded:
-                            # Degraded mode: the camera runs the frame
-                            # locally but sits out the central stage to
-                            # catch up; the stale-decision fallback below
-                            # keeps it on its last-known mask.
-                            with tracer.span("ingest.degrade", camera=cam_id):
-                                pass
-                            registry.counter(
-                                "ingest_degraded_frames_total",
-                                camera=cam_id,
-                            ).inc()
-                            state.ingest.clear_degraded(cam_id)
-                            tracking.append(outcome.tracking_ms)
-                            continue
-                        reports[cam_id] = outcome.report
-                        tracking.append(outcome.tracking_ms)
-                    overheads["tracking"] = (
-                        max(tracking) if tracking else 0.0
-                    )
-                    if scheduler is not None and reports:
-                        #: camera -> (decision, issuing epoch)
-                        assignments: Dict[
-                            int, Tuple[ScheduleDecision, int]
-                        ] = {}
-                        total_retries = 0
-                        # The authorities' costs overlap in time (the
-                        # sides of a cut are concurrent), so the
-                        # amortized charge is the slowest side's.
-                        central_peak = 0.0
-                        for authority in authorities:
-                            auth_reports = {
-                                c: r
-                                for c, r in reports.items()
-                                if c in authority.reach
-                            }
-                            if not auth_reports:
-                                continue
-                            # A camera leader replicates onward only when
-                            # the plan has no scheduler partitions: a kept
-                            # asymmetry, pinned by tests/integration/
-                            # test_failover.py::TestReplicationAsymmetry.
-                            replicates = failover is not None and (
-                                authority.leader_id == PRIMARY
-                                or not faults.has_scheduler_partitions
-                            )
-                            replicate_to = (
-                                failover.replication_target(
-                                    sorted(auth_reports)
-                                )
-                                if replicates
-                                else None
-                            )
-                            decision = scheduler.schedule(
-                                auth_reports,
-                                frame_idx,
-                                link_faults=frame_faults.link_faults,
-                                replicate_to=replicate_to,
-                                no_authority=probation,
-                            )
-                            if (
-                                replicate_to is not None
-                                and decision.checkpoint is not None
-                            ):
-                                self._record_replication(
-                                    tracer,
-                                    registry,
-                                    failover,
-                                    decision.checkpoint,
-                                    replicate_to,
-                                    replicate_to in decision.delivered,
-                                )
-                            invariants.observe_issue(
-                                frame_idx,
-                                authority.epoch,
-                                authority.leader_id,
-                            )
-                            for cam_id in sorted(authority.reach):
-                                assignments[cam_id] = (
-                                    decision, authority.epoch
-                                )
-                            total_retries += decision.comm_retries
-                            central_peak = max(
-                                central_peak,
-                                decision.central_ms + decision.comm_ms,
-                            )
-                        central_amortized = central_peak / config.horizon
-                        for cam_id, node in nodes.items():
-                            if cam_id in down or cam_id in quarantined:
-                                # R5: a quarantined camera is out of the
-                                # membership — no assignment download may
-                                # reach it until probation readmits it.
-                                continue
-                            entry = assignments.get(cam_id)
-                            # Hardened wire protocol: a delivered download
-                            # passes the camera's receiver guard (checksum,
-                            # dedupe, epoch fence) before it may be applied.
-                            delivered_ok = (
-                                entry is not None
-                                and cam_id in entry[0].delivered
-                                and self._admit_assignment(
-                                    tracer,
-                                    registry,
-                                    node,
-                                    cam_id,
-                                    frame_idx,
-                                    entry[1],
-                                    entry[0],
-                                )
-                            )
-                            if delivered_ok:
-                                decision_c, epoch_c = entry
-                                node.apply_schedule(
-                                    decision_c.assigned.get(cam_id, []),
-                                    decision_c.shadows.get(cam_id, {}),
-                                )
-                                invariants.observe_applied(
-                                    frame_idx, cam_id, epoch_c
-                                )
-                                stale_horizons[cam_id] = 0
-                                if config.policy in ("balb", "balb-cen"):
-                                    policies[cam_id] = (
-                                        self._balb_policy_for(
-                                            scheduler,
-                                            cam_id,
-                                            decision_c.priority_order,
-                                        )
-                                    )
-                            else:
-                                # Stale-decision fallback: the camera
-                                # keeps the BALB distributed stage on
-                                # its last-known mask and priority
-                                # order.
-                                stale_horizons[cam_id] += 1
-                                registry.counter(
-                                    "assignment_fallbacks_total",
-                                    camera=cam_id,
-                                ).inc()
-                            if faults:
-                                registry.gauge(
-                                    "assignment_staleness_horizons",
-                                    camera=cam_id,
-                                ).set(stale_horizons[cam_id])
-                        if faults and total_retries:
-                            registry.counter(
-                                "message_retries_total"
-                            ).inc(total_retries)
-                overheads["central"] = central_amortized
-                registry.counter("key_frames_total").inc()
-            else:
-                tracking, distributed, batching = [], [], []
-                with tracer.span("distributed_stage"):
-                    for cam_id, node in nodes.items():
-                        if cam_id in effective_down:
-                            continue
-                        view, view_cache = views[cam_id]
-                        with tracer.span(
-                            "camera.regular_frame", camera=cam_id
-                        ):
-                            outcome = node.process_regular_frame(
-                                view,
-                                policies[cam_id],
-                                multipliers.get(cam_id),
-                                boxes=view_cache.boxes(node.camera, view),
-                            )
-                        inference[cam_id] = outcome.inference_ms
-                        detected.update(
-                            d.gt_object_id
-                            for d in outcome.detections
-                            if d.gt_object_id >= 0
-                        )
-                        n_slices[cam_id] = outcome.n_slices
-                        tracking.append(outcome.tracking_ms)
-                        distributed.append(outcome.distributed_ms)
-                        batching.append(outcome.batching_ms)
-                overheads["tracking"] = (
-                    max(tracking) if tracking else 0.0
-                )
-                overheads["distributed"] = (
-                    max(distributed) if distributed else 0.0
-                )
-                overheads["batching"] = max(batching) if batching else 0.0
-                overheads["central"] = central_amortized
-                registry.counter("regular_frames_total").inc()
-                registry.counter("slices_total").inc(
-                    sum(n_slices.values())
-                )
-
-            if health is not None:
-                self._observe_fleet_health(
-                    state,
-                    tracer,
+        The frame and each camera's view of it come from the run's
+        trajectory; a lagging camera sees an older frame. Every frame
+        carries its projection cache, which every consumer (occlusion,
+        coverage, detection, new regions, health) shares instead of
+        re-projecting. Objects whose every covering camera is down are
+        coverage loss — no scheduling decision can recover them — and
+        are kept out of the recall denominator.
+        """
+        with tracer.span("sim.advance"):
+            trajectory = state.trajectory
+            objects, cache = trajectory.frame(frame_idx)
+            drift_lags = frame_faults.drift_lags
+            views: Dict[int, Frame] = {
+                cam_id: trajectory.view(
                     frame_idx,
-                    frame_faults,
-                    views,
-                    objects,
-                    is_key,
-                    key_detected,
-                    overheads,
-                    cache,
+                    drifted_lag(lag, drift_lags.get(cam_id, 0), state.lag_depth)
+                    if drift_lags
+                    else lag,
                 )
+                for cam_id, lag in state.camera_lags.items()
+            }
+            self._apply_frozen_views(state, frame_faults, views)
+            multipliers: Dict[int, Dict[int, float]] = {}
+            occlusion = state.occlusion
+            if occlusion is None:
+                # Whole-frame coverage in one table pull; its keys are
+                # exactly the ids some camera can observe.
+                table = cache.coverage_table(objects)
+            else:
+                fractions_by_cam = {
+                    cam.camera_id: visible_fractions(cam, objects, boxes=cache.boxes(cam, objects))
+                    for cam in state.rig
+                }
+                multipliers = {
+                    cam_id: {
+                        oid: occlusion.miss_multiplier(frac)
+                        for oid, frac in fractions.items()
+                    }
+                    for cam_id, fractions in fractions_by_cam.items()
+                }
+                table = {}
+                for o in objects:
+                    covering = [
+                        cam_id
+                        for cam_id, fractions in fractions_by_cam.items()
+                        if occlusion.effectively_visible(fractions.get(o.object_id, 0.0))
+                    ]
+                    if covering:
+                        table[o.object_id] = covering
+            down = control.effective_down
+            if down:
+                coverage_lost = frozenset(
+                    oid for oid, covering in table.items() if down.issuperset(covering)
+                )
+                visible_gt = frozenset(table) - coverage_lost
+            else:
+                # No camera is down: nothing is lost, and the table's
+                # keys are the recall denominator as they stand.
+                visible_gt, coverage_lost = frozenset(table), frozenset()
+        return _Sensed(objects, cache, views, multipliers, visible_gt, coverage_lost)
 
-        registry.counter("frames_total").inc()
-        registry.histogram("frame_wall_ms").observe(
-            (self.clock.now() - frame_start) * 1e3
-        )
-        for cam_id, ms in inference.items():
-            registry.histogram("inference_ms", camera=cam_id).observe(
-                ms
+    def _camera_pass(
+        self, state: _RunState, tracer, control: _Control, sensed: _Sensed,
+        ingest: FrameIngest, overheads: Dict[str, float],
+    ) -> _CameraPass:
+        """Run the frame on every camera that is not effectively down.
+
+        A key frame detects and tracks on the full frame and yields the
+        camera's report for the central stage; a regular frame runs the
+        distributed stage under the camera's current policy. The slowest
+        camera's per-stage overheads land in ``overheads``.
+        """
+        is_key = control.is_key
+        count_keys = is_key and state.health is not None
+        effective_down = control.effective_down
+        views = sensed.views
+        multipliers_by_cam = sensed.multipliers
+        inference: Dict[int, float] = {}
+        detected: set = set()
+        key_detected: Dict[int, int] = {}
+        reports: Dict[int, list] = {}
+        n_slices: Dict[int, int] = {}
+        tracking: List[float] = []
+        distributed: List[float] = []
+        batching: List[float] = []
+        for cam_id, node in state.nodes.items():
+            if cam_id in effective_down:
+                continue
+            view, view_cache = views[cam_id]
+            multipliers = multipliers_by_cam.get(cam_id)
+            if is_key:
+                with tracer.span("camera.key_frame", camera=cam_id):
+                    outcome = node.process_key_frame(
+                        view, multipliers, boxes=view_cache.boxes(node.camera, view)
+                    )
+                if cam_id in ingest.degraded:
+                    # Degraded mode: the camera runs the frame locally
+                    # but sits out the central stage to catch up; the
+                    # stale-decision fallback keeps it on its last-known
+                    # mask.
+                    with tracer.span("ingest.degrade", camera=cam_id):
+                        pass
+                    state.registry.counter("ingest_degraded_frames_total", camera=cam_id).inc()
+                    state.ingest.clear_degraded(cam_id)
+                else:
+                    reports[cam_id] = outcome.report
+            else:
+                with tracer.span("camera.regular_frame", camera=cam_id):
+                    outcome = node.process_regular_frame(
+                        view, state.policies[cam_id], multipliers,
+                        boxes=view_cache.boxes(node.camera, view),
+                    )
+                n_slices[cam_id] = outcome.n_slices
+                distributed.append(outcome.distributed_ms)
+                batching.append(outcome.batching_ms)
+            inference[cam_id] = outcome.inference_ms
+            tracking.append(outcome.tracking_ms)
+            gt_ids = [d.gt_object_id for d in outcome.detections if d.gt_object_id >= 0]
+            detected.update(gt_ids)
+            if count_keys:
+                # Report quality signal for the watchdog: distinct
+                # ground-truth objects this camera saw on its key frame.
+                key_detected[cam_id] = len(set(gt_ids))
+        overheads["tracking"] = max(tracking) if tracking else 0.0
+        if not is_key:
+            overheads["distributed"] = max(distributed) if distributed else 0.0
+            overheads["batching"] = max(batching) if batching else 0.0
+        return _CameraPass(inference, detected, key_detected, reports, n_slices)
+
+    def _central_stage(
+        self, state: _RunState, tracer, frame_idx: int,
+        frame_faults: FrameFaults, control: _Control, cams: _CameraPass,
+    ) -> None:
+        """Algorithm 1 over the key-frame reports, then guarded delivery.
+
+        Each acting authority schedules the reports it reaches (and
+        piggybacks a checkpoint replica when failover is armed). Every
+        member camera then applies its delivered assignment, which
+        rebuilds its BALB policy, or falls back to its last-known mask.
+        """
+        scheduler = state.scheduler
+        reports = cams.reports
+        if scheduler is None or not reports:
+            return
+        registry = state.registry
+        failover = state.failover
+        #: camera -> (decision, issuing epoch)
+        assignments: Dict[int, Tuple[ScheduleDecision, int]] = {}
+        total_retries = 0
+        # The authorities' costs overlap in time (the sides of a cut are
+        # concurrent), so the amortized charge is the slowest side's.
+        central_peak = 0.0
+        for authority in control.authorities:
+            auth_reports = {c: r for c, r in reports.items() if c in authority.reach}
+            if not auth_reports:
+                continue
+            # A camera leader replicates onward only when the plan has no
+            # scheduler partitions: a kept asymmetry, pinned by
+            # tests/integration/test_failover.py::TestReplicationAsymmetry.
+            replicate_to = None
+            if failover is not None and (
+                authority.leader_id == PRIMARY
+                or not state.faults.has_scheduler_partitions
+            ):
+                replicate_to = failover.replication_target(sorted(auth_reports))
+            decision = scheduler.schedule(
+                auth_reports,
+                frame_idx,
+                link_faults=frame_faults.link_faults,
+                replicate_to=replicate_to,
+                no_authority=control.probation,
             )
-        if faults and coverage_lost:
-            registry.counter(
-                "coverage_lost_object_frames_total"
-            ).inc(len(coverage_lost))
-        record = FrameRecord(
-            frame_index=frame_idx,
-            is_key_frame=is_key,
-            inference_ms=inference,
-            visible_gt=visible_gt,
-            detected_gt=frozenset(detected),
-            overheads_ms=overheads,
-            n_slices=n_slices,
-            coverage_lost=coverage_lost,
-        )
-        invariants.observe_frame(frame_idx, visible_gt, coverage_lost)
-        result.add(record)
-        if state.serving is not None:
-            state.serving.on_frame(record)
-        # Fold the loop-local mutations back into the state: between two
-        # frames the run is crash-consistent.
-        state.next_frame = frame_idx + 1
-        state.central_amortized = central_amortized
+            if replicate_to is not None and decision.checkpoint is not None:
+                self._record_replication(
+                    tracer, registry, failover, decision.checkpoint, replicate_to,
+                    replicate_to in decision.delivered,
+                )
+            state.invariants.observe_issue(frame_idx, authority.epoch, authority.leader_id)
+            for cam_id in sorted(authority.reach):
+                assignments[cam_id] = (decision, authority.epoch)
+            total_retries += decision.comm_retries
+            central_peak = max(central_peak, decision.central_ms + decision.comm_ms)
+        state.central_amortized = central_peak / self.config.horizon
+        for cam_id, node in state.nodes.items():
+            if cam_id in frame_faults.down or cam_id in control.quarantined:
+                # R5: a quarantined camera is out of the membership — no
+                # assignment download may reach it until probation
+                # readmits it.
+                continue
+            entry = assignments.get(cam_id)
+            # Hardened wire protocol: a delivered download passes the
+            # camera's receiver guard (checksum, dedupe, epoch fence)
+            # before it may be applied.
+            if (
+                entry is not None
+                and cam_id in entry[0].delivered
+                and self._admit_assignment(
+                    tracer, registry, node, cam_id, frame_idx, entry[1], entry[0]
+                )
+            ):
+                decision, epoch = entry
+                node.apply_schedule(
+                    decision.assigned.get(cam_id, []),
+                    decision.shadows.get(cam_id, {}),
+                )
+                state.invariants.observe_applied(frame_idx, cam_id, epoch)
+                self._set_staleness(state, cam_id, 0)
+                if self.config.policy == "balb":
+                    state.policies[cam_id] = self._balb_policy_for(
+                        scheduler, cam_id, decision.priority_order
+                    )
+            else:
+                # Stale-decision fallback: the camera keeps its
+                # regular-frame policy on its last-known mask and
+                # priority order.
+                registry.counter("assignment_fallbacks_total", camera=cam_id).inc()
+                self._set_staleness(state, cam_id, state.stale_horizons[cam_id] + 1)
+        if state.faults and total_retries:
+            registry.counter("message_retries_total").inc(total_retries)
+
+    @staticmethod
+    def _set_staleness(state: _RunState, cam_id: int, horizons: int) -> None:
+        """Record how many horizons old ``cam_id``'s assignment is."""
+        state.stale_horizons[cam_id] = horizons
+        if state.faults:
+            state.registry.gauge("assignment_staleness_horizons", camera=cam_id).set(horizons)
 
     def _apply_frozen_views(
         self,
@@ -1184,12 +1138,9 @@ class Pipeline:
         tracer,
         frame_idx: int,
         frame_faults: FrameFaults,
-        views: Dict[int, Frame],
-        objects,
-        is_key: bool,
-        key_detected: Dict[int, int],
+        sensed: _Sensed,
+        cams: _CameraPass,
         overheads: Dict[str, float],
-        cache: FrameProjectionCache,
     ) -> None:
         """End-of-frame health pass: signals -> watchdog -> membership.
 
@@ -1205,11 +1156,12 @@ class Pipeline:
         health = state.health
         assert health is not None
         registry = state.registry
+        key_detected = cams.key_detected
         visible: Dict[int, int] = {}
-        if is_key:
-            # Denominator of the report-quality signal: how many objects
-            # each camera could have seen this frame.
-            coverage = cache.coverage_table(objects)
+        if key_detected:
+            # Denominator of the key-frame report-quality signal: how
+            # many objects each camera could have seen this frame.
+            coverage = sensed.cache.coverage_table(sensed.objects)
             for covered in coverage.values():
                 for cam in covered:
                     visible[cam] = visible.get(cam, 0) + 1
@@ -1219,7 +1171,7 @@ class Pipeline:
         tokens: Dict[int, int] = {}
         for cam in state.camera_ids:
             alive = cam not in frame_faults.down
-            view = views[cam][0]
+            view = sensed.views[cam][0]
             token = tokens.get(id(view))
             if token is None:
                 # An empty view carries no content to hash; feeding a
@@ -1228,11 +1180,8 @@ class Pipeline:
                 token = content_token(view) if view else -frame_idx - 1
                 tokens[id(view)] = token
             quality: Optional[float] = None
-            if is_key and cam in key_detected:
-                quality = min(
-                    1.0,
-                    key_detected[cam] / max(1, visible.get(cam, 0)),
-                )
+            if cam in key_detected:
+                quality = min(1.0, key_detected[cam] / max(1, visible.get(cam, 0)))
             signals[cam] = HealthSignals(
                 alive=alive,
                 content_token=token,
@@ -1469,7 +1418,6 @@ class Pipeline:
             nodes[cam.camera_id] = CameraNode(
                 camera=cam,
                 latency_model=model,
-                profile=self.trained.profiles[cam.camera_id],
                 seed=self.config.seed * 101 + cam.camera_id,
                 gpu_jitter=self.config.gpu_jitter,
                 overhead_model=self.overheads,
@@ -1515,10 +1463,16 @@ class Pipeline:
                 )
                 for cam in rig
             }
-        if policy_name in ("balb", "balb-cen") and scheduler is not None:
+        if policy_name == "balb-cen":
+            return {cam.camera_id: CentralOnlyPolicy() for cam in rig}
+        if policy_name == "balb":
+            assert scheduler is not None
             # Placeholder priorities until the first key frame decides.
             order = tuple(sorted(c.camera_id for c in rig))
-            return self._balb_policies(scheduler, order)
+            return {
+                cam_id: self._balb_policy_for(scheduler, cam_id, order)
+                for cam_id in scheduler.masks
+            }
         return {cam.camera_id: IndependentPolicy() for cam in rig}
 
     def _balb_policy_for(
@@ -1527,23 +1481,14 @@ class Pipeline:
         cam_id: int,
         priority_order: Tuple[int, ...],
     ) -> RegularFramePolicy:
-        """Rebuild one camera's regular-frame policy from its current mask."""
-        distributed = DistributedPolicy(
-            camera_id=cam_id,
-            mask=scheduler.masks[cam_id],
-            priority_order=priority_order,
+        """Rebuild one camera's BALB policy from its current mask."""
+        return BALBPolicy(
+            DistributedPolicy(
+                camera_id=cam_id,
+                mask=scheduler.masks[cam_id],
+                priority_order=priority_order,
+            )
         )
-        if self.config.policy == "balb":
-            return BALBPolicy(distributed)
-        return CentralOnlyPolicy(distributed)
-
-    def _balb_policies(
-        self, scheduler: CentralScheduler, priority_order: Tuple[int, ...]
-    ) -> Dict[int, RegularFramePolicy]:
-        return {
-            cam_id: self._balb_policy_for(scheduler, cam_id, priority_order)
-            for cam_id in scheduler.masks
-        }
 
 
 def run_policy(

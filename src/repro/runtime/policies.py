@@ -54,17 +54,12 @@ class RegularFramePolicy(abc.ABC):
 class BALBPolicy(RegularFramePolicy):
     """Full BALB: central assignment + the distributed stage rules."""
 
-    def __init__(
-        self, distributed: DistributedPolicy, enable_distributed: bool = True
-    ) -> None:
+    def __init__(self, distributed: DistributedPolicy) -> None:
         self.distributed = distributed
-        self.enable_distributed = enable_distributed
 
     def inspect_track(self, track: TrackView) -> bool:
         if track.is_assigned:
             return True
-        if not self.enable_distributed:
-            return False
         # Shadow track: take over only when its assigned camera lost it
         # and this camera is the highest-priority remaining observer.
         if track.assigned_camera is None:
@@ -74,16 +69,17 @@ class BALBPolicy(RegularFramePolicy):
         )
 
     def allow_new_region(self, box: BBox) -> bool:
-        if not self.enable_distributed:
-            return False
         return self.distributed.should_track_new_object(box)
 
 
-class CentralOnlyPolicy(BALBPolicy):
+class CentralOnlyPolicy(RegularFramePolicy):
     """BALB-Cen: the central assignment only, no distributed stage."""
 
-    def __init__(self, distributed: DistributedPolicy) -> None:
-        super().__init__(distributed, enable_distributed=False)
+    def inspect_track(self, track: TrackView) -> bool:
+        return track.is_assigned
+
+    def allow_new_region(self, box: BBox) -> bool:
+        return False
 
 
 class IndependentPolicy(RegularFramePolicy):

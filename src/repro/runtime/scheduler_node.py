@@ -26,13 +26,7 @@ from repro.core.redundancy import balb_redundant
 from repro.devices.profiler import DeviceProfile
 from repro.geometry.box import BBox, quantize_size
 from repro.net.envelope import ChannelGuard, Envelope
-from repro.net.link import (
-    DEFAULT_RETRY,
-    DuplexChannel,
-    LinkFault,
-    RetryPolicy,
-    TransferOutcome,
-)
+from repro.net.link import DuplexChannel, LinkFault, TransferOutcome
 from repro.net.messages import (
     AssignmentMessage,
     DetectionReport,
@@ -83,7 +77,6 @@ class CentralScheduler:
         size_set: Sequence[int],
         mode: str = "balb",
         mask_grid: Tuple[int, int] = (16, 12),
-        iou_threshold: float = 0.15,
         overhead_model: Optional[OverheadModel] = None,
         channels: Optional[Dict[int, DuplexChannel]] = None,
         redundancy: int = 1,
@@ -98,7 +91,7 @@ class CentralScheduler:
         self.profiles = dict(profiles)
         self.mode = mode
         self.size_set = tuple(sorted(size_set))
-        self.matcher = CrossCameraMatcher(associator, iou_threshold)
+        self.matcher = CrossCameraMatcher(associator)
         self.overheads = overhead_model or OverheadModel()
         self.channels = channels or {}
         self.redundancy = redundancy
@@ -157,7 +150,6 @@ class CentralScheduler:
         reports: Dict[int, List[ReportEntry]],
         frame_index: int = 0,
         link_faults: Optional[Dict[int, LinkFault]] = None,
-        retry: Optional[RetryPolicy] = None,
         replicate_to: Optional[int] = None,
         no_authority: FrozenSet[int] = frozenset(),
     ) -> ScheduleDecision:
@@ -182,7 +174,6 @@ class CentralScheduler:
         assigned to a probation camera — it keeps authority only over
         objects nobody else covers.
         """
-        retry = retry or DEFAULT_RETRY
         if len(self.active_members) != len(self.profiles):
             # Quarantined cameras are out of the membership: their
             # reports are not associated and they get no assignment.
@@ -215,9 +206,7 @@ class CentralScheduler:
                     report = self._report_message(
                         cam, reports[cam], frame_index
                     )
-                    outcome = channel.up_transfer(
-                        report.payload_bytes(), fault, retry
-                    )
+                    outcome = channel.up_transfer(report.payload_bytes(), fault)
                     up_outcomes[cam] = outcome
                     if outcome.delivered and self._admit_report(
                         cam, report, outcome
@@ -297,7 +286,7 @@ class CentralScheduler:
                 comm_ms, delivered, retries, down_outcomes = (
                     self._communication_ms(
                         reports, assigned, priority, frame_index,
-                        faults, retry, up_outcomes, extra_down,
+                        faults, up_outcomes, extra_down,
                     )
                 )
             sched_span.set_tag("n_global_objects", n_objects)
@@ -456,9 +445,8 @@ class CentralScheduler:
         priority: Tuple[int, ...],
         frame_index: int,
         faults: Dict[int, LinkFault],
-        retry: RetryPolicy,
         up_outcomes: Dict[int, TransferOutcome],
-        extra_down_bytes: Optional[Dict[int, int]] = None,
+        extra_down_bytes: Dict[int, int],
     ) -> Tuple[float, FrozenSet[int], int, Dict[int, TransferOutcome]]:
         """Max camera-to-scheduler round trip (cameras talk in parallel).
 
@@ -473,7 +461,6 @@ class CentralScheduler:
         bytes) models piggybacked payload on that camera's download (the
         failover checkpoint replica).
         """
-        extra = extra_down_bytes or {}
         down_outcomes: Dict[int, TransferOutcome] = {}
         if not self.channels:
             return 0.0, frozenset(reports), 0, down_outcomes
@@ -493,7 +480,7 @@ class CentralScheduler:
                 camera_priority_order=priority,
                 mask_cells=(),  # masks are static; sent once at startup
             )
-            down_bytes = reply.payload_bytes() + extra.get(cam, 0)
+            down_bytes = reply.payload_bytes() + extra_down_bytes.get(cam, 0)
             fault = faults.get(cam)
             if fault is None:
                 worst = max(
@@ -516,9 +503,7 @@ class CentralScheduler:
                     with tracer.span("net.retry", direction="up"):
                         pass
                 if up.delivered:
-                    down = channel.down_transfer(
-                        down_bytes, fault, retry
-                    )
+                    down = channel.down_transfer(down_bytes, fault)
                     down_outcomes[cam] = down
                     total += down.elapsed_ms
                     for _ in range(down.dropped):

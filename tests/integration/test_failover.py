@@ -211,9 +211,9 @@ class TestGuardOnCleanChannels:
             guard = node.guard
             assert guard.admitted == key_frames
             assert (
-                guard.corrupt, guard.fenced, guard.duplicates,
+                guard.corrupt, guard.duplicates,
                 guard.reordered, guard.window_exceeded,
-            ) == (0, 0, 0, 0, 0)
+            ) == (0, 0, 0, 0)
         names = {m["name"] for m in result.metrics}
         assert not {n for n in names if n.startswith("wire_")}
         assert "failover_fenced_total" not in names

@@ -11,7 +11,6 @@ corrupting its metrics.
 from repro.association.pairwise import PairwiseAssociator
 from repro.association.training import AssociationDataset
 from repro.cameras.camera import Camera, CameraIntrinsics, CameraPose
-from repro.devices.profiler import profile_device
 from repro.devices.profiles import JETSON_TX2, latency_model_for
 from repro.geometry.box import BBox
 from repro.runtime.camera_node import CameraNode
@@ -47,10 +46,7 @@ class TestDegradedDetector:
             max_range=80.0,
         )
         model = latency_model_for(JETSON_TX2)
-        return CameraNode(
-            camera, model, profile_device(model, "tx2"),
-            detector_errors=errors, gpu_jitter=0.0,
-        )
+        return CameraNode(camera, model, detector_errors=errors, gpu_jitter=0.0)
 
     def test_blind_detector_yields_empty_tracks_not_crash(self):
         node = self.make_node(

@@ -40,7 +40,6 @@ def cost_matrices(draw):
 def test_seeded_solver_returns_the_reference_pairs(cost):
     want = reference_hungarian([list(row) for row in cost])
     assert hungarian([list(row) for row in cost]) == want
-    assert hungarian(np.array(cost)) == reference_hungarian(np.array(cost)) == want
 
 
 def test_seed_covers_every_row_and_stops_at_a_taken_column():

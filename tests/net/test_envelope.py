@@ -78,7 +78,7 @@ class TestChannelGuard:
         guard.admit(seal(seq=0, epoch=2))
         verdict = guard.admit(seal(seq=1, epoch=1))
         assert not verdict.accepted and verdict.reason == DROP_STALE_EPOCH
-        assert guard.fenced == 1
+        assert guard.epoch == 2
 
     def test_higher_epoch_resets_sequence_space(self):
         guard = ChannelGuard()

@@ -28,7 +28,6 @@ from repro.cameras.camera import Camera
 from repro.cameras.projection import camera_boxes
 from repro.devices.gpu import GPUExecutor, greedy_plan
 from repro.devices.latency import LatencyModel
-from repro.devices.profiler import DeviceProfile
 from repro.geometry.box import (
     DEFAULT_SIZE_SET,
     BBox,
@@ -532,7 +531,6 @@ class ReferenceCameraNode:
         self,
         camera: Camera,
         latency_model: LatencyModel,
-        profile: DeviceProfile,
         seed: int = 0,
         detector_errors: Optional[DetectorErrorModel] = None,
         flow_noise: Optional[FlowNoiseModel] = None,
@@ -544,7 +542,6 @@ class ReferenceCameraNode:
     ) -> None:
         self.camera = camera
         self.latency_model = latency_model
-        self.profile = profile
         self._rng = np.random.default_rng(seed)
         self.detector = SimulatedDetector(
             camera, detector_errors, np.random.default_rng(seed + 1)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cameras.camera import Camera, CameraIntrinsics, CameraPose
-from repro.devices.profiler import profile_device
 from repro.devices.profiles import JETSON_TX2, latency_model_for
 from repro.runtime.camera_node import CameraNode, TrackStatus
 from repro.runtime.policies import IndependentPolicy
@@ -20,7 +19,6 @@ def make_node(seed=0, **kwargs):
         max_range=80.0,
     )
     model = latency_model_for(JETSON_TX2)
-    profile = profile_device(model, "tx2", seed=seed)
     defaults = dict(
         detector_errors=DetectorErrorModel(
             center_jitter_frac=0.0,
@@ -33,7 +31,7 @@ def make_node(seed=0, **kwargs):
         gpu_jitter=0.0,
     )
     defaults.update(kwargs)
-    return CameraNode(camera, model, profile, seed=seed, **defaults)
+    return CameraNode(camera, model, seed=seed, **defaults)
 
 
 def car(oid, x, y=0.0, speed=10.0):

@@ -133,7 +133,6 @@ def test_record_replication_tracks_freshness():
     assert mgr.replica.frame_index == 5
     mgr.record_replication(checkpoint_at(10), delivered=False)
     assert mgr.replica.frame_index == 5  # stale replica kept
-    assert mgr.replications == 1 and mgr.stale_replications == 1
 
 
 def test_takeover_cost_includes_claim_broadcast_over_links():

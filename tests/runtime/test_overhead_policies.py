@@ -103,8 +103,7 @@ class TestPolicies:
         assert not BALBPolicy(dist_lo).allow_new_region(box)
 
     def test_central_only_never_expands(self):
-        dist = DistributedPolicy(0, full_mask(0, [0]), (0,))
-        policy = CentralOnlyPolicy(dist)
+        policy = CentralOnlyPolicy()
         assert policy.inspect_track(view(1, True, 0))
         assert not policy.inspect_track(view(2, False, 1))
         assert not policy.allow_new_region(BBox.from_xywh(200, 150, 30, 30))
